@@ -35,13 +35,20 @@ def product_form(result: BoundResult, tol: float = 1e-7) -> str:
 
 
 def certificate_gap(result: BoundResult) -> float:
-    """|Σ w_i·b_i − log2_bound| — zero (to LP tolerance) at optimality."""
+    """|Σ w_i·b_i − log2_bound| — zero (to LP tolerance) at optimality.
+
+    Zero-weight terms are skipped (0·(−∞) = 0), so an empty relation's
+    certificate, weight 1 on a b = −∞ statistic, closes at −∞ exactly.
+    """
     if result.dual_weights is None:
         raise ValueError(f"no certificate (status: {result.status})")
     total = sum(
         float(w) * stat.log2_bound
         for stat, w in zip(result.statistics, result.dual_weights)
+        if w
     )
+    if total == result.log2_bound:
+        return 0.0
     return abs(total - result.log2_bound)
 
 

@@ -17,7 +17,17 @@ cones:
     K = N_n, parameterised by step-function coefficients α_W ≥ 0.  By
     Theorem 6.1 this equals the polymatroid bound whenever all statistics
     are *simple* (|U| ≤ 1) — and it is dramatically smaller: one LP column
-    per distinct intersection pattern of W with the constraint sets.
+    per *level-minimal* step function.  For a statistic on (U, V) the
+    column of h_W holds 0 when W misses UV (level 0), 1/p when W hits U
+    (level 1) and 1 when W hits V only (level 2); as 0 ≤ 1/p ≤ 1 for
+    p ≥ 1, a W whose levels are all ≥ another W′'s has a column ≥ W′'s,
+    and dropping it changes neither the optimum nor the dual certificate
+    (W's dual row a_W·y ≥ 1 follows from W′'s for y ≥ 0).  A p < 1 makes
+    1/p > 1, so on a pair carrying such a statistic levels 1 and 2 are
+    incomparable (only level 0 sits below both).  Levels depend only on
+    the statistics' (U, UV) pairs and whether a pair has a p < 1, so
+    every nested norm family over the same conditionals with p ≥ 1 (all
+    the E9 families) shares one candidate set.
 ``modular``
     K = M_n (singleton steps only).  This is the cone implicitly used by
     Jayaraman et al. [14]; Appendix B shows it is *not* sound in general —
@@ -46,9 +56,18 @@ Two solve paths answer every LP, selected by a process-wide *LP mode*
 
 Both paths solve the *identical* constraint system; optima agree to
 solver tolerance (the differential suite ``tests/core/test_lp_modes.py``
-enforces 1e-6 on ``log2_bound`` across the E-family), but last-bit
-values and degenerate dual witnesses may differ — anything that needs
-bit-identical numbers pins ``oneshot``.
+enforces 1e-6 on ``log2_bound`` across the E-family and JOB queries),
+but last-bit values and degenerate dual witnesses may differ — anything
+that needs bit-identical numbers pins ``oneshot``.
+
+Empty relations
+---------------
+A statistic of norm 0 (``log2_bound = -inf``) means its guard relation
+is empty, so the query's output is empty.  Both :func:`lp_bound` and
+:class:`BoundSolver` answer that before any LP is assembled: log2 bound
+−∞, status ``optimal``, and a trivial certificate putting weight 1 on
+the first such statistic (Π B_i^{w_i} = 0^1).  No h satisfies a −∞ row,
+so the result carries no primal witness.
 """
 
 from __future__ import annotations
@@ -56,11 +75,11 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -320,8 +339,8 @@ class _Assembly:
     For the polymatroid cone ``a_stats`` holds the statistic rows (≤2
     nonzeros each, assembled as COO — never through dense 2^n rows) and
     ``a_ub`` the full stat+Shannon matrix; for the step cones ``a_ub`` is
-    the dense statistic-row matrix over the deduplicated step-function
-    ``candidates`` (``None`` when there are no statistics).
+    the dense statistic-row matrix over the step-function ``candidates``
+    of :func:`_step_candidates` (``None`` when there are no statistics).
     """
 
     cone: str
@@ -378,11 +397,112 @@ def _assemble_polymatroid(
     return _Assembly("polymatroid", len(struct), a_ub, c, bounds, a_stats)
 
 
-def _step_candidates(
-    n: int, cone: str, struct: Sequence[tuple[int, int, float]]
+#: candidates per dominance block, and the booleans one block may hold:
+#: the pairwise test never materialises an m × m matrix
+_DOMINANCE_ROWS = 128
+_DOMINANCE_CELLS = 1 << 18
+
+
+def _step_pairs(
+    struct: Sequence[tuple[int, int, float]],
+) -> tuple[tuple[int, int, bool], ...]:
+    """The sorted distinct ``(mask_u, mask_uv, low_p)`` pairs of a
+    structure, ``low_p`` flagging a statistic with p < 1 on the pair —
+    all a step cone's candidate columns depend on (p only scales them
+    otherwise)."""
+    low_p: dict[tuple[int, int], bool] = {}
+    for mu, muv, inv_p in struct:
+        low_p[mu, muv] = low_p.get((mu, muv), False) or inv_p > 1.0
+    return tuple(sorted((mu, muv, low) for (mu, muv), low in low_p.items()))
+
+
+def _pattern_firsts(all_w: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+    """Indices (ascending) of the first W of each distinct intersection
+    pattern with ``masks``.
+
+    Patterns are packed 32 masks to an int64 word; beyond one word the
+    key so far is replaced by its rank (< 2^22 for n ≤ 22) before the
+    next word is shifted in, so the key stays one 1-D integer for any
+    number of masks.
+    """
+    key = None
+    for start in range(0, len(masks), 32):
+        word = np.zeros(len(all_w), dtype=np.int64)
+        for bit, mask in enumerate(masks[start:start + 32]):
+            word |= ((all_w & mask) != 0).astype(np.int64) << bit
+        if key is None:
+            key = word
+        else:
+            _, rank = np.unique(key, return_inverse=True)
+            key = (rank.astype(np.int64) << 32) | word
+    _, first = np.unique(key, return_index=True)
+    return np.sort(first)
+
+
+def _level_minimal(
+    candidates: np.ndarray, pairs: Sequence[tuple[int, int, bool]]
 ) -> np.ndarray:
-    """Step-function masks W: singletons (modular) or all non-empty W
-    deduplicated by intersection pattern with the constraint sets."""
+    """Boolean mask of the candidates no other candidate sits below.
+
+    A W's level for pair (U, UV) is 0, 1 or 2 (misses UV, hits U, hits
+    V only); it is encoded as two threshold bit-planes (level ≥ 1,
+    level ≥ 2), so "levels of W′ ≤ levels of W" is bitset inclusion.
+    A pair flagged ``low_p`` adds a third plane (hits U), which makes
+    levels 1 and 2 incomparable there while both stay above level 0.
+    The candidates have pairwise distinct level vectors (one per
+    intersection pattern), so inclusion between two of them is strict
+    and needs strictly fewer set bits.  Scanning blocks in set-bit
+    order, a W is dominated iff a candidate of its own block or a
+    minimal candidate of an earlier block sits below it (any earlier
+    dominator has a minimal one below it), so a block is compared with
+    itself and the minimal set only, within a bounded number of cells.
+    """
+    mask_u, mask_uv, low_p = zip(*pairs)
+    mask_u = np.array(mask_u, dtype=np.int64)
+    mask_uv = np.array(mask_uv, dtype=np.int64)
+    low_p = np.array(low_p, dtype=bool)
+    hit_uv = (candidates[:, None] & mask_uv) != 0
+    hit_u = (candidates[:, None] & mask_u) != 0
+    hit_v_only = hit_uv & ~hit_u
+    planes = np.concatenate([hit_uv, hit_v_only, hit_u[:, low_p]], axis=1)
+    packed = np.packbits(planes, axis=1)
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    bits = packed.view(np.uint64)
+    order = np.argsort(planes.sum(axis=1), kind="stable")
+    keep = np.zeros(len(candidates), dtype=bool)
+    minimal = bits[:0]
+    start = 0
+    while start < len(order):
+        rows = min(
+            _DOMINANCE_ROWS,
+            max(1, _DOMINANCE_CELLS // (len(minimal) + _DOMINANCE_ROWS)),
+        )
+        block = order[start:start + rows]
+        start += rows
+        outside = ~bits[block]
+        earlier = np.concatenate([minimal, bits[block]])
+        below = np.ones((len(block), len(earlier)), dtype=bool)
+        for word in range(bits.shape[1]):
+            below &= (outside[:, word, None] & earlier[:, word]) == 0
+        own = np.arange(len(block))
+        below[own, len(minimal) + own] = False
+        survivors = block[~below.any(axis=1)]
+        keep[survivors] = True
+        minimal = np.concatenate([minimal, bits[survivors]])
+    return keep
+
+
+def _step_candidates(
+    n: int, cone: str, pairs: Sequence[tuple[int, int, bool]]
+) -> np.ndarray:
+    """Step-function masks W, ascending: the step cone's LP columns.
+
+    ``modular``: the n singletons.  ``normal``: the first W of each
+    distinct intersection pattern with the pairs' masks, pruned to the
+    level-minimal ones (see the module docstring for why that is exact).
+    A pure function of ``(n, cone, pairs)`` — :func:`lp_bound` and
+    :class:`BoundSolver` share it, so both hand HiGHS the same matrix.
+    """
     if cone == "modular":
         return np.array([1 << i for i in range(n)], dtype=np.int64)
     if n > _NORMAL_MAX_VARS:
@@ -390,27 +510,27 @@ def _step_candidates(
             f"normal cone limited to {_NORMAL_MAX_VARS} variables (got {n})"
         )
     all_w = np.arange(1, 1 << n, dtype=np.int64)
-    relevant = sorted({m for mu, muv, _ in struct for m in (mu, muv) if m})
-    if not relevant:
+    masks = sorted({m for mu, muv, _ in pairs for m in (mu, muv) if m})
+    if not masks:
         return all_w[:1]
-    patterns = np.stack([(all_w & g) != 0 for g in relevant], axis=1)
-    _, keep = np.unique(patterns, axis=0, return_index=True)
-    return all_w[np.sort(keep)]
+    candidates = all_w[_pattern_firsts(all_w, masks)]
+    return candidates[_level_minimal(candidates, pairs)]
 
 
 def _assemble_step_cone(
-    n: int, cone: str, struct: Sequence[tuple[int, int, float]]
+    cone: str,
+    struct: Sequence[tuple[int, int, float]],
+    candidates: np.ndarray,
 ) -> _Assembly:
-    candidates = _step_candidates(n, cone, struct)
     m = len(candidates)
-    rows = []
-    for mask_u, mask_uv, inv_p in struct:
-        hit_uv = ((candidates & mask_uv) != 0).astype(float)
-        hit_u = (
-            ((candidates & mask_u) != 0).astype(float) if mask_u else 0.0
+    a_ub = None
+    if struct:
+        mask_u, mask_uv, inv_p = (
+            np.array(column)[:, None] for column in zip(*struct)
         )
-        rows.append(hit_uv + (inv_p - 1.0) * hit_u)
-    a_ub = np.array(rows) if rows else None
+        hit_uv = ((candidates & mask_uv) != 0).astype(float)
+        hit_u = ((candidates & mask_u) != 0).astype(float)
+        a_ub = hit_uv + (inv_p - 1.0) * hit_u
     # every non-empty W intersects X, so h(X) = Σ_W α_W
     c = -np.ones(m)
     bounds = [(0.0, None)] * m
@@ -611,31 +731,30 @@ class _PersistentModel:
         )
 
 
-def _polymatroid_lp(
-    variables: tuple[str, ...],
-    statistics: StatisticsSet,
-    extra_inequalities: Sequence[np.ndarray],
-) -> BoundResult:
-    struct, b_stats = _stat_structure(variables, statistics)
-    assembly = _assemble_polymatroid(len(variables), struct)
-    return _solve_assembly(
-        assembly, b_stats, variables, statistics, extra_inequalities
-    )
-
-
-def _step_cone_lp(
-    variables: tuple[str, ...],
-    statistics: StatisticsSet,
+def _empty_result(
     cone: str,
-) -> BoundResult:
-    """LP over positive combinations of step functions.
+    variables: tuple[str, ...],
+    statistics: StatisticsSet,
+    b_stats: np.ndarray,
+) -> BoundResult | None:
+    """The bound of a statistics set naming an empty relation, else None.
 
-    ``cone='normal'`` uses all non-empty W (deduplicated by intersection
-    pattern with the constraint sets); ``cone='modular'`` only singletons.
+    A zero norm (b = −∞) empties its guard and so the output: log2 bound
+    −∞ with weight 1 on the first such statistic, and no primal witness.
     """
-    struct, b_stats = _stat_structure(variables, statistics)
-    assembly = _assemble_step_cone(len(variables), cone, struct)
-    return _solve_assembly(assembly, b_stats, variables, statistics)
+    empty = np.flatnonzero(b_stats == -math.inf)
+    if not len(empty):
+        return None
+    weights = np.zeros(len(b_stats))
+    weights[empty[0]] = 1.0
+    return BoundResult(
+        -math.inf,
+        cone,
+        "optimal",
+        variables,
+        statistics,
+        dual_weights=weights,
+    )
 
 
 def lp_bound(
@@ -667,15 +786,25 @@ def lp_bound(
     Returns
     -------
     A :class:`BoundResult`; ``result.log2_bound`` bounds log2 |Q(D)| for
-    every database D satisfying (Σ, B) (Theorem 1.1 + Theorem 5.2).
+    every database D satisfying (Σ, B) (Theorem 1.1 + Theorem 5.2).  A
+    statistic of norm 0 (an empty relation) gives −∞ without an LP.
     """
     if not isinstance(statistics, StatisticsSet):
         statistics = StatisticsSet(statistics)
     order = _variable_order(query, statistics, variables)
     cone = _resolve_cone(cone, order, statistics, bool(extra_inequalities))
-    if cone in ("normal", "modular"):
-        return _step_cone_lp(order, statistics, cone)
-    return _polymatroid_lp(order, statistics, list(extra_inequalities))
+    struct, b_stats = _stat_structure(order, statistics)
+    empty = _empty_result(cone, order, statistics, b_stats)
+    if empty is not None:
+        return empty
+    if cone == "polymatroid":
+        assembly = _assemble_polymatroid(len(order), struct)
+    else:
+        candidates = _step_candidates(len(order), cone, _step_pairs(struct))
+        assembly = _assemble_step_cone(cone, struct, candidates)
+    return _solve_assembly(
+        assembly, b_stats, order, statistics, list(extra_inequalities)
+    )
 
 
 def _resolve_cone(
@@ -713,7 +842,9 @@ class BoundSolver:
     * an **assembly cache** keyed by (cone, variable order, structure):
       the sparse constraint skeleton is built once and re-solves swap only
       ``b_ub`` — scale sweeps and per-dataset repetitions of one query
-      template never re-assemble;
+      template never re-assemble.  It also holds the step cones'
+      candidate columns keyed by (cone, n, pairs), which every nested
+      norm family of a query shares (:meth:`_candidates_for`);
     * a **result memo** keyed additionally by the ``b`` values: repeated
       requests for the *identical* bound (the plan-search pattern — every
       candidate plan re-costs the same subqueries) are answered without
@@ -747,9 +878,10 @@ class BoundSolver:
     All three caches are LRU under optional budgets
     (``max_cached_results`` / ``result_cache_bytes`` for the result
     memo, ``max_cached_assemblies`` / ``assembly_cache_bytes`` for the
-    constraint skeletons; persistent models share the assemblies'
-    entry cap — their real memory lives in native HiGHS structures the
-    byte estimator cannot see).  ``None`` (the default) leaves a
+    assembly cache — constraint skeletons *and* step-cone candidate
+    sets, which share its entries and bytes; persistent models share
+    the assemblies' entry cap — their real memory lives in native
+    HiGHS structures the byte estimator cannot see).  ``None`` (the default) leaves a
     budget unbounded, the historical behaviour.  An evicted entry is
     simply recomputed on the next request — results are unaffected.
 
@@ -790,6 +922,7 @@ class BoundSolver:
 
     # ------------------------------------------------------------------
     def cached_assemblies(self) -> int:
+        """Entries in the assembly cache: skeletons plus candidate sets."""
         return len(self._assemblies)
 
     def cached_models(self) -> int:
@@ -842,9 +975,29 @@ class BoundSolver:
         if cone == "polymatroid":
             assembly = _assemble_polymatroid(len(order), struct)
         else:
-            assembly = _assemble_step_cone(len(order), cone, struct)
+            candidates = self._candidates_for(
+                cone, len(order), _step_pairs(struct)
+            )
+            assembly = _assemble_step_cone(cone, struct, candidates)
         with self._lock:
             return self._assemblies.add(key, assembly)
+
+    def _candidates_for(
+        self, cone: str, n: int, pairs: tuple[tuple[int, int, bool], ...]
+    ) -> np.ndarray:
+        """A step cone's columns, computed once per ``(cone, n, pairs)`` —
+        every nested norm family of a query shares its pairs, so a query
+        pays for them once, not once per family.  They live in the
+        assembly cache (an int ``n`` never equals an order tuple, so the
+        keys cannot collide with skeleton keys)."""
+        key = (cone, n, pairs)
+        with self._lock:
+            candidates = self._assemblies.get(key)
+        if candidates is None:
+            candidates = _step_candidates(n, cone, pairs)
+            with self._lock:
+                candidates = self._assemblies.add(key, candidates)
+        return candidates
 
     def solve(
         self,
@@ -882,7 +1035,7 @@ class BoundSolver:
         struct: tuple[tuple[int, int, float], ...],
         b_stats: np.ndarray,
         statistics: StatisticsSet,
-        assembly: _Assembly | None = None,
+        assemble: Callable[[], _Assembly] | None = None,
     ) -> BoundResult:
         self._tls.last_cached = False
         memo_key = None
@@ -898,8 +1051,15 @@ class BoundSolver:
                     self._results.touch(memo_key)
                 self._tls.last_cached = True
                 return replace(cached, statistics=statistics)
-        if assembly is None:
+        # after the memo probe (empty answers are never memoised, so the
+        # warm path skips this check), before anything is assembled
+        empty = _empty_result(cone, order, statistics, b_stats)
+        if empty is not None:
+            return empty
+        if assemble is None:
             assembly = self._assembly_for(cone, order, struct)
+        else:
+            assembly = assemble()
         if self.resolved_lp_mode() == "persistent" and assembly.num_stats:
             model = self._model_for(cone, order, struct, assembly)
             result = model.solve(b_stats, order, statistics)
@@ -943,10 +1103,10 @@ class BoundSolver:
         the polymatroid cone the restricted constraint matrix is obtained
         by *slicing rows* of the cached full-family assembly (statistic
         rows are independent, so the slice is bit-identical to assembling
-        the restricted set from scratch).  Step cones re-derive their
-        candidate columns from the restricted masks — the deduplication
-        pattern changes with the family — and go through the normal
-        structure cache instead.
+        the restricted set from scratch).  Step cones go through
+        :meth:`solve`: their columns depend only on the ``(U, UV)`` pairs,
+        which nested families share, so the cached candidates are reused
+        and only the statistic rows are rebuilt for the family.
         """
         if not isinstance(statistics, StatisticsSet):
             statistics = StatisticsSet(statistics)
@@ -958,7 +1118,7 @@ class BoundSolver:
         if cone != "polymatroid" or any(
             not (s.conditional.variables <= known) for s in statistics
         ):
-            # step cones re-derive candidates; a full set mentioning
+            # step cones reuse candidates by pairs; a full set mentioning
             # variables outside the restricted order cannot share masks.
             return self.solve(
                 restricted, query=query, cone=cone, variables=variables
@@ -966,34 +1126,48 @@ class BoundSolver:
         full_struct, full_b = _stat_structure(order, statistics)
         keep = [i for i, s in enumerate(statistics) if s.p in allowed]
         struct = tuple(full_struct[i] for i in keep)
-        b_stats = full_b[keep]
+        return self._solve_structured(
+            "polymatroid",
+            order,
+            struct,
+            full_b[keep],
+            restricted,
+            lambda: self._sliced_assembly(order, full_struct, keep, struct),
+        )
+
+    def _sliced_assembly(
+        self,
+        order: tuple[str, ...],
+        full_struct: tuple[tuple[int, int, float], ...],
+        keep: list[int],
+        struct: tuple[tuple[int, int, float], ...],
+    ) -> _Assembly:
+        """The polymatroid skeleton of ``struct``, sliced from the cached
+        full-family skeleton's rows ``keep``."""
         key = ("polymatroid", order, struct)
         with self._lock:
             assembly = self._assemblies.get(key)
-        if assembly is None:
-            full = self._assembly_for("polymatroid", order, full_struct)
-            if full.a_stats is not None and keep:
-                neg_shannon, _ = _neg_shannon_block(len(order))
-                a_stats = full.a_stats[keep]
-                assembly = _Assembly(
-                    "polymatroid",
-                    len(struct),
-                    sparse.vstack([a_stats, neg_shannon], format="csr"),
-                    full.c,
-                    full.bounds,
-                    a_stats,
-                )
-            else:
-                assembly = _assemble_polymatroid(len(order), struct)
-            with self._lock:
-                assembly = self._assemblies.add(key, assembly)
-                self.family_slices += 1
-        else:
-            with self._lock:
+            if assembly is not None:
                 self.assembly_hits += 1
-        return self._solve_structured(
-            "polymatroid", order, struct, b_stats, restricted, assembly
-        )
+                return assembly
+        full = self._assembly_for("polymatroid", order, full_struct)
+        if full.a_stats is not None and keep:
+            neg_shannon, _ = _neg_shannon_block(len(order))
+            a_stats = full.a_stats[keep]
+            assembly = _Assembly(
+                "polymatroid",
+                len(struct),
+                sparse.vstack([a_stats, neg_shannon], format="csr"),
+                full.c,
+                full.bounds,
+                a_stats,
+            )
+        else:
+            assembly = _assemble_polymatroid(len(order), struct)
+        with self._lock:
+            assembly = self._assemblies.add(key, assembly)
+            self.family_slices += 1
+        return assembly
 
 
 @dataclass
@@ -1023,19 +1197,6 @@ def _run_task(task: BoundTask, solver: BoundSolver) -> BoundResult:
         )
     return solver.solve(
         task.statistics,
-        query=task.query,
-        cone=task.cone,
-        variables=task.variables,
-    )
-
-
-def _run_task_cold(task: BoundTask) -> BoundResult:
-    """Process-pool worker: the plain one-shot path (nothing shared)."""
-    statistics = task.statistics
-    if task.family is not None:
-        statistics = statistics.restrict_ps(task.family)
-    return lp_bound(
-        statistics,
         query=task.query,
         cone=task.cone,
         variables=task.variables,
@@ -1081,12 +1242,12 @@ def lp_bound_many(
 ) -> list[BoundResult]:
     """Solve many independent bound LPs, preserving task order.
 
-    ``executor`` is one of ``"auto"``, ``"serial"``, ``"thread"``,
-    ``"process"``.  ``auto`` picks threads when more than one worker is
-    available and serial otherwise; the thread pool shares one
-    :class:`BoundSolver` (pass ``solver=`` to share caches across calls),
-    while the process pool re-solves cold in each worker (results are
-    identical either way).  The result list is always in task order.
+    ``executor`` is one of ``"auto"``, ``"serial"``, ``"thread"``.
+    ``auto`` picks threads when more than one worker is available and
+    serial otherwise; both share one :class:`BoundSolver` (pass
+    ``solver=`` to share caches across calls), so a query's nested norm
+    families reuse its candidates and assemblies.  The result list is
+    always in task order.
 
     A task that fails raises :class:`BoundTaskError` carrying the task's
     index and query name (original exception chained), whichever
@@ -1112,14 +1273,6 @@ def lp_bound_many(
                 )
 
             return list(pool.map(run, enumerate(tasks)))
-    if executor == "process":
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_task_cold, task) for task in tasks]
-            return [
-                _identified(future.result, index, task)
-                for index, (future, task) in enumerate(zip(futures, tasks))
-            ]
     raise ValueError(
-        f"unknown executor {executor!r}; "
-        "expected auto, serial, thread, or process"
+        f"unknown executor {executor!r}; expected auto, serial, or thread"
     )

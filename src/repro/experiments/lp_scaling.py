@@ -4,7 +4,7 @@ Section 5 notes the bound LP is exponential in the query size.  This
 ablation measures how the two cones scale on path queries of growing
 length: the polymatroid cone needs ~n²·2^n Shannon rows, the normal cone
 (exact for the simple statistics used everywhere in the experiments —
-Theorem 6.1) needs only one column per intersection pattern.  Both must
+Theorem 6.1) needs only one column per level-minimal step function.  Both must
 agree on the bound value, which doubles as a correctness check.
 """
 

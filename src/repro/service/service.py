@@ -127,9 +127,12 @@ class BoundService:
         unbounded by bytes.
     max_cached_queries / max_cached_statistics / max_cached_results /
     max_cached_assemblies:
-        Per-layer entry caps (each ``None`` = uncapped).  Persistent
-        HiGHS models share the assemblies' cap — their memory is
-        native and invisible to the byte estimator.
+        Per-layer entry caps (each ``None`` = uncapped).  The
+        assemblies' layer also holds the normal cone's candidate sets
+        (one per query shape, next to its skeletons), so both count
+        against its cap.  Persistent HiGHS models share the
+        assemblies' cap — their memory is native and invisible to the
+        byte estimator.
     max_concurrent_evaluations:
         ``/evaluate`` concurrency cap (default: half the cores, ≥ 1).
     max_evaluate_queue:

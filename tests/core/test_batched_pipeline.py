@@ -55,6 +55,11 @@ def pipeline_db():
     )
 
 
+@pytest.fixture(scope="module")
+def job_db():
+    return imdb_database(scale=0.05, seed=7)
+
+
 def assert_results_identical(a, b):
     assert a.log2_bound == b.log2_bound
     assert a.status == b.status
@@ -105,20 +110,25 @@ class TestEquivalence:
     @pytest.mark.parametrize(
         "family", [(1.0,), (1.0, math.inf), (1.0, 2.0), (2.0,), PS]
     )
-    @pytest.mark.parametrize("cone", ["auto", "polymatroid"])
-    def test_solve_family_matches_restrict_ps(self, pipeline_db, family, cone):
-        query = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")
-        stats = collect_statistics(query, pipeline_db, ps=PS)
-        one_shot = lp_bound(
-            stats.restrict_ps(family), query=query, cone=cone
-        )
-        solver = BoundSolver()
-        solver.solve(stats, query=query, cone=cone)  # warm the full assembly
-        sliced = solver.solve_family(stats, family, query=query, cone=cone)
-        assert_results_identical(one_shot, sliced)
+    @pytest.mark.parametrize("cone", ["auto", "polymatroid", "normal"])
+    def test_solve_family_matches_restrict_ps(
+        self, pipeline_db, job_db, family, cone
+    ):
+        triangle = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")
+        for query, db in ((triangle, pipeline_db), (job_query(7), job_db)):
+            stats = collect_statistics(query, db, ps=PS)
+            one_shot = lp_bound(
+                stats.restrict_ps(family), query=query, cone=cone
+            )
+            solver = BoundSolver()
+            solver.solve(stats, query=query, cone=cone)  # warm full family
+            sliced = solver.solve_family(
+                stats, family, query=query, cone=cone
+            )
+            assert_results_identical(one_shot, sliced)
 
-    def test_job_queries_match(self):
-        db = imdb_database(scale=0.05, seed=7)
+    def test_job_queries_match(self, job_db):
+        db = job_db
         queries = [job_query(qid) for qid in (1, 7, 19, 33)]
         catalog = StatisticsCatalog(db)
         job_ps = tuple(float(p) for p in range(1, 11)) + (math.inf,)
@@ -276,13 +286,6 @@ class TestLpBoundMany:
         for a, b in zip(serial, threaded):
             assert_results_identical(a, b)
 
-    def test_process_pool_matches_serial(self, pipeline_db):
-        tasks = self._tasks(pipeline_db)[:4]
-        serial = lp_bound_many(tasks, executor="serial")
-        processed = lp_bound_many(tasks, executor="process", max_workers=2)
-        for a, b in zip(serial, processed):
-            assert_results_identical(a, b)
-
     def test_unknown_executor_rejected(self, pipeline_db):
         with pytest.raises(ValueError, match="unknown executor"):
             lp_bound_many([], executor="gpu")
@@ -302,7 +305,7 @@ class TestBoundTaskError:
 
     @pytest.mark.parametrize(
         "executor, workers",
-        [("serial", None), ("thread", 2), ("process", 2)],
+        [("serial", None), ("thread", 2)],
     )
     def test_failure_names_task_and_query(
         self, pipeline_db, executor, workers

@@ -7,9 +7,15 @@ Example 5.3 (triangle LP), Eq. (4)/(5) (triangle ℓ2/ℓ3), Eq. (17)/(18)
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.core import collect_statistics, lp_bound
+from repro.core import (
+    BoundSolver,
+    collect_statistics,
+    lp_bound,
+    verify_certificate,
+)
 from repro.core.conditionals import (
     AbstractStatistic,
     ConcreteStatistic,
@@ -19,6 +25,7 @@ from repro.core.conditionals import (
 from repro.core.lp_bound import CONES
 from repro.query import parse_query
 from repro.query.query import Atom
+from repro.relational import Database, Relation
 
 
 def _triangle_stats(b_card, b_l2=None):
@@ -202,6 +209,61 @@ class TestEdgeCases:
         result = lp_bound(_triangle_stats(0.0), query=TRIANGLE)
         assert result.log2_bound == pytest.approx(0.0)
         assert result.bound == pytest.approx(1.0)
+
+
+class TestEmptyRelations:
+    """A norm-0 statistic empties the output: bound 0, no LP needed."""
+
+    QUERY = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
+
+    @pytest.fixture
+    def stats(self):
+        db = Database(
+            {
+                "R": Relation(("x", "y"), [], name="R"),
+                "S": Relation(("y", "z"), [(1, 2), (2, 3)], name="S"),
+            }
+        )
+        return collect_statistics(
+            self.QUERY, db, ps=[1.0, 2.0, math.inf]
+        )
+
+    def assert_empty_bound(self, result, stats, cone):
+        assert result.status == "optimal"
+        assert result.cone == cone
+        assert result.log2_bound == -math.inf
+        assert result.bound == 0.0
+        expected = np.zeros(len(stats))
+        expected[[s.log2_bound for s in stats].index(-math.inf)] = 1.0
+        assert np.array_equal(result.dual_weights, expected)
+        assert result.statistics is stats
+        assert verify_certificate(result)
+
+    @pytest.mark.parametrize("cone", ["polymatroid", "normal"])
+    def test_lp_bound_is_zero(self, stats, cone):
+        result = lp_bound(stats, query=self.QUERY, cone=cone)
+        self.assert_empty_bound(result, stats, cone)
+        assert result.used_statistics()[0][0].guard.relation == "R"
+
+    @pytest.mark.parametrize("lp_mode", ["oneshot", "persistent"])
+    @pytest.mark.parametrize("cone", ["polymatroid", "normal"])
+    def test_solver_and_families_are_zero(self, stats, cone, lp_mode):
+        # both LP modes answer before any LP exists, so the persistent
+        # mode needs no highspy here
+        solver = BoundSolver(lp_mode=lp_mode)
+        result = solver.solve(stats, query=self.QUERY, cone=cone)
+        self.assert_empty_bound(result, stats, cone)
+        for family in ((1.0,), (1.0, math.inf), (2.0,)):
+            restricted = stats.restrict_ps(family)
+            result = solver.solve_family(
+                stats, family, query=self.QUERY, cone=cone
+            )
+            self.assert_empty_bound(result, result.statistics, cone)
+            assert result.log2_bound == lp_bound(
+                restricted, query=self.QUERY, cone=cone
+            ).log2_bound
+        assert solver.solves == 0
+        assert solver.cached_assemblies() == 0
 
 
 class TestSoundnessOnData:

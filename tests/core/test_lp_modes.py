@@ -8,7 +8,9 @@ whole suite already exercises, so these tests pin down the rest:
 * graceful degradation when highspy is absent (``auto`` falls back,
   ``persistent`` raises :class:`LpUnavailableError` naming the extra);
 * the differential contract: the warm-started persistent path agrees
-  with the one-shot oracle to 1e-6 on every cone and query shape
+  with the one-shot oracle to 1e-6 on every cone and query shape, and
+  on the pruned normal-cone LPs of JOB queries 1, 7, 19 and 33 under
+  the six nested E9 norm families, re-solved warm on a second database
   (run only where highspy is installed — the CI service leg).
 """
 
@@ -32,8 +34,13 @@ import importlib
 # the module, not the identically-named function repro.core re-exports
 lp_mod = importlib.import_module("repro.core.lp_bound")
 from repro.datasets import power_law_graph
+from repro.datasets.imdb import imdb_database
+from repro.datasets.job_queries import job_query
+from repro.experiments.norm_ablation import DEFAULT_FAMILIES
 
 PS = [1.0, 2.0, 3.0, math.inf]
+JOB_FAMILIES = DEFAULT_FAMILIES[:6]
+JOB_PS = sorted(set().union(*JOB_FAMILIES))
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +48,11 @@ def _restore_lp_mode():
     previous = lp_mod._LP_ACTIVE
     yield
     lp_mod._LP_ACTIVE = previous
+
+
+@pytest.fixture(scope="module")
+def job_dbs():
+    return [imdb_database(scale=0.05, seed=seed) for seed in (7, 11)]
 
 
 @pytest.fixture
@@ -186,6 +198,31 @@ class TestPersistentDifferential:
         assert solver.persistent_resolves == 4
         for warm, oracle in bounds:
             assert warm == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("qid", [1, 7, 19, 33])
+    def test_job_families_agree_under_warm_resolves(self, job_dbs, qid):
+        query = job_query(qid)
+        solver = BoundSolver(lp_mode="persistent", memoize_results=False)
+        structures = set()
+        for db in job_dbs:
+            stats = collect_statistics(query, db, ps=JOB_PS)
+            for family in JOB_FAMILIES:
+                structures.add(lp_mod._stat_structure(
+                    query.variables, stats.restrict_ps(family)
+                )[0])
+                with forced_lp_mode("oneshot"):
+                    oracle = lp_bound(stats.restrict_ps(family), query=query)
+                warm = solver.solve_family(stats, family, query=query)
+                assert warm.status == oracle.status == "optimal"
+                assert warm.cone == oracle.cone == "normal"
+                assert warm.log2_bound == pytest.approx(
+                    oracle.log2_bound, abs=1e-6
+                )
+        # one model per distinct structure; every solve goes through one,
+        # and a structure seen again (the next database) re-solves warm
+        assert solver.cached_models() == len(structures)
+        assert solver.persistent_resolves == len(job_dbs) * len(JOB_FAMILIES)
+        assert len(structures) < solver.persistent_resolves
 
     def test_family_slices_use_persistent_path(self, skew_db):
         query = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")

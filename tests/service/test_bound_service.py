@@ -20,6 +20,7 @@ import pytest
 
 from repro import Database, collect_statistics, lp_bound, parse_query
 from repro.datasets import power_law_graph
+from repro.relational import Relation
 from repro.service import (
     ERROR_CODES,
     BoundClient,
@@ -334,6 +335,29 @@ class TestHttpFrontend:
         with BoundClient(server.url) as client:
             response = client.bound(query=TRIANGLE, ps=PS)
         assert response.log2_bound == pytest.approx(expected.log2_bound)
+
+    def test_bound_over_empty_relation(self):
+        # a valid request over an empty table is bound 0, not a 400
+        empty_db = Database(
+            {
+                "R": Relation(("x", "y"), [], name="R"),
+                "S": power_law_graph(40, 100, 0.5, seed=2),
+            }
+        )
+        server = start_server(BoundService(empty_db, ps=PS))
+        try:
+            with BoundClient(server.url) as client:
+                for cone in ("auto", "polymatroid"):
+                    response = client.bound(query=CHAIN, ps=PS, cone=cone)
+                    assert response.status == "optimal"
+                    assert response.log2_bound == -math.inf
+                    assert response.bound == 0.0
+                    assert response.certificate.startswith("||deg_R(")
+                response = client.bound(query=CHAIN, ps=(1.0,))
+                assert response.log2_bound == -math.inf
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_evaluate_round_trip(self, served, db):
         server, _ = served

@@ -181,6 +181,27 @@ class TestCommands:
         assert "bound" in out
         assert "certificate" in out
 
+    def test_bound_over_header_only_csv(self, tmp_path, capsys):
+        # an empty relation bounds the output by 0, with no LP to fail
+        csv_path = tmp_path / "empty.csv"
+        csv_path.write_text("x,y\n")
+        code = main(
+            [
+                "bound",
+                "--query",
+                "Q(x,y,z) :- R(x,y), R(y,z)",
+                "--table",
+                f"R={csv_path}",
+                "--norms",
+                "1,2,inf",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "status   : optimal" in out
+        assert "bound    : 0  (log2 = -inf)" in out
+        assert "certificate: |Q| ≤ ||deg_R(" in out
+
     def test_bound_bad_table_spec(self, capsys):
         code = main(
             ["bound", "--query", "Q(x) :- R(x)", "--table", "nonsense"]
