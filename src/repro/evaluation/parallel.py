@@ -49,7 +49,9 @@ segment names.  Re-invoking with ``resume=True`` on the same directory
 validates the manifest's fingerprint against the new run's plan and
 skips every completed part — their spilled segments are re-attached and
 merged without re-evaluation, so an interrupted run completes
-bit-identically to an uninterrupted one.
+bit-identically to an uninterrupted one.  The fingerprint includes the
+per-part variable order rule (``PART_ORDER``), which fixes each part's
+row order, so segments written under another rule are never merged.
 
 Fault injection for tests and chaos runs threads through
 :mod:`repro.evaluation.faults`: the supervisor resolves the injector's
@@ -92,7 +94,7 @@ from .governor import (
     ResourceGovernanceError,
 )
 from .lp_join import PartitionedRun, plan_partitioned_evaluation
-from .panda_algorithm import evaluate_part
+from .panda_algorithm import PART_ORDER, evaluate_part
 
 __all__ = [
     "ParallelRun",
@@ -459,6 +461,7 @@ def evaluate_parallel(
         "needs_values": needs_values,
         "chunk_rows": int(chunk_rows),
         "frontier_block": frontier_block,
+        "part_order": PART_ORDER,
     }
     states = [_PartState(i) for i in range(plan.n_combinations)]
     if manifest_path.exists():

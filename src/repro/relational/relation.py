@@ -33,6 +33,10 @@ from .columnar import ColumnarRelation, encode_column, encode_rows
 
 __all__ = ["Relation"]
 
+#: Tags :meth:`Relation.distinct_count` memo keys in ``_indexes``, whose
+#: other keys are plain attribute tuples.
+_DISTINCT_COUNT = object()
+
 
 class Relation:
     """An immutable relation: a set of tuples over named attributes.
@@ -479,14 +483,25 @@ class Relation:
         ]
 
     def distinct_count(self, attrs: Sequence[str]) -> int:
-        """Number of distinct values in the projection onto ``attrs``."""
+        """Number of distinct values in the projection onto ``attrs``.
+
+        Memoized in the relation's cache next to the hash indexes (under
+        a sentinel-tagged key no attribute tuple can equal); relations
+        are immutable, so the count never invalidates.
+        """
+        key = (_DISTINCT_COUNT, tuple(attrs))
+        cached = self._indexes.get(key)
+        if cached is not None:
+            return cached
         pos = self.positions(attrs)
         col = self.columnar()
         if col is not None:
-            return col.distinct_count(tuple(attrs))
-        return len(
-            {tuple(row[i] for i in pos) for row in self._materialized_rows()}
-        )
+            count = col.distinct_count(tuple(attrs))
+        else:
+            rows = self._materialized_rows()
+            count = len({tuple(row[i] for i in pos) for row in rows})
+        self._indexes[key] = count
+        return count
 
     def active_domain(self) -> set:
         """All values appearing in any column."""

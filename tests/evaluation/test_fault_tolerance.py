@@ -32,6 +32,7 @@ from repro.evaluation import (
     parse_fault_spec,
 )
 from repro.evaluation.faults import FaultCommand
+from repro.evaluation.panda_algorithm import PART_ORDER
 from repro.query import parse_query
 from repro.relational import CountSink, Database, GroupCountSink, SpillSink
 from repro.relational.chunkstore import ChunkStoreError, SegmentStore
@@ -341,6 +342,35 @@ class TestCheckpointResume:
                 resume=True,
                 policy=FAST,
             )
+
+    def test_other_part_order_rejected(self, setup, tmp_path):
+        # per-part row order follows the part-order rule: a manifest
+        # written under another rule (or before the rule was recorded)
+        # must not resume into a mixed-order merge
+        query, db, bound, _ = setup
+        run_dir = tmp_path / "run"
+        evaluate_parallel(
+            query, db, bound, workers=1, run_dir=run_dir, policy=FAST
+        )
+        manifest = run_dir / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        assert payload["fingerprint"]["part_order"] == PART_ORDER
+        for stale in ("other-rule", None):
+            if stale is None:
+                del payload["fingerprint"]["part_order"]
+            else:
+                payload["fingerprint"]["part_order"] = stale
+            manifest.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match="different run configuration"):
+                evaluate_parallel(
+                    query,
+                    db,
+                    bound,
+                    workers=1,
+                    run_dir=run_dir,
+                    resume=True,
+                    policy=FAST,
+                )
 
     def test_foreign_manifest_rejected(self, setup, tmp_path):
         query, db, bound, _ = setup

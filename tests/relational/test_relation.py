@@ -140,6 +140,45 @@ class TestIndexesAndStats:
         assert tiny_relation.distinct_count(("y",)) == 2
         assert tiny_relation.distinct_count(("x", "y")) == 4
 
+    @pytest.mark.parametrize("typed", [int, str], ids=["columnar", "tuples"])
+    def test_distinct_count_memo_matches_fresh(self, typed):
+        rows = [(typed(a), typed(b)) for a, b in [(1, 10), (2, 10), (3, 10)]]
+        r = Relation(("x", "y"), rows + [(typed(4), typed(20))])
+        assert (r.columnar() is None) == (typed is str)
+        for attrs in [("x",), ("y",), ("x", "y"), ("y", "x"), ()]:
+            pos = r.positions(attrs)
+            fresh = len({tuple(row[i] for i in pos) for row in r})
+            if r.columnar() is not None and attrs:
+                assert r.columnar().distinct_count(attrs) == fresh
+            assert r.distinct_count(attrs) == fresh
+            assert r.distinct_count(list(attrs)) == fresh  # memo hit
+
+    def test_distinct_count_memo_keeps_index_cache(self, tiny_relation):
+        index = tiny_relation.index_on(("y",))
+        assert tiny_relation.distinct_count(("y",)) == 2
+        assert tiny_relation.index_on(("y",)) is index
+        assert tiny_relation.distinct_count(("y",)) == 2
+
+    def test_distinct_count_memo_empty_relation(self):
+        empty = Relation(("x", "y"), [])
+        assert empty.distinct_count(("x",)) == 0
+        assert empty.distinct_count(("x",)) == 0
+
+    def test_distinct_count_memo_across_with_name(self, tiny_relation):
+        assert tiny_relation.distinct_count(("y",)) == 2
+        named = tiny_relation.with_name("other")
+        assert named.distinct_count(("y",)) == 2
+        assert named.distinct_count(("x",)) == 4
+        assert tiny_relation.distinct_count(("x",)) == 4
+
+    def test_distinct_count_memo_not_inherited_by_rename(self, tiny_relation):
+        assert tiny_relation.distinct_count(("x",)) == 4
+        swapped = tiny_relation.rename({"x": "y", "y": "x"})
+        assert swapped.distinct_count(("x",)) == 2
+        assert swapped.distinct_count(("y",)) == 4
+        with pytest.raises(KeyError):
+            tiny_relation.rename({"x": "a"}).distinct_count(("x",))
+
     def test_active_domain(self, tiny_relation):
         assert tiny_relation.active_domain() == {1, 2, 3, 4, 10, 20}
 
