@@ -16,13 +16,13 @@ import time
 
 import pytest
 
+from oracles.tuple_engine import generic_join_tuples
 from repro.core import collect_statistics, lp_bound
 from repro.datasets import snap_database
 from repro.evaluation import (
     evaluate_parallel,
     evaluate_with_partitioning,
     generic_join,
-    generic_join_tuples,
 )
 from repro.experiments.evaluation_runtime import run_evaluation_experiment
 from repro.query import parse_query

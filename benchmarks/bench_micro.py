@@ -12,11 +12,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles.tuple_engine import (
+    acyclic_count_tuples,
+    group_sizes_tuples,
+    hash_join_tuples,
+    semijoin_reduce_tuples,
+)
 from repro.core import StatisticsCatalog, collect_statistics, lp_bound
 from repro.core.degree import degree_sequence
 from repro.datasets import power_law_graph, snap_database
 from repro.evaluation import acyclic_count, count_query
-from repro.evaluation.joins import hash_join_tuples, join_relations
+from repro.evaluation.joins import join_relations
 from repro.query import parse_query
 
 TRIANGLE = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")
@@ -41,11 +47,9 @@ def test_bench_degree_sequence(benchmark, db):
 def test_bench_degree_sequence_tuple_oracle(benchmark, db):
     """The pre-columnar degree-sequence path, as a before/after yardstick."""
     relation = db["R"]
-    gpos = relation.positions(("x",))
-    vpos = relation.positions(("y",))
 
     def oracle():
-        sizes = relation._group_sizes_tuples(gpos, vpos)
+        sizes = group_sizes_tuples(relation, ("x",), ("y",))
         out = np.fromiter(sizes.values(), dtype=np.int64, count=len(sizes))
         out[::-1].sort()
         return out
@@ -114,8 +118,6 @@ def test_columnar_speedup_guard(db):
     import time
 
     relation = db["R"]
-    gpos = relation.positions(("x",))
-    vpos = relation.positions(("y",))
 
     def best_of(fn, repeats=5):
         times = []
@@ -126,7 +128,7 @@ def test_columnar_speedup_guard(db):
         return min(times)
 
     def oracle_degrees():
-        sizes = relation._group_sizes_tuples(gpos, vpos)
+        sizes = group_sizes_tuples(relation, ("x",), ("y",))
         out = np.fromiter(sizes.values(), dtype=np.int64, count=len(sizes))
         out[::-1].sort()
 
@@ -161,8 +163,6 @@ def test_bench_acyclic_count_path(benchmark, db):
 
 def test_bench_acyclic_count_path_tuple_oracle(benchmark, db):
     """The dict-based counting sweep, as a before/after yardstick."""
-    from repro.evaluation import acyclic_count_tuples
-
     count = benchmark(acyclic_count_tuples, PATH4, db)
     assert count == acyclic_count(PATH4, db)
 
@@ -180,7 +180,5 @@ def test_bench_semijoin_reduce(benchmark, db):
 
 def test_bench_semijoin_reduce_tuple_oracle(benchmark, db):
     """The same reduction through the tuple row-set sweeps."""
-    from repro.evaluation import semijoin_reduce_tuples
-
     reduced = benchmark(semijoin_reduce_tuples, PATH3, db)
     assert len(reduced["R"]) <= len(db["R"])

@@ -6,9 +6,15 @@ once per session (pedantic mode, 1 round) and asserts the paper's
 qualitative *shape* — who wins, by roughly what factor — on top of timing.
 """
 
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+# the reference implementations the speedup guards compare against live
+# with the tests (``tests/oracles``), importable as ``oracles.*``
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture

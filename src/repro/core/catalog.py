@@ -288,11 +288,10 @@ class StatisticsCatalog:
             missing_by_rel.setdefault(rel, []).append((u_key, v_key))
         for rel in sorted(missing_by_rel):
             relation = self._db[rel]
-            batched = relation.columnar() is not None
             for cols, assigned in plan_prefix_orders(missing_by_rel[rel]):
                 splits = [(u_len, uv_len) for u_len, uv_len, _ in assigned]
                 counts_list = relation.prefix_group_size_counts(cols, splits)
-                self._lexsorts += 1 if batched else len(splits)
+                self._lexsorts += 1
                 for (_, _, (u_key, v_key)), counts in zip(
                     assigned, counts_list
                 ):

@@ -84,10 +84,10 @@ def _store(path: Path, db: Database) -> None:
     for index, name in enumerate(db):
         relation = db[name]
         twin = relation.columnar()
-        if twin is None:
-            return  # non-integer values: not cacheable, regenerate always
         manifest.append({"name": name, "attributes": list(relation.attributes)})
         for position, attr in enumerate(relation.attributes):
+            if twin.dictionary(attr).dtype == object:
+                return  # non-integer values: not cacheable, regenerate always
             arrays[f"r{index}c{position}"] = twin.dictionary(attr)[
                 twin.codes(attr)
             ]

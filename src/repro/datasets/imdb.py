@@ -59,7 +59,7 @@ def _fk_table(
         for domain, exponent in zip(domains, exponents)
     ]
     # column-first: vectorized dedup in the columnar backend, no tuple
-    # round-trip (first-occurrence row order matches the tuple path).
+    # round-trip (first-occurrence row order, as the row constructor).
     return Relation.from_columns(columns, data)
 
 

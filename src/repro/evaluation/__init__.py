@@ -1,6 +1,6 @@
 """Query evaluation: hash joins, WCOJ, and the Theorem 2.6 algorithm."""
 
-from .acyclic_count import acyclic_count, acyclic_count_tuples, join_tree
+from .acyclic_count import acyclic_count, join_tree
 from .faults import FaultCommand, FaultInjector, InjectedFault, parse_fault_spec
 from .governor import (
     CancellationToken,
@@ -35,17 +35,15 @@ from .partitioning import (
     partition_for_statistic,
     strongly_satisfies,
 )
-from .wcoj import JoinRun, count_query, generic_join, generic_join_tuples
-from .yannakakis import semijoin_reduce, semijoin_reduce_tuples
+from .wcoj import JoinRun, count_query, generic_join
+from .yannakakis import semijoin_reduce
 
 __all__ = [
     "acyclic_count",
-    "acyclic_count_tuples",
     "join_tree",
     "hash_join",
     "evaluate_left_deep",
     "generic_join",
-    "generic_join_tuples",
     "count_query",
     "JoinRun",
     "strongly_satisfies",
@@ -67,7 +65,6 @@ __all__ = [
     "InjectedFault",
     "parse_fault_spec",
     "semijoin_reduce",
-    "semijoin_reduce_tuples",
     "EvaluationBudget",
     "EvaluationGovernor",
     "GovernorSnapshot",

@@ -17,28 +17,24 @@ of distinct extensions of ``row`` to the variables of i's subtree — and
 the root's weight sum is |Q(D)|.  Counts are exact Python integers, so
 astronomically large outputs are fine.
 
-Two sweeps coexist: :func:`acyclic_count_tuples`, the original dict-based
-fold (correctness oracle, non-integer fallback), and a columnar engine
-that remaps each separator into the parent's code space, flattens it to
-one ``int64`` key per row, and folds with ``argsort`` + ``add.reduceat``.
-Weights start as ``int64`` arrays and are promoted to exact Python-int
-(object dtype) arrays the moment an a-priori bound says a sum or product
-*could* leave the ``int64`` range, so results match the oracle's
-arbitrary-precision arithmetic bit for bit.
+The sweep runs in code space: each separator is remapped into the
+parent's code space, flattened to one ``int64`` key per row, and folded
+with ``argsort`` + ``add.reduceat``.  Weights start as ``int64`` arrays
+and are promoted to exact Python-int (object dtype) arrays the moment an
+a-priori bound says a sum or product *could* leave the ``int64`` range,
+so results are exact arbitrary-precision integers.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 
 from ..query.query import ConjunctiveQuery
 from ..relational import Database
-from ..relational.columnar import align_composite_keys, mixed_radix_keys
-from .joins import _atom_rows, _atom_table
+from ..relational.columnar import align_composite_keys
+from .joins import _atom_table
 
-__all__ = ["acyclic_count", "acyclic_count_tuples", "join_tree"]
+__all__ = ["acyclic_count", "join_tree"]
 
 #: Promote int64 weight arrays to exact object arrays before any
 #: intermediate could reach this bound (sums of products of counts).
@@ -83,25 +79,8 @@ def join_tree(query: ConjunctiveQuery) -> list[tuple[int, int | None]]:
 def acyclic_count(query: ConjunctiveQuery, db: Database) -> int:
     """|Q(D)| for an α-acyclic full conjunctive query, exactly."""
     tree = join_tree(query)
-    count = _acyclic_count_columnar(query, db, tree)
-    if count is not None:
-        return count
-    return _acyclic_count_tuples(query, db, tree)
-
-
-def acyclic_count_tuples(query: ConjunctiveQuery, db: Database) -> int:
-    """The dict-based counting sweep (correctness oracle / fallback)."""
-    return _acyclic_count_tuples(query, db, join_tree(query))
-
-
-def _acyclic_count_columnar(
-    query: ConjunctiveQuery, db: Database, tree: list[tuple[int, int | None]]
-) -> int | None:
-    """The vectorized counting sweep; ``None`` means fall back."""
     atoms = list(query.atoms)
     tables = [_atom_table(atom, db) for atom in atoms]
-    if any(table is None for table in tables):
-        return None
     weights: list[np.ndarray] = [
         np.ones(table.n_rows, dtype=np.int64) for table in tables
     ]
@@ -127,25 +106,16 @@ def _acyclic_count_columnar(
         t_pos = {v: i for i, v in enumerate(table.vars)}
 
         # child separator keys in the parent's code space
-        cards = [len(parent.dicts[p_pos[v]]) for v in separator]
-        p_keys = mixed_radix_keys(
-            [parent.codes[p_pos[v]] for v in separator], cards
-        )
-        if p_keys is None:  # pragma: no cover - astronomically wide keys
-            return None
         if not separator:
             p_keys = np.zeros(parent.n_rows, dtype=np.int64)
             c_keys = np.zeros(table.n_rows, dtype=np.int64)
         else:
-            aligned = align_composite_keys(
+            p_keys, c_keys, kept = align_composite_keys(
+                [parent.codes[p_pos[v]] for v in separator],
+                [parent.dicts[p_pos[v]] for v in separator],
                 [table.codes[t_pos[v]] for v in separator],
                 [table.dicts[t_pos[v]] for v in separator],
-                [parent.dicts[p_pos[v]] for v in separator],
-                cards,
             )
-            if aligned is None:  # pragma: no cover - wide keys
-                return None
-            c_keys, kept = aligned
             if kept is not None:
                 w = w[kept]
 
@@ -178,32 +148,4 @@ def _acyclic_count_columnar(
             gathered = gathered.astype(object)
         weights[parent_idx] = parent_w * gathered
         weight_bound[parent_idx] = product_bound
-    raise AssertionError("unreachable: the join tree always has a root")
-
-
-def _acyclic_count_tuples(
-    query: ConjunctiveQuery, db: Database, tree: list[tuple[int, int | None]]
-) -> int:
-    atoms = list(query.atoms)
-    rows_of = {i: _atom_rows(atoms[i], db) for i in range(len(atoms))}
-    weights: dict[int, list[int]] = {
-        i: [1] * len(rows_of[i][1]) for i in range(len(atoms))
-    }
-    for atom_idx, parent_idx in tree:
-        vars_i, rows_i = rows_of[atom_idx]
-        weight_i = weights[atom_idx]
-        if parent_idx is None:
-            return sum(weight_i)
-        vars_p, rows_p = rows_of[parent_idx]
-        parent_vars = set(vars_p)
-        separator = [v for v in vars_i if v in parent_vars]
-        key_pos_i = [vars_i.index(v) for v in separator]
-        agg: dict[tuple, int] = defaultdict(int)
-        for row, w in zip(rows_i, weight_i):
-            agg[tuple(row[k] for k in key_pos_i)] += w
-        key_pos_p = [vars_p.index(v) for v in separator]
-        weights[parent_idx] = [
-            w * agg.get(tuple(row[k] for k in key_pos_p), 0)
-            for row, w in zip(rows_p, weights[parent_idx])
-        ]
     raise AssertionError("unreachable: the join tree always has a root")

@@ -6,27 +6,18 @@ algorithm lives in :mod:`repro.evaluation.wcoj`; this path is kept both as
 an independent oracle for true cardinalities in tests and because acyclic
 JOB-style queries evaluate faster through it.
 
-Two implementations coexist:
-
-* :func:`hash_join_tuples` — the original dict-of-lists hash join over
-  Python tuples.  Works for arbitrary hashable values and serves as the
-  correctness oracle in the equivalence test-suite.
-* a columnar sort-merge join over dictionary-encoded ``int64`` columns
-  (:mod:`repro.relational.columnar`): right-side key columns are remapped
-  into the left dictionaries' code space (``searchsorted`` over the small
-  dictionaries), composite keys are matched with ``np.searchsorted`` over
-  a stable-sorted right side, and output rows are materialized as two
-  gather operations.  Output row *order* matches the tuple oracle exactly
-  (left-major, right rows in input order within a key).
-
-:func:`hash_join` dispatches to the columnar engine whenever both inputs
-encode, falling back silently otherwise; :func:`evaluate_left_deep` keeps
-the whole left-deep chain in code space, decoding only the final result.
+The join is a columnar sort-merge over dictionary-encoded columns
+(:mod:`repro.relational.columnar`): right-side key columns are remapped
+into the left dictionaries' code space, composite keys are matched with
+``np.searchsorted`` over a stable-sorted right side, and output rows are
+materialized as two gather operations.  Output rows come left-major,
+right rows in input order within a key.  :func:`evaluate_left_deep`
+keeps the whole left-deep chain in code space, decoding only the final
+result.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
@@ -34,82 +25,19 @@ import numpy as np
 from ..query.query import Atom, ConjunctiveQuery
 from ..relational import Database, Relation
 from ..relational.columnar import (
-    _MAX_RADIX,
     ColumnarRelation,
-    composite_codes,
+    align_composite_keys,
     encode_rows,
     remap_codes,
 )
 
 __all__ = [
     "hash_join",
-    "hash_join_tuples",
     "join_relations",
     "evaluate_left_deep",
 ]
 
 
-def _atom_rows(atom: Atom, db: Database) -> tuple[tuple[str, ...], list[tuple]]:
-    """Rows of an atom as tuples over its *distinct* variables.
-
-    Repeated variables in the atom become equality selections.
-    """
-    relation = db[atom.relation]
-    distinct_vars = tuple(dict.fromkeys(atom.variables))
-    positions: dict[str, int] = {}
-    for position, var in enumerate(atom.variables):
-        positions.setdefault(var, position)
-    repeated: dict[str, list[int]] = {}
-    for position, var in enumerate(atom.variables):
-        repeated.setdefault(var, []).append(position)
-    checks = [ps for ps in repeated.values() if len(ps) > 1]
-    rows = []
-    for row in relation:
-        if checks and not all(len({row[i] for i in ps}) == 1 for ps in checks):
-            continue
-        rows.append(tuple(row[positions[v]] for v in distinct_vars))
-    return distinct_vars, rows
-
-
-# ----------------------------------------------------------------------
-# tuple oracle
-# ----------------------------------------------------------------------
-def hash_join_tuples(
-    left_vars: Sequence[str],
-    left_rows: list[tuple],
-    right_vars: Sequence[str],
-    right_rows: list[tuple],
-) -> tuple[tuple[str, ...], list[tuple]]:
-    """Natural join of two variable-labelled row sets, tuple-at-a-time.
-
-    Returns (output variables, output rows); output variables are the left
-    variables followed by the right-only variables.
-    """
-    left_vars = tuple(left_vars)
-    right_vars = tuple(right_vars)
-    left_set = frozenset(left_vars)
-    shared = [v for v in right_vars if v in left_set]
-    right_only = [v for v in right_vars if v not in left_set]
-    out_vars = left_vars + tuple(right_only)
-    left_key_pos = [left_vars.index(v) for v in shared]
-    right_key_pos = [right_vars.index(v) for v in shared]
-    right_rest_pos = [right_vars.index(v) for v in right_only]
-    index: dict[tuple, list[tuple]] = defaultdict(list)
-    for row in right_rows:
-        index[tuple(row[i] for i in right_key_pos)].append(
-            tuple(row[i] for i in right_rest_pos)
-        )
-    out_rows = []
-    for row in left_rows:
-        key = tuple(row[i] for i in left_key_pos)
-        for rest in index.get(key, ()):
-            out_rows.append(row + rest)
-    return out_vars, out_rows
-
-
-# ----------------------------------------------------------------------
-# columnar engine
-# ----------------------------------------------------------------------
 class _ColTable:
     """A variable-labelled intermediate result in code space."""
 
@@ -120,18 +48,6 @@ class _ColTable:
         self.codes = codes
         self.dicts = dicts
         self.n_rows = n_rows
-
-
-def _probably_encodable(rows: Sequence[tuple]) -> bool:
-    """First-row probe: plain-int rows are the only encodable kind.
-
-    False negatives are impossible (a non-int in row 0 fails the full
-    encode too); false positives just mean the encode attempts and falls
-    back as before.
-    """
-    if not rows:
-        return True
-    return all(type(value) is int for value in rows[0])
 
 
 def _table_of(columnar: ColumnarRelation) -> _ColTable:
@@ -155,20 +71,9 @@ def _columnar_of(table: _ColTable) -> ColumnarRelation:
     )
 
 
-def _encode_table(
-    vars: Sequence[str], rows: Sequence[tuple]
-) -> _ColTable | None:
-    vars = tuple(vars)
-    if len(set(vars)) != len(vars):
-        # degenerate duplicate-variable labelling: tuple path handles it
-        return None
-    columnar = encode_rows(vars, rows)
-    return None if columnar is None else _table_of(columnar)
-
-
 def _atom_table_indexed(
     atom: Atom, db: Database
-) -> tuple[_ColTable, np.ndarray | None] | None:
+) -> tuple[_ColTable, np.ndarray | None]:
     """The atom's rows over its distinct variables, plus the index of each
     surviving table row in the underlying relation's row order (``None``
     meaning the identity — no row was filtered).
@@ -180,8 +85,6 @@ def _atom_table_indexed(
     """
     relation = db[atom.relation]
     col = relation.columnar()
-    if col is None:
-        return None
     attrs = relation.attributes
     distinct_vars = tuple(dict.fromkeys(atom.variables))
     first_pos: dict[str, int] = {}
@@ -211,14 +114,13 @@ def _atom_table_indexed(
     return _ColTable(distinct_vars, codes_list, dicts_list, n), keep
 
 
-def _atom_table(atom: Atom, db: Database) -> _ColTable | None:
+def _atom_table(atom: Atom, db: Database) -> _ColTable:
     """The atom's rows over its distinct variables (see above)."""
-    indexed = _atom_table_indexed(atom, db)
-    return None if indexed is None else indexed[0]
+    return _atom_table_indexed(atom, db)[0]
 
 
-def _join_tables(left: _ColTable, right: _ColTable) -> _ColTable | None:
-    """Columnar natural join; ``None`` only on composite-radix overflow."""
+def _join_tables(left: _ColTable, right: _ColTable) -> _ColTable:
+    """Columnar natural join."""
     left_set = frozenset(left.vars)
     shared = [v for v in right.vars if v in left_set]
     right_only = [v for v in right.vars if v not in left_set]
@@ -230,29 +132,11 @@ def _join_tables(left: _ColTable, right: _ColTable) -> _ColTable | None:
         left_idx = np.repeat(np.arange(left.n_rows), right.n_rows)
         right_idx = np.tile(np.arange(right.n_rows), left.n_rows)
     else:
-        cards = [len(left.dicts[left_pos[v]]) for v in shared]
-        radix = 1
-        for card in cards:
-            radix *= max(1, card)
-            if radix >= _MAX_RADIX:  # pragma: no cover - astronomically wide
-                return None
-        remapped = []
-        valid = None
-        for v in shared:
-            aligned = remap_codes(
-                right.codes[right_pos[v]],
-                right.dicts[right_pos[v]],
-                left.dicts[left_pos[v]],
-            )
-            ok = aligned >= 0
-            valid = ok if valid is None else (valid & ok)
-            remapped.append(aligned)
-        keep = np.nonzero(valid)[0]
-        right_keys, _ = composite_codes(
-            [a[keep] for a in remapped], cards, len(keep)
-        )
-        left_keys, _ = composite_codes(
-            [left.codes[left_pos[v]] for v in shared], cards, left.n_rows
+        left_keys, right_keys, kept = align_composite_keys(
+            [left.codes[left_pos[v]] for v in shared],
+            [left.dicts[left_pos[v]] for v in shared],
+            [right.codes[right_pos[v]] for v in shared],
+            [right.dicts[right_pos[v]] for v in shared],
         )
         order = np.argsort(right_keys, kind="stable")
         sorted_keys = right_keys[order]
@@ -267,7 +151,7 @@ def _join_tables(left: _ColTable, right: _ColTable) -> _ColTable | None:
             - np.repeat(offsets, counts)
             + np.repeat(lo, counts)
         )
-        right_idx = keep[order[span]]
+        right_idx = order[span] if kept is None else kept[order[span]]
 
     codes_list = [c[left_idx] for c in left.codes]
     dicts_list = list(left.dicts)
@@ -275,10 +159,6 @@ def _join_tables(left: _ColTable, right: _ColTable) -> _ColTable | None:
         codes_list.append(right.codes[right_pos[v]][right_idx])
         dicts_list.append(right.dicts[right_pos[v]])
     return _ColTable(out_vars, codes_list, dicts_list, len(left_idx))
-
-
-def _decode_rows(table: _ColTable) -> list[tuple]:
-    return _columnar_of(table).decode_rows(table.vars)
 
 
 # ----------------------------------------------------------------------
@@ -293,54 +173,32 @@ def hash_join(
     """Natural join of two variable-labelled row sets.
 
     Returns (output variables, output rows); output variables are the left
-    variables followed by the right-only variables.  Integer-valued inputs
-    run through the vectorized columnar engine; anything else falls back to
-    :func:`hash_join_tuples`.  Output rows and their order are identical
-    either way.
+    variables followed by the right-only variables, and rows come
+    left-major with right rows in input order within a key.  Raises
+    ``ValueError`` when either side repeats a variable.
     """
-    # cheap first-row type probe before paying for a full encode: on a
-    # mixed-type chain this keeps the fallback path from dictionary-
-    # encoding one (possibly huge) side only to discard the work when the
-    # other side turns out non-encodable.
-    if not (_probably_encodable(left_rows) and _probably_encodable(right_rows)):
-        return hash_join_tuples(left_vars, left_rows, right_vars, right_rows)
-    left = _encode_table(left_vars, left_rows)
-    right = _encode_table(right_vars, right_rows) if left is not None else None
-    if left is None or right is None:
-        return hash_join_tuples(left_vars, left_rows, right_vars, right_rows)
-    joined = _join_tables(left, right)
-    if joined is None:  # pragma: no cover - radix overflow
-        return hash_join_tuples(left_vars, left_rows, right_vars, right_rows)
-    return joined.vars, _decode_rows(joined)
-
-
-def _relation_table(relation: Relation) -> _ColTable | None:
-    col = relation.columnar()
-    return None if col is None else _table_of(col)
+    for labels in (left_vars, right_vars):
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate variables in {tuple(labels)!r}")
+    joined = _join_tables(
+        _table_of(encode_rows(left_vars, left_rows)),
+        _table_of(encode_rows(right_vars, right_rows)),
+    )
+    return joined.vars, _columnar_of(joined).decode_rows(joined.vars)
 
 
 def join_relations(left: Relation, right: Relation, name: str = "") -> Relation:
     """Natural join of two relations on their shared attribute names.
 
-    The engine-level entry point: when both relations have columnar twins
-    the join runs entirely in code space and the result is returned as a
-    columnar-backed :class:`Relation` whose tuple rows materialize lazily —
-    statistics, further joins, and ``len()`` never pay for them.  Joining
-    two set-semantics relations cannot create duplicate rows, so no
-    deduplication pass is needed.
+    The engine-level entry point: the join runs entirely in code space
+    and the result is returned as a columnar-backed :class:`Relation`
+    whose tuple rows materialize lazily — statistics, further joins, and
+    ``len()`` never pay for them.  Joining two set-semantics relations
+    cannot create duplicate rows, so no deduplication pass is needed.
     """
-    left_table = _relation_table(left)
-    right_table = _relation_table(right) if left_table is not None else None
-    joined = (
-        _join_tables(left_table, right_table)
-        if left_table is not None and right_table is not None
-        else None
+    joined = _join_tables(
+        _table_of(left.columnar()), _table_of(right.columnar())
     )
-    if joined is None:
-        out_vars, out_rows = hash_join_tuples(
-            left.attributes, list(left), right.attributes, list(right)
-        )
-        return Relation._from_distinct_rows(out_vars, out_rows, name)
     return Relation._from_columnar(_columnar_of(joined), name=name)
 
 
@@ -354,9 +212,8 @@ def evaluate_left_deep(
     current partial result (falling back to a cartesian product only when
     the query is disconnected).
 
-    When every atom's relation has a columnar twin the entire chain runs in
-    code space and only the final result is decoded (column-first, through
-    :meth:`Relation.from_columns`); otherwise the tuple path is used.
+    The entire chain runs in code space; the result is a columnar-backed
+    relation whose rows decode lazily.
     """
     atoms = list(query.atoms)
     if order is not None:
@@ -375,33 +232,17 @@ def evaluate_left_deep(
             bound |= pick.variable_set
         atoms = ordered
 
-    target = query.variables
-    tables = [_atom_table(atom, db) for atom in atoms]
-    if all(t is not None for t in tables):
-        result = tables[0]
-        for table in tables[1:]:
-            result = _join_tables(result, table)
-            if result is None:  # pragma: no cover - radix overflow
-                break
-        if result is not None:
-            # a full CQ's output vars are exactly `target` (as a set), so
-            # reordering columns keeps rows distinct: wrap without decoding.
-            position = {v: i for i, v in enumerate(result.vars)}
-            columnar = ColumnarRelation(
-                target,
-                {v: result.codes[position[v]] for v in target},
-                {v: result.dicts[position[v]] for v in target},
-                result.n_rows,
-            )
-            return Relation._from_columnar(columnar, name=query.name)
-
-    out_vars, out_rows = _atom_rows(atoms[0], db)
+    result = _atom_table(atoms[0], db)
     for atom in atoms[1:]:
-        r_vars, r_rows = _atom_rows(atom, db)
-        out_vars, out_rows = hash_join(out_vars, out_rows, r_vars, r_rows)
-    positions = [out_vars.index(v) for v in target]
-    return Relation(
+        result = _join_tables(result, _atom_table(atom, db))
+    # a full CQ's output vars are exactly the query's (as a set), so
+    # reordering columns keeps rows distinct: wrap without decoding.
+    target = query.variables
+    position = {v: i for i, v in enumerate(result.vars)}
+    columnar = ColumnarRelation(
         target,
-        (tuple(row[i] for i in positions) for row in out_rows),
-        name=query.name,
+        {v: result.codes[position[v]] for v in target},
+        {v: result.dicts[position[v]] for v in target},
+        result.n_rows,
     )
+    return Relation._from_columnar(columnar, name=query.name)

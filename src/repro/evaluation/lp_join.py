@@ -76,29 +76,24 @@ def _union_outputs(
 ) -> Relation:
     """Deduplicated union of the per-combination outputs.
 
-    When every non-empty part output carries a columnar twin the union is
-    column-wise: each twin's decoded value arrays stream into one
+    Column-wise: each output's decoded value arrays stream into one
     :class:`~repro.relational.columnar.ChunkedColumns` accumulator (one
     concatenation pass per column at finalize, regardless of how many
     part outputs there are) and :meth:`Relation.from_columns`
-    deduplicates through composite keys — no per-row Python loop.  Falls
-    back to a tuple-set union otherwise.
+    deduplicates through composite keys — no per-row Python loop.
     """
-    non_empty = [o for o in outputs if len(o)]
-    twins = [o.columnar() for o in non_empty]
-    if non_empty and all(t is not None for t in twins):
-        acc = ChunkedColumns(len(query.variables))
-        for twin in twins:
+    acc = ChunkedColumns(len(query.variables))
+    for output in outputs:
+        if len(output):
+            twin = output.columnar()
             acc.append(
                 [twin.dictionary(v)[twin.codes(v)] for v in query.variables]
             )
-        return Relation.from_columns(
-            query.variables, acc.finalize(), name=query.name
-        )
-    rows: set[tuple] = set()
-    for output in non_empty:
-        rows.update(output)
-    return Relation(query.variables, rows, name=query.name)
+    if not acc.n_rows:
+        return Relation(query.variables, [], name=query.name)
+    return Relation.from_columns(
+        query.variables, acc.finalize(), name=query.name
+    )
 
 
 @dataclass

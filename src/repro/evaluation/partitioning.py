@@ -10,12 +10,12 @@ Lemma 2.5: any R satisfying an ℓp statistic splits into
 O(2^p · log N) parts that each strongly satisfy it — bucket the U-values
 by ⌊log2 degree⌋, then chop each bucket into ⌈2^p⌉ slices.
 
-On dictionary-encoded relations both steps run in code space: per-row
-degrees come from one grouped distinct count, ⌊log2 d⌋ via ``frexp``
-(exact for any int64 degree), and each part is a positional row-gather —
-the tuple path below remains the oracle and non-integer fallback.  Both
-paths produce the *same parts in the same order* (composite group keys
-sort exactly like the decoded U-tuples).
+Both steps run in code space: per-row degrees come from one grouped
+distinct count, ⌊log2 d⌋ via ``frexp`` (exact for any int64 degree), and
+each part is a positional row-gather.  Parts come in ascending bucket
+order, and slices within a bucket in ascending composite U-key order —
+the order of the decoded U-tuples whenever every U column's dictionary
+is sorted (see :func:`repro.relational.columnar.encode_column`).
 """
 
 from __future__ import annotations
@@ -80,13 +80,10 @@ def _degree_profile(
 ):
     """Per-row U-keys, distinct keys, per-group degrees, per-row buckets.
 
-    ``None`` when the relation has no columnar twin (tuple fallback).
     The bucket of a degree d is ⌊log2 d⌋, computed exactly via ``frexp``
     (d = m·2^e with ½ ≤ m < 1, so e − 1 is the floor log).
     """
     col = relation.columnar()
-    if col is None:
-        return None
     group_keys, _ = col.key_codes(tuple(u_attrs))
     counts = col.group_size_counts(tuple(u_attrs), tuple(v_attrs))
     unique_keys, inverse = np.unique(group_keys, return_inverse=True)
@@ -108,23 +105,9 @@ def partition_by_degree(
     """
     if len(relation) == 0:
         return []
-    profile = _degree_profile(relation, v_attrs, u_attrs)
-    if profile is not None:
-        _, _, _, _, row_buckets = profile
-        return [
-            relation._take_rows(rows)
-            for _, rows in _bucket_row_runs(row_buckets)
-        ]
-    sizes = relation.group_sizes(tuple(u_attrs), tuple(v_attrs))
-    bucket_of = {u: int(math.floor(math.log2(d))) for u, d in sizes.items()}
-    u_positions = relation.positions(tuple(u_attrs))
-    buckets: dict[int, list[tuple]] = {}
-    for row in relation:
-        key = tuple(row[i] for i in u_positions)
-        buckets.setdefault(bucket_of[key], []).append(row)
+    _, _, _, _, row_buckets = _degree_profile(relation, v_attrs, u_attrs)
     return [
-        relation.restrict_rows(rows)
-        for _, rows in sorted(buckets.items())
+        relation._take_rows(rows) for _, rows in _bucket_row_runs(row_buckets)
     ]
 
 
@@ -173,40 +156,23 @@ def partition_for_statistic(
         return [relation] if len(relation) else []
     if len(relation) == 0:
         return []
-    profile = _degree_profile(relation, v_attrs, u_attrs)
-    if profile is not None:
-        group_keys, unique_keys, counts, group_buckets, row_buckets = profile
-        parts: list[Relation] = []
-        # every group has at least one row, so the row-derived buckets
-        # enumerate exactly np.unique(group_buckets), ascending.
-        for b, row_sel in _bucket_row_runs(row_buckets):
-            group_mask = group_buckets == b
-            d_max = int(counts[group_mask].max())
-            bucket_groups = unique_keys[group_mask]
-            capacity = _bucket_capacity(d_max, len(bucket_groups), p, log2_bound)
-            # rank of each row's U-value inside the bucket, ascending key
-            # order — identical to the tuple path's sorted(u_values) slices
-            ranks = np.searchsorted(bucket_groups, group_keys[row_sel])
-            slices = ranks // capacity
-            n_slices = (len(bucket_groups) + capacity - 1) // capacity
-            for s in range(n_slices):
-                parts.append(relation._take_rows(row_sel[slices == s]))
-    else:
-        parts = []
-        u_positions = relation.positions(tuple(u_attrs))
-        for bucket in partition_by_degree(relation, v_attrs, u_attrs):
-            sizes = bucket.group_sizes(tuple(u_attrs), tuple(v_attrs))
-            d_max = max(sizes.values())
-            capacity = _bucket_capacity(d_max, len(sizes), p, log2_bound)
-            u_values = sorted(sizes)
-            for start in range(0, len(u_values), capacity):
-                chosen = set(u_values[start : start + capacity])
-                rows = [
-                    row
-                    for row in bucket
-                    if tuple(row[i] for i in u_positions) in chosen
-                ]
-                parts.append(relation.restrict_rows(rows))
+    group_keys, unique_keys, counts, group_buckets, row_buckets = (
+        _degree_profile(relation, v_attrs, u_attrs)
+    )
+    parts: list[Relation] = []
+    # every group has at least one row, so the row-derived buckets
+    # enumerate exactly np.unique(group_buckets), ascending.
+    for b, row_sel in _bucket_row_runs(row_buckets):
+        group_mask = group_buckets == b
+        d_max = int(counts[group_mask].max())
+        bucket_groups = unique_keys[group_mask]
+        capacity = _bucket_capacity(d_max, len(bucket_groups), p, log2_bound)
+        # rank of each row's U-value inside the bucket, ascending key order
+        ranks = np.searchsorted(bucket_groups, group_keys[row_sel])
+        slices = ranks // capacity
+        n_slices = (len(bucket_groups) + capacity - 1) // capacity
+        for s in range(n_slices):
+            parts.append(relation._take_rows(row_sel[slices == s]))
     for part in parts:
         assert strongly_satisfies(part, v_attrs, u_attrs, p, log2_bound), (
             f"part of {relation.name or 'relation'} fails strong "

@@ -7,20 +7,16 @@ is bounded by the AGM bound of the query, and on the degree-uniform parts
 produced by :mod:`repro.evaluation.partitioning` it meets the per-part
 {1,∞} product bounds required by Lemma 2.4.
 
-Two implementations share the same search tree:
+The engine runs over :class:`~repro.relational.columnar.CodeTrie`
+sorted-codes tries: every atom's dictionary-encoded rows are sorted
+lexicographically in the global variable order, and the search proceeds
+on *blocks* of partial bindings — children of each binding's seed atom
+are expanded in one gather and intersected against the other
+participating atoms with batched ``searchsorted`` membership tests.
+Any hashable values work: codes cross atom boundaries through
+:func:`~repro.relational.columnar.dict_mapping` tables.
 
-* :func:`generic_join_tuples` — the original recursive descent over
-  nested-dict tries, one binding at a time.  Works for arbitrary hashable
-  values and is the correctness oracle of the equivalence test-suite.
-* a vectorized engine over :class:`~repro.relational.columnar.CodeTrie`
-  sorted-codes tries: every atom's rows are re-encoded into one global
-  dictionary per variable, sorted lexicographically in the global
-  variable order, and the search proceeds on *blocks* of partial
-  bindings — children of each binding's seed atom are expanded in one
-  gather and intersected against the other participating atoms with
-  batched ``searchsorted`` membership tests.
-
-The vectorized engine is a depth-first traversal over frontier blocks.
+The engine is a depth-first traversal over frontier blocks.
 With ``frontier_block=None`` each level's whole frontier is one block,
 recovering the level-synchronous breadth-first expansion (peak live
 memory proportional to the widest frontier).  With ``frontier_block=N``
@@ -33,7 +29,7 @@ live memory beyond the output drops to O(block × depth).  Blocks are
 slices of one fixed parent-major candidate order, so output rows, their
 order, and the meter are bit-identical for every block size.
 
-The *output* side is pluggable too: both engines emit finished bindings
+The *output* side is pluggable too: the engine emits finished bindings
 into an :class:`~repro.relational.columnar.OutputSink` — counting
 (:class:`~repro.relational.columnar.CountSink`), aggregating
 (:class:`~repro.relational.columnar.GroupCountSink`), or spilling to
@@ -43,11 +39,9 @@ default (``sink=None``) materializes through the internal code-space
 accumulator exactly as before; every sink sees the same rows in the
 same order with the same meter.
 
-:func:`generic_join` dispatches to the vectorized engine whenever every
-atom's relation dictionary-encodes, falling back otherwise.  Both engines
-enumerate exactly the set of bindings that pass every participating
-atom's trie, so the *metered* search-tree size (number of variable
-bindings tried) is identical — which is what
+The meter (``nodes_visited``) counts exactly the bindings that pass every
+participating atom's trie — the search-tree size of the one-binding-at-a-
+time Generic Join — which is what
 :mod:`repro.experiments.evaluation_runtime` compares against the ℓp bound
 per Theorem 2.6.
 """
@@ -59,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..query.query import Atom, ConjunctiveQuery
+from ..query.query import ConjunctiveQuery
 from ..relational import Database, Relation
 from ..relational import kernels
 from ..relational.columnar import (
@@ -72,10 +66,7 @@ from ..relational.columnar import (
 )
 from .joins import _atom_table
 
-__all__ = ["generic_join", "generic_join_tuples", "count_query", "JoinRun"]
-
-#: Finished bindings per batch the tuple fallback hands to a sink.
-_TUPLE_SINK_BATCH = 1024
+__all__ = ["generic_join", "count_query", "JoinRun"]
 
 
 @dataclass
@@ -99,45 +90,6 @@ class JoinRun:
         if self.sink is not None:
             return self.sink.n_rows
         return 0
-
-
-class _Satisfied(dict):
-    """Sentinel node for an atom whose variables are all already bound.
-
-    Such an atom imposes no further constraints; the sentinel is never
-    consulted again because the atom participates in no later level.
-    """
-
-
-_SATISFIED = _Satisfied()
-
-
-def _build_trie(
-    atom: Atom, db: Database, order_index: dict[str, int]
-) -> tuple[list[str], dict]:
-    """Nested-dict trie of an atom's rows, levels in global variable order.
-
-    The deepest level maps the last variable's value to ``None``.
-    Repeated variables in the atom become equality filters.
-    """
-    relation = db[atom.relation]
-    positions: dict[str, int] = {}
-    for position, var in enumerate(atom.variables):
-        positions.setdefault(var, position)
-    repeated: dict[str, list[int]] = {}
-    for position, var in enumerate(atom.variables):
-        repeated.setdefault(var, []).append(position)
-    checks = [ps for ps in repeated.values() if len(ps) > 1]
-    ordered_vars = sorted(positions, key=lambda v: order_index[v])
-    root: dict = {}
-    for row in relation:
-        if checks and not all(len({row[i] for i in ps}) == 1 for ps in checks):
-            continue
-        node = root
-        for var in ordered_vars[:-1]:
-            node = node.setdefault(row[positions[var]], {})
-        node.setdefault(row[positions[ordered_vars[-1]]], None)
-    return ordered_vars, root
 
 
 def _default_order(query: ConjunctiveQuery) -> tuple[str, ...]:
@@ -183,16 +135,15 @@ def generic_join(
         frontier at once (fastest, peak memory proportional to the widest
         intermediate frontier); a positive block streams the search in
         O(block × depth) live memory — output rows, their order, and the
-        meter are bit-identical for every setting.  The tuple fallback is
-        one-binding-at-a-time and ignores the parameter.
+        meter are bit-identical for every setting.
     sink:
         Where finished bindings go.  ``None`` (default) materializes the
         output relation; an explicit
         :class:`~repro.relational.columnar.OutputSink` receives the same
-        rows in the same order as decoded value-column batches (the
-        tuple fallback emits row batches) and ``JoinRun.output`` is
-        ``None`` — counts, row order, and the meter are bit-identical to
-        the materialized run for every sink and block size.
+        rows in the same order as decoded value-column batches and
+        ``JoinRun.output`` is ``None`` — counts, row order, and the meter
+        are bit-identical to the materialized run for every sink and
+        block size.
     governor:
         An optional
         :class:`~repro.evaluation.governor.EvaluationGovernor`.  The
@@ -204,10 +155,7 @@ def generic_join(
     Returns
     -------
     A :class:`JoinRun` with the output relation (attributes in the query's
-    variable order) and the metered search-tree size.  Integer-valued
-    databases run through the vectorized sorted-codes engine; anything
-    else falls back to :func:`generic_join_tuples`.  Output rows (as a
-    set) and the meter are identical either way.
+    variable order) and the metered search-tree size.
     """
     if frontier_block is not None and frontier_block < 1:
         raise ValueError(f"frontier_block must be ≥ 1, got {frontier_block}")
@@ -220,127 +168,27 @@ def generic_join(
         # soft-watermark ladder step halves from the caller's setting
         governor.effective_block(frontier_block)
         governor.checkpoint()
-    run = _generic_join_columnar(
-        query, db, order, frontier_block, sink, governor
-    )
-    if run is not None:
-        return run
-    return generic_join_tuples(query, db, order, sink=sink, governor=governor)
+    return _blocked_search(query, db, order, frontier_block, sink, governor)
 
 
-def generic_join_tuples(
-    query: ConjunctiveQuery,
-    db: Database,
-    order: Sequence[str] | None = None,
-    sink: OutputSink | None = None,
-    governor=None,
-) -> JoinRun:
-    """The tuple-at-a-time Generic Join over nested-dict tries.
-
-    The original evaluator, kept as the correctness (and meter) oracle
-    and as the fallback for relations holding non-integer values.  With
-    an explicit ``sink``, finished bindings stream out in batches of
-    :data:`_TUPLE_SINK_BATCH` rows instead of being collected.
-    """
-    order = _resolve_order(query, order)
-    order_index = {v: i for i, v in enumerate(order)}
-    tries = [_build_trie(atom, db, order_index) for atom in query.atoms]
-    atoms_at: list[list[int]] = [[] for _ in order]
-    for atom_idx, (ordered_vars, _) in enumerate(tries):
-        for var in ordered_vars:
-            atoms_at[order_index[var]].append(atom_idx)
-
-    n = len(order)
-    binding: list = [None] * n
-    results: list[tuple] = []
-    out_positions = [order.index(v) for v in query.variables]
-    buffer: list[tuple] = []
-    if sink is not None:
-        sink.open(query.variables)
-    nodes: list[dict] = [trie for _, trie in tries]
-    visited = 0
-    if governor is not None:
-        governor.register_output(
-            (lambda: sink.n_rows) if sink is not None else lambda: len(results)
-        )
-    # the tuple engine has no block boundaries; checkpoint cooperatively
-    # every _TUPLE_SINK_BATCH visited nodes instead
-    next_check = _TUPLE_SINK_BATCH
-
-    def emit() -> None:
-        if sink is None:
-            results.append(tuple(binding))
-            return
-        if not sink.needs_values:
-            sink.append_size(1)
-            return
-        buffer.append(tuple(binding[i] for i in out_positions))
-        if len(buffer) >= _TUPLE_SINK_BATCH:
-            sink.append_rows(buffer)
-            buffer.clear()
-
-    def descend(level: int) -> None:
-        nonlocal visited, next_check
-        if level == n:
-            emit()
-            return
-        if governor is not None and visited >= next_check:
-            next_check = visited + _TUPLE_SINK_BATCH
-            governor.checkpoint(nodes_visited=visited)
-        participants = atoms_at[level]
-        if not participants:
-            raise RuntimeError(
-                f"variable {order[level]!r} is not covered by any atom"
-            )
-        views = [nodes[i] for i in participants]
-        if not all(views):
-            return
-        smallest = min(views, key=len)
-        for value in smallest:
-            if any(view is not smallest and value not in view for view in views):
-                continue
-            visited += 1
-            binding[level] = value
-            saved = [nodes[i] for i in participants]
-            for i in participants:
-                child = nodes[i][value]
-                nodes[i] = child if child is not None else _SATISFIED
-            descend(level + 1)
-            for i, prior in zip(participants, saved):
-                nodes[i] = prior
-        binding[level] = None
-
-    descend(0)
-    if sink is not None:
-        if buffer:
-            sink.append_rows(buffer)
-        return JoinRun(output=None, nodes_visited=visited, sink=sink)
-    output = Relation(
-        query.variables,
-        (tuple(row[i] for i in out_positions) for row in results),
-        name=query.name,
-    )
-    return JoinRun(output=output, nodes_visited=visited)
-
-
-def _generic_join_columnar(
+def _blocked_search(
     query: ConjunctiveQuery,
     db: Database,
     order: tuple[str, ...],
     frontier_block: int | None = None,
     sink: OutputSink | None = None,
     governor=None,
-) -> JoinRun | None:
-    """The blocked sorted-codes engine; ``None`` means fall back.
+) -> JoinRun:
+    """The blocked sorted-codes engine.
 
     A frontier block is a batch of partial bindings, one int64 code
     column per bound variable.  At each level the participating atom with
     the fewest trie children *seeds* each binding's candidate values, the
     other participants filter them with batched membership tests, and the
     surviving (binding, value) pairs form the next block — whole-block
-    expansion instead of per-binding recursion, with the visited count
-    unchanged because both engines enumerate exactly the intersection at
-    every node.
+    expansion instead of per-binding recursion, with the same visited
+    count, because every node enumerates exactly the intersection of its
+    participants' children.
 
     Candidates are enumerated in one fixed *parent-major* order: the
     flattened (binding, seed-child) space, bindings in frontier order,
@@ -363,30 +211,22 @@ def _generic_join_columnar(
     """
     order_index = {v: i for i, v in enumerate(order)}
     tables = [_atom_table(atom, db) for atom in query.atoms]
-    if any(t is None for t in tables):
-        return None
-
     tries: list[CodeTrie] = []
     dict_of: list[list[np.ndarray]] = []  # per atom, per depth: column dict
     ordered_vars_of: list[tuple[str, ...]] = []
     for atom, table in zip(query.atoms, tables):
         position = {v: i for i, v in enumerate(table.vars)}
         ordered = tuple(sorted(table.vars, key=lambda v: order_index[v]))
-        try:
-            if len(set(atom.variables)) == len(atom.variables):
-                # table columns alias the relation twin: use its trie cache
-                relation = db[atom.relation]
-                attr_of = dict(zip(atom.variables, relation.attributes))
-                trie = relation.columnar().trie(
-                    tuple(attr_of[v] for v in ordered)
-                )
-            else:
-                trie = CodeTrie(
-                    [table.codes[position[v]] for v in ordered],
-                    [len(table.dicts[position[v]]) for v in ordered],
-                )
-        except OverflowError:  # pragma: no cover - astronomically wide
-            return None
+        if len(set(atom.variables)) == len(atom.variables):
+            # table columns alias the relation twin: use its trie cache
+            relation = db[atom.relation]
+            attr_of = dict(zip(atom.variables, relation.attributes))
+            trie = relation.columnar().trie(tuple(attr_of[v] for v in ordered))
+        else:
+            trie = CodeTrie(
+                [table.codes[position[v]] for v in ordered],
+                [len(table.dicts[position[v]]) for v in ordered],
+            )
         tries.append(trie)
         dict_of.append([table.dicts[position[v]] for v in ordered])
         ordered_vars_of.append(ordered)
@@ -403,8 +243,7 @@ def _generic_join_columnar(
     n_atoms = len(tables)
     # decode dictionary per level: the first participant's (the canonical
     # code space candidates are expressed in).  Uncovered levels raise at
-    # runtime iff a non-empty frontier actually reaches them (matching
-    # the tuple engine, which also only raises on a live branch).
+    # runtime iff a non-empty frontier actually reaches them.
     canon_of: list[np.ndarray | None] = []
     for level_parts in atoms_at:
         if level_parts:
@@ -418,35 +257,40 @@ def _generic_join_columnar(
     # codes pass through) and the seed→canonical table for survivors.
     # Hoisted to setup: the blocked traversal re-enters expand_slice once
     # per slice, and rebuilding these per slice is pure repeated work —
-    # the tables depend only on the (level, seed, other) dictionaries.
+    # the tables depend only on the (source, target) dictionaries, and
+    # each distinct pair is built once (self-joins share dictionaries
+    # across atoms; object dictionaries pay a hash lookup per table).
+    tables_by_pair: dict[tuple[int, int], np.ndarray] = {}
+
+    def mapping(source, target):
+        if source is target:
+            return None
+        key = (id(source), id(target))  # both arrays live in dict_of
+        if key not in tables_by_pair:
+            tables_by_pair[key] = dict_mapping(source, target)
+        return tables_by_pair[key]
+
     member_maps: list[list[list[np.ndarray | None]]] = []
     canon_maps: list[list[np.ndarray | None]] = []
     for level, level_parts in enumerate(atoms_at):
-        canon_dict = canon_of[level]
-        per_seed_members: list[list[np.ndarray | None]] = []
-        per_seed_canon: list[np.ndarray | None] = []
+        member_maps.append([])
+        canon_maps.append([])
         for seed_idx, seed_depth in level_parts:
             seed_dict = dict_of[seed_idx][seed_depth]
-            per_seed_members.append(
+            member_maps[-1].append(
                 [
-                    None
-                    if dict_of[atom_idx][depth] is seed_dict
-                    else dict_mapping(seed_dict, dict_of[atom_idx][depth])
+                    mapping(seed_dict, dict_of[atom_idx][depth])
                     for atom_idx, depth in level_parts
                 ]
             )
-            per_seed_canon.append(
-                None
-                if seed_dict is canon_dict
-                else dict_mapping(seed_dict, canon_dict)
-            )
-        member_maps.append(per_seed_members)
-        canon_maps.append(per_seed_canon)
+            canon_maps[-1].append(mapping(seed_dict, canon_of[level]))
 
     if sink is None:
         acc = ChunkedColumns(n)
         emit = acc.append
-    elif not sink.needs_values:
+    elif not sink.needs_values or n == 0:
+        # sizes suffice (a zero-variable query joins to the single empty
+        # binding, whose row carries no values)
 
         def emit(binding_cols):
             sink.append_size(len(binding_cols[0]) if binding_cols else 1)
@@ -460,13 +304,7 @@ def _generic_join_columnar(
         out_levels = [order_index[v] for v in query.variables]
 
         def emit(binding_cols):
-            if binding_cols:
-                sink.append(
-                    [canon_of[i][binding_cols[i]] for i in out_levels]
-                )
-            else:
-                # a zero-variable query joins to the single empty binding
-                sink.append_rows([()])
+            sink.append([canon_of[i][binding_cols[i]] for i in out_levels])
 
     visited = 0
     if governor is not None:
@@ -484,8 +322,8 @@ def _generic_join_columnar(
                 f"variable {order[level]!r} is not covered by any atom"
             )
         # per-binding seed choice: the participant with the fewest trie
-        # children at this node — the vectorized analogue of the tuple
-        # engine's min(views, key=len), which keeps the expanded space at
+        # children at this node — the vectorized analogue of a per-binding
+        # min(views, key=len), which keeps the expanded space at
         # Σ_b min_i deg_i(b) instead of min_i Σ_b deg_i(b).
         ranges = [
             tries[i].children_ranges(d, atom_node[i]) for i, d in participants

@@ -7,23 +7,15 @@ output onto its atom, which makes the reduced database the natural input
 for any evaluator and gives a cheap lower-bound witness for cardinality
 estimates (every surviving tuple extends to at least one output row).
 
-Two implementations coexist:
-
-* :func:`semijoin_reduce_tuples` — the original sweeps over Python row
-  sets, the correctness oracle and the fallback for non-integer values.
-* a columnar engine that keeps one boolean liveness mask per atom and
-  runs every semijoin as a composite-key membership test: the shared
-  variables' code columns are aligned across atoms with
-  :func:`~repro.relational.columnar.remap_codes`, flattened to one
-  ``int64`` key per row, and matched with a single ``searchsorted`` —
-  no tuple is ever materialized until the reduced relations are built
-  (as columnar row-gathers).
-
-:func:`semijoin_reduce` dispatches to the columnar engine whenever every
-atom's relation dictionary-encodes.  A semijoin against a source with no
-shared variables keeps the target exactly when the source still has rows
-(no cross product is formed) — both engines implement this case
-identically.
+The engine keeps one boolean liveness mask per atom and runs every
+semijoin as a composite-key membership test: the shared variables' code
+columns are aligned across atoms with
+:func:`~repro.relational.columnar.align_composite_keys`, flattened to one
+``int64`` key per row, and matched with a single ``searchsorted`` — no
+tuple is ever materialized; the reduced relations are columnar
+row-gathers.  A semijoin against a source with no shared variables keeps
+the target exactly when the source still has rows (no cross product is
+formed).
 """
 
 from __future__ import annotations
@@ -32,29 +24,11 @@ import numpy as np
 
 from ..query.query import ConjunctiveQuery
 from ..relational import Database, Relation
-from ..relational.columnar import align_composite_keys, mixed_radix_keys
+from ..relational.columnar import align_composite_keys
 from .acyclic_count import join_tree
-from .joins import _atom_rows, _atom_table_indexed
+from .joins import _atom_table_indexed
 
-__all__ = ["semijoin_reduce", "semijoin_reduce_tuples"]
-
-
-def _semijoin(
-    target_vars: tuple[str, ...],
-    target_rows: list[tuple],
-    source_vars: tuple[str, ...],
-    source_rows: list[tuple],
-) -> list[tuple]:
-    """Rows of target with a matching partner in source (on shared vars)."""
-    shared = [v for v in target_vars if v in set(source_vars)]
-    if not shared:
-        return target_rows if source_rows else []
-    s_pos = [source_vars.index(v) for v in shared]
-    keys = {tuple(row[i] for i in s_pos) for row in source_rows}
-    t_pos = [target_vars.index(v) for v in shared]
-    return [
-        row for row in target_rows if tuple(row[i] for i in t_pos) in keys
-    ]
+__all__ = ["semijoin_reduce"]
 
 
 def semijoin_reduce(
@@ -75,48 +49,14 @@ def semijoin_reduce(
     and memory caps land between steps, never mid-semijoin.
     """
     tree = join_tree(query)  # raises for cyclic queries
-    reduced = _semijoin_reduce_columnar(query, db, tree, governor)
-    if reduced is not None:
-        return reduced
-    return _semijoin_reduce_tuples(query, db, tree, governor)
-
-
-def semijoin_reduce_tuples(query: ConjunctiveQuery, db: Database) -> Database:
-    """The tuple-at-a-time reduction (correctness oracle / fallback)."""
-    return _semijoin_reduce_tuples(query, db, join_tree(query))
-
-
-def _tree_children(
-    tree: list[tuple[int, int | None]],
-) -> tuple[dict[int, list[int]], int]:
-    children: dict[int, list[int]] = {i: [] for i, _ in tree}
-    root = None
-    for atom_idx, parent_idx in tree:
-        if parent_idx is None:
-            root = atom_idx
-        else:
-            children[parent_idx].append(atom_idx)
-    assert root is not None
-    return children, root
-
-
-def _semijoin_reduce_columnar(
-    query: ConjunctiveQuery,
-    db: Database,
-    tree: list[tuple[int, int | None]],
-    governor=None,
-) -> Database | None:
-    """Both sweeps over liveness masks in code space; ``None`` = fall back."""
     atoms = list(query.atoms)
     indexed = [_atom_table_indexed(atom, db) for atom in atoms]
-    if any(entry is None for entry in indexed):
-        return None
     tables = [table for table, _ in indexed]
     row_idx = [idx for _, idx in indexed]
     alive = [np.ones(table.n_rows, dtype=bool) for table in tables]
 
-    def semijoin(target_i: int, source_i: int) -> bool:
-        """alive[target] &= has-partner-in-source; False on key overflow."""
+    def semijoin(target_i: int, source_i: int) -> None:
+        """alive[target] &= has-partner-in-source."""
         target, source = tables[target_i], tables[source_i]
         t_pos = {v: i for i, v in enumerate(target.vars)}
         source_set = set(source.vars)
@@ -124,46 +64,37 @@ def _semijoin_reduce_columnar(
         if not shared:
             if not alive[source_i].any():
                 alive[target_i][:] = False
-            return True
+            return
         live = np.nonzero(alive[source_i])[0]
         if len(live) == 0:
             alive[target_i][:] = False
-            return True
+            return
         s_pos = {v: i for i, v in enumerate(source.vars)}
-        cards = [len(target.dicts[t_pos[v]]) for v in shared]
-        t_keys = mixed_radix_keys(
-            [target.codes[t_pos[v]] for v in shared], cards
-        )
-        if t_keys is None:  # pragma: no cover - astronomically wide keys
-            return False
-        aligned = align_composite_keys(
+        t_keys, s_keys, _ = align_composite_keys(
+            [target.codes[t_pos[v]] for v in shared],
+            [target.dicts[t_pos[v]] for v in shared],
             [source.codes[s_pos[v]][live] for v in shared],
             [source.dicts[s_pos[v]] for v in shared],
-            [target.dicts[t_pos[v]] for v in shared],
-            cards,
         )
-        if aligned is None:  # pragma: no cover - astronomically wide keys
-            return False
-        s_keys, _ = aligned
         if len(s_keys) == 0:
             alive[target_i][:] = False
-            return True
+            return
         s_keys = np.unique(s_keys)
         positions = np.minimum(
             np.searchsorted(s_keys, t_keys), len(s_keys) - 1
         )
         alive[target_i] &= s_keys[positions] == t_keys
-        return True
 
-    children, root = _tree_children(tree)
+    children: dict[int, list[int]] = {i: [] for i, _ in tree}
     # upward sweep: parents lose rows with no partner in each child
     for atom_idx, parent_idx in tree:
         if parent_idx is None:
+            root = atom_idx
             continue
+        children[parent_idx].append(atom_idx)
         if governor is not None:
             governor.checkpoint()
-        if not semijoin(parent_idx, atom_idx):  # pragma: no cover - overflow
-            return None
+        semijoin(parent_idx, atom_idx)
     # downward sweep: children lose rows with no partner in their parent
     stack = [root]
     while stack:
@@ -171,8 +102,7 @@ def _semijoin_reduce_columnar(
         for child in children[node]:
             if governor is not None:
                 governor.checkpoint()
-            if not semijoin(child, node):  # pragma: no cover - overflow
-                return None
+            semijoin(child, node)
             stack.append(child)
 
     # map survivors back to relation rows, unioned across atoms per relation
@@ -195,79 +125,3 @@ def _semijoin_reduce_columnar(
         if name not in relations:
             relations[name] = db[name]
     return Database(relations)
-
-
-def _semijoin_reduce_tuples(
-    query: ConjunctiveQuery,
-    db: Database,
-    tree: list[tuple[int, int | None]],
-    governor=None,
-) -> Database:
-    atoms = list(query.atoms)
-    rows_of = {i: list(_atom_rows(atoms[i], db)[1]) for i in range(len(atoms))}
-    vars_of = {i: _atom_rows(atoms[i], db)[0] for i in range(len(atoms))}
-    children, root = _tree_children(tree)
-
-    # upward sweep: parents lose rows with no partner in each child
-    for atom_idx, parent_idx in tree:
-        if parent_idx is None:
-            continue
-        if governor is not None:
-            governor.checkpoint()
-        rows_of[parent_idx] = _semijoin(
-            vars_of[parent_idx],
-            rows_of[parent_idx],
-            vars_of[atom_idx],
-            rows_of[atom_idx],
-        )
-    # downward sweep: children lose rows with no partner in their parent
-    def push_down(node: int) -> None:
-        for child in children[node]:
-            if governor is not None:
-                governor.checkpoint()
-            rows_of[child] = _semijoin(
-                vars_of[child],
-                rows_of[child],
-                vars_of[node],
-                rows_of[node],
-            )
-            push_down(child)
-
-    push_down(root)
-
-    # map surviving variable-rows back to relation rows (per atom), then
-    # union across atoms sharing a relation
-    surviving: dict[str, set[tuple]] = {
-        name: set() for name in {a.relation for a in atoms}
-    }
-    for i, atom in enumerate(atoms):
-        relation = db[atom.relation]
-        distinct_vars = vars_of[i]
-        keep = set(rows_of[i])
-        positions: dict[str, int] = {}
-        for position, var in enumerate(atom.variables):
-            positions.setdefault(var, position)
-        for row in relation:
-            key = tuple(row[positions[v]] for v in distinct_vars)
-            # repeated-variable atoms: the key collapses; diagonal rows only
-            if len(set(atom.variables)) != len(atom.variables):
-                groups: dict[str, list[int]] = {}
-                for position, var in enumerate(atom.variables):
-                    groups.setdefault(var, []).append(position)
-                if not all(
-                    len({row[i] for i in ps}) == 1
-                    for ps in groups.values()
-                    if len(ps) > 1
-                ):
-                    continue
-            if key in keep:
-                surviving[atom.relation].add(row)
-    reduced = {
-        name: Relation(db[name].attributes, rows, name=name)
-        for name, rows in surviving.items()
-    }
-    # relations not mentioned by the query pass through untouched
-    for name in db:
-        if name not in reduced:
-            reduced[name] = db[name]
-    return Database(reduced)

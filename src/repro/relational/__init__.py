@@ -1,8 +1,7 @@
 """Relational substrate: set-semantics relations and database instances.
 
-Integer-valued relations are backed by the dictionary-encoded columnar
-engine in :mod:`repro.relational.columnar`; relations over arbitrary
-hashable values transparently use the original tuple paths.
+Every relation is backed by the dictionary-encoded columnar engine in
+:mod:`repro.relational.columnar`, whatever hashable values it holds.
 """
 
 from . import kernels

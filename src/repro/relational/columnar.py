@@ -4,29 +4,35 @@ The paper's standing assumption is that ℓp-norm statistics are cheap to
 precompute at scale; with rows stored as Python tuples the statistics
 kernels (``group_sizes``, projections, distinct counts, joins) run per-row
 Python loops and sit orders of magnitude off the hardware ceiling.  This
-module provides the vectorized substrate: every integer-valued relation
-lazily materializes one ``int64`` NumPy *code* array per column together
-with a sorted *dictionary* (the distinct values), i.e. a dictionary
-encoding ``value = dictionary[code]``.
+module provides the vectorized substrate: every relation lazily
+materializes one ``int64`` NumPy *code* array per column together with a
+*dictionary* of the distinct values, i.e. a dictionary encoding
+``value = dictionary[code]``.  Every hashable value encodes, so every
+operator has exactly one (code-space) implementation.
 
 Key design points:
 
-* Dictionaries are sorted, so codes are order-preserving within a column
-  and two columns can be aligned with :func:`remap_codes` (a vectorized
-  ``searchsorted``) — the primitive behind the columnar hash join.
+* A column of plain integers gets a sorted ``int64`` dictionary.  Any
+  other column (strings, floats, tuples, integers beyond ``int64``,
+  mixtures) gets an ``object`` dictionary of the original Python values:
+  sorted when the values are mutually orderable, in first-occurrence
+  order otherwise.  Either way codes are dense ``int64`` and equal values
+  (by Python equality) share one code.
+* Columns encoded independently are aligned with :func:`dict_mapping` /
+  :func:`remap_codes` — a vectorized ``searchsorted`` between two
+  ``int64`` dictionaries, a hash lookup as soon as either side is
+  ``object`` (so ``1``, ``np.int64(1)`` and ``1.0`` match, exactly as
+  under Python equality).  This is the one place where values of two
+  relations meet.
 * Multi-column keys are flattened to a single ``int64`` per row by
   :func:`composite_codes` (mixed-radix over dictionary cardinalities,
   re-factorized through ``np.unique`` whenever the radix product would
-  approach 2^63).
+  approach 2^63).  Keys matched *across* relations come from
+  :func:`align_composite_keys`, which re-factorizes both sides jointly
+  when their shared radix product would overflow.
 * Grouping/deduplication is ``np.unique`` on composite keys; distinct
   counts per group come from ``np.bincount`` — no Python-level loop ever
   touches a row.
-
-Relations holding arbitrary hashable values (e.g. the tuple-tagged domains
-of :mod:`repro.tightness.normal_relations`) are *not* encodable:
-:func:`encode_rows` returns ``None`` and callers fall back to the original
-tuple-at-a-time paths, which remain the correctness oracle for the
-property-based equivalence suite.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import operator
 import os
 from collections import Counter
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,7 +62,6 @@ __all__ = [
     "encode_rows",
     "remap_codes",
     "composite_codes",
-    "mixed_radix_keys",
     "prefix_run_counts",
 ]
 
@@ -65,72 +71,107 @@ _MAX_RADIX = 1 << 62
 _EMPTY_CODES = np.zeros(0, dtype=np.int64)
 
 
-def encode_column(values: Sequence) -> tuple[np.ndarray, np.ndarray] | None:
-    """Dictionary-encode one column of plain integers.
+def encode_column(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Dictionary-encode one column of hashable values.
 
-    Returns ``(codes, dictionary)`` with ``dictionary`` sorted ascending and
-    ``dictionary[codes]`` reproducing the input, or ``None`` when the values
-    are not all int64-representable integers (floats, strings, tuples,
-    booleans, out-of-range ints — the fallback path).
+    Returns ``(codes, dictionary)`` with ``dictionary[codes]`` reproducing
+    the input.  A column of plain integers that fit ``int64`` gets a
+    sorted ``int64`` dictionary.  Any other column gets an ``object``
+    dictionary of the original Python values, built element-wise
+    (``np.asarray`` would split tuple values into a 2-D array and
+    stringify a mixed column): sorted when sorting the values succeeds,
+    in first-occurrence order when they are not mutually orderable.
+    Values equal under Python equality (``1``, ``1.0``, ``True``) share
+    one code, represented by their first occurrence.
     """
+    arr = _int64_array(values)
+    if arr is not None:
+        dictionary, codes = np.unique(arr, return_inverse=True)
+        return codes.astype(np.int64, copy=False), dictionary
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # Python scalars, not NumPy ones
+    code_of: dict = {}
+    codes = np.fromiter(
+        (code_of.setdefault(v, len(code_of)) for v in values),
+        dtype=np.int64,
+        count=len(values),
+    )
+    distinct = list(code_of)
+    try:
+        order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    except TypeError:  # not mutually orderable: keep first occurrence
+        order = None
+    if order is not None:
+        rank = np.empty(len(distinct), dtype=np.int64)
+        rank[order] = np.arange(len(distinct))
+        codes = rank[codes]
+        distinct = [distinct[i] for i in order]
+    dictionary = np.empty(len(distinct), dtype=object)
+    for code, value in enumerate(distinct):
+        dictionary[code] = value
+    return codes, dictionary
+
+
+def _int64_array(values: Sequence) -> np.ndarray | None:
+    """``values`` as an ``int64`` array, or ``None`` unless every value
+    is an ``int64``-representable integer (an empty column counts)."""
     try:
         arr = np.asarray(values)
     except (ValueError, TypeError, OverflowError):
         return None
-    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+    if arr.ndim != 1:
+        return None
+    if arr.size == 0:
+        return _EMPTY_CODES
+    if arr.dtype.kind not in "iu":
         return None
     if arr.dtype.kind == "u" and arr.dtype.itemsize >= 8:
-        if arr.size and arr.max() > np.iinfo(np.int64).max:
+        if arr.max() > np.iinfo(np.int64).max:
             return None
-    arr = arr.astype(np.int64, copy=False)
-    dictionary, codes = np.unique(arr, return_inverse=True)
-    return codes.astype(np.int64, copy=False), dictionary
+    return arr.astype(np.int64, copy=False)
 
 
 def encode_rows(
     attributes: Sequence[str], rows: Sequence[tuple]
-) -> "ColumnarRelation | None":
-    """Encode row-major tuples into a :class:`ColumnarRelation`.
-
-    Returns ``None`` if any column fails :func:`encode_column`.
-    """
+) -> "ColumnarRelation":
+    """Encode row-major tuples into a :class:`ColumnarRelation`."""
     attrs = tuple(attributes)
-    n = len(rows)
-    if n == 0:
-        return ColumnarRelation(
-            attrs,
-            {a: _EMPTY_CODES for a in attrs},
-            {a: _EMPTY_CODES for a in attrs},
-            0,
-        )
     codes: dict[str, np.ndarray] = {}
     dicts: dict[str, np.ndarray] = {}
     for position, attr in enumerate(attrs):
-        encoded = encode_column([row[position] for row in rows])
-        if encoded is None:
-            return None
-        codes[attr], dicts[attr] = encoded
-    return ColumnarRelation(attrs, codes, dicts, n)
+        codes[attr], dicts[attr] = encode_column([row[position] for row in rows])
+    return ColumnarRelation(attrs, codes, dicts, len(rows))
 
 
 def dict_mapping(
     source_dict: np.ndarray, target_dict: np.ndarray
 ) -> np.ndarray:
-    """Code-to-code translation table between two sorted dictionaries.
+    """Code-to-code translation table between two dictionaries.
 
     ``mapping[source_code]`` is the target code of the same value, or −1
-    when the value is absent from ``target_dict``.  One ``searchsorted``
-    over the (small) dictionaries; hoistable out of per-slice loops so a
-    blocked traversal pays the table once per level instead of once per
-    slice, and the table the fused membership kernel
+    when the value is absent from ``target_dict``.  Between two ``int64``
+    dictionaries (both sorted) this is one ``searchsorted``; when either
+    side is an ``object`` dictionary it is a value→code hash lookup under
+    Python equality, so ``1``, ``np.int64(1)`` and ``1.0`` match exactly
+    as they do in a Python set.  This is the one place where values of
+    two relations meet.  Hoistable out of per-slice loops so a blocked
+    traversal pays the table once per level instead of once per slice,
+    and the table the fused membership kernel
     (:func:`repro.relational.kernels.find_children`) consumes directly.
     """
     if len(target_dict) == 0:
         return np.full(len(source_dict), -1, dtype=np.int64)
-    pos = np.searchsorted(target_dict, source_dict)
-    pos_clipped = np.minimum(pos, len(target_dict) - 1)
-    valid = target_dict[pos_clipped] == source_dict
-    return np.where(valid, pos_clipped, np.int64(-1))
+    if source_dict.dtype != object and target_dict.dtype != object:
+        pos = np.searchsorted(target_dict, source_dict)
+        pos_clipped = np.minimum(pos, len(target_dict) - 1)
+        valid = target_dict[pos_clipped] == source_dict
+        return np.where(valid, pos_clipped, np.int64(-1))
+    code_of = dict(zip(target_dict.tolist(), range(len(target_dict))))
+    return np.fromiter(
+        map(code_of.get, source_dict.tolist(), repeat(-1)),
+        dtype=np.int64,
+        count=len(source_dict),
+    )
 
 
 def remap_codes(
@@ -138,9 +179,10 @@ def remap_codes(
 ) -> np.ndarray:
     """Re-express codes of ``source_dict`` in ``target_dict``'s code space.
 
-    Values absent from ``target_dict`` map to −1.  Vectorized: one
-    ``searchsorted`` over the (small) dictionaries plus one gather over the
-    rows — the primitive that aligns join columns encoded independently.
+    Values absent from ``target_dict`` map to −1.  One
+    :func:`dict_mapping` over the (small) dictionaries plus one gather
+    over the rows — the primitive that aligns join columns encoded
+    independently.
     """
     if len(target_dict) == 0:
         return np.full(len(codes), -1, dtype=np.int64)
@@ -175,29 +217,6 @@ def composite_codes(
         keys = keys * card + codes
         radix *= card
     return keys, radix
-
-
-def mixed_radix_keys(
-    code_arrays: Sequence[np.ndarray], cardinalities: Sequence[int]
-) -> np.ndarray | None:
-    """Composite ``int64`` key per row, *without* re-factorization.
-
-    Unlike :func:`composite_codes`, the key space is a pure mixed-radix
-    number over ``cardinalities``, so two arrays built with the same
-    cardinalities are directly comparable — the property the semijoin and
-    counting kernels need to match keys *across* relations.  Returns
-    ``None`` when the radix product would overflow ``int64`` (callers fall
-    back to the tuple path).
-
-    Dispatches through :func:`repro.relational.kernels.composite_keys`:
-    under the Numba kernel mode, keys whose dictionaries fit the packing
-    budget are *bit-packed* (shift/or into one ``int64``) instead of
-    arithmetically accumulated.  Key order and equality — everything the
-    sort/membership/fold consumers observe — are identical either way;
-    both sides of any cross-relation match are built with the same
-    ``cardinalities``, hence the same scheme.
-    """
-    return kernels.composite_keys(code_arrays, cardinalities)
 
 
 def prefix_run_counts(
@@ -270,27 +289,32 @@ def prefix_run_counts(
 
 
 def align_composite_keys(
-    code_arrays: Sequence[np.ndarray],
-    source_dicts: Sequence[np.ndarray],
+    target_codes: Sequence[np.ndarray],
     target_dicts: Sequence[np.ndarray],
-    cards: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """Remap per-column codes into a target code space and flatten to keys.
+    source_codes: Sequence[np.ndarray],
+    source_dicts: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Comparable ``int64`` keys for two relations' key columns.
 
     The shared kernel behind cross-relation key matching (semijoins, the
-    counting fold): each column's codes are re-expressed in the matching
-    ``target_dicts`` entry via :func:`remap_codes`, rows holding a value
-    absent from a target dictionary are dropped (they cannot match any
-    target row), and the survivors flatten to :func:`mixed_radix_keys`
-    over ``cards``.
+    counting fold, the hash join).  Each source column's codes are
+    re-expressed in the matching ``target_dicts`` entry via
+    :func:`remap_codes`; source rows holding a value absent from a
+    target dictionary are dropped (they cannot match any target row).
+    Both sides then flatten to mixed-radix keys over the target
+    dictionaries' cardinalities
+    (:func:`repro.relational.kernels.composite_keys`, bit-packed under
+    the Numba kernels).  When that radix product would reach 2^62, both
+    sides' columns are stacked and re-factorized jointly through
+    :func:`composite_codes`, so the keys still share one key space.
 
-    Returns ``(keys, kept_row_indices)`` — ``kept_row_indices`` is
-    ``None`` when no row was dropped — or ``None`` when the radix product
-    would overflow ``int64`` (callers fall back to the tuple path).
+    Returns ``(target_keys, source_keys, kept_source_rows)`` —
+    ``kept_source_rows`` is ``None`` when no source row was dropped.
     """
+    cards = [len(d) for d in target_dicts]
     arrays = []
     valid = None
-    for codes, s_dict, t_dict in zip(code_arrays, source_dicts, target_dicts):
+    for codes, s_dict, t_dict in zip(source_codes, source_dicts, target_dicts):
         if s_dict is not t_dict:
             codes = remap_codes(codes, s_dict, t_dict)
             mask = codes >= 0
@@ -300,10 +324,16 @@ def align_composite_keys(
     if valid is not None and not valid.all():
         kept = np.nonzero(valid)[0]
         arrays = [a[kept] for a in arrays]
-    keys = mixed_radix_keys(arrays, cards)
-    if keys is None:  # pragma: no cover - astronomically wide keys
-        return None
-    return keys, kept
+    target_keys = kernels.composite_keys(target_codes, cards)
+    if target_keys is not None:
+        return target_keys, kernels.composite_keys(arrays, cards), kept
+    n_target = len(target_codes[0])
+    keys, _ = composite_codes(
+        [np.concatenate(pair) for pair in zip(target_codes, arrays)],
+        cards,
+        n_target + len(arrays[0]),
+    )
+    return keys[:n_target], keys[n_target:], kept
 
 
 class ChunkedColumns:
@@ -367,30 +397,6 @@ class ChunkedColumns:
         return out
 
 
-def _columns_from_rows(rows: Sequence[tuple], arity: int) -> list[np.ndarray]:
-    """Row-major tuples → one array per column, without value corruption.
-
-    Plain-int columns become ``int64`` arrays (matching the columnar
-    engine's decoded emissions bit for bit); anything else is kept as an
-    ``object`` array — ``np.asarray`` would silently stringify mixed
-    columns like ``[1, "a"]``, which must round-trip unchanged through
-    aggregating and spilling sinks.
-    """
-    columns: list[np.ndarray] = []
-    for i in range(arity):
-        values = [row[i] for row in rows]
-        if all(type(v) is int for v in values):
-            try:
-                columns.append(np.array(values, dtype=np.int64))
-                continue
-            except OverflowError:
-                pass
-        column = np.empty(len(values), dtype=object)
-        column[:] = values
-        columns.append(column)
-    return columns
-
-
 class OutputSink:
     """Streaming consumer of a join's finished output rows.
 
@@ -403,20 +409,19 @@ class OutputSink:
        *same* variables is a no-op, so one sink can absorb every part of
        a partitioned evaluation (part outputs are disjoint, see
        :func:`repro.evaluation.lp_join.evaluate_with_partitioning`).
-    2. ``append(columns)`` / ``append_rows(rows)`` — zero or more times,
-       in output order.  ``columns`` is one equal-length array per
-       variable, in ``variables`` order (the columnar engine emits
-       decoded ``int64`` value columns); ``append_rows`` is the
-       row-major convenience the tuple fallback uses.
+    2. ``append(columns)`` — zero or more times, in output order.
+       ``columns`` is one equal-length array per variable, in
+       ``variables`` order: the evaluators emit decoded value columns
+       (``int64`` for integer data, ``object`` arrays of the original
+       Python values otherwise).
     3. Results come from sink-specific accessors (``total``,
        ``counts()``, ``relation()``, ``iter_chunks()``); nothing is
        buffered past what the accessor semantics require.
 
-    Subclasses implement :meth:`_consume_columns` (and may override
-    :meth:`_consume_rows` when a columnar detour would lose fidelity).
-    A sink that only consumes batch *sizes* sets :attr:`needs_values`
-    to ``False``; producers may then call :meth:`append_size` instead
-    of decoding value columns the sink would discard.
+    Subclasses implement :meth:`_consume_columns`.  A sink that only
+    consumes batch *sizes* sets :attr:`needs_values` to ``False``;
+    producers may then call :meth:`append_size` instead of decoding
+    value columns the sink would discard.
     """
 
     #: Whether this sink reads row values (``False`` ⇒ sizes suffice).
@@ -472,11 +477,12 @@ class OutputSink:
     def append_size(self, n: int) -> None:
         """Count ``n`` finished rows without their values.
 
-        Only sinks with ``needs_values = False`` accept this — it is the
+        Sinks with ``needs_values = False`` accept this — it is the
         producers' fast path for counting-style sinks, skipping the
-        decode of value columns the sink would discard.
+        decode of value columns the sink would discard.  So does any
+        sink opened for zero variables, whose rows carry no values.
         """
-        if self.needs_values:
+        if self.needs_values and self._variables != ():
             raise TypeError(
                 f"{type(self).__name__} consumes row values; use append()"
             )
@@ -484,24 +490,12 @@ class OutputSink:
             raise RuntimeError("sink has not been opened")
         if n < 0:
             raise ValueError(f"negative batch size {n}")
+        if n and self.needs_values:
+            self._consume_columns([], int(n))
         self._n_rows += int(n)
-
-    def append_rows(self, rows: Sequence[tuple]) -> None:
-        """Consume one batch of row tuples (``variables`` order)."""
-        if self._variables is None:
-            raise RuntimeError("sink has not been opened")
-        rows = list(rows)
-        if rows:
-            self._consume_rows(rows, len(rows))
-            self._n_rows += len(rows)
 
     def _consume_columns(self, columns: list[np.ndarray], n: int) -> None:
         raise NotImplementedError
-
-    def _consume_rows(self, rows: list[tuple], n: int) -> None:
-        self._consume_columns(
-            _columns_from_rows(rows, len(self._variables)), n
-        )
 
 
 class MaterializeSink(OutputSink):
@@ -553,9 +547,6 @@ class CountSink(OutputSink):
     def _consume_columns(self, columns: list[np.ndarray], n: int) -> None:
         pass  # the base class already counted the batch
 
-    def _consume_rows(self, rows: list[tuple], n: int) -> None:
-        pass
-
     def add(self, count: int) -> None:
         """Fold in an externally computed (possibly huge) exact count."""
         count = operator.index(count)
@@ -601,15 +592,6 @@ class GroupCountSink(OutputSink):
             return
         projected = [columns[p].tolist() for p in self._positions]
         self._counter.update(zip(*projected))
-
-    def _consume_rows(self, rows: list[tuple], n: int) -> None:
-        if not self._positions:
-            self._counter[()] += n
-            return
-        positions = self._positions
-        self._counter.update(
-            tuple(row[p] for p in positions) for row in rows
-        )
 
     def counts(self) -> Counter:
         """Projected-tuple → multiplicity (a copy; keys are plain tuples)."""
@@ -861,10 +843,11 @@ class CodeTrie:
 class ColumnarRelation:
     """The encoded twin of a :class:`~repro.relational.relation.Relation`.
 
-    Holds per-attribute code arrays and sorted dictionaries; all operations
-    are NumPy-vectorized and return plain Python values (``int`` not
-    ``np.int64``) so results are bit-for-bit interchangeable with the tuple
-    oracle's.
+    Holds per-attribute code arrays and dictionaries (see
+    :func:`encode_column`); all operations are NumPy-vectorized over the
+    codes and return plain Python values (``int`` not ``np.int64``, the
+    original objects for ``object`` dictionaries), so results equal the
+    row-at-a-time computation on the decoded rows.
     """
 
     __slots__ = ("attributes", "n_rows", "_codes", "_dicts", "_tries")
@@ -916,7 +899,7 @@ class ColumnarRelation:
         return trie
 
     def dictionary(self, attr: str) -> np.ndarray:
-        """The sorted distinct values (code -> value) of one column."""
+        """The distinct values (code -> value) of one column."""
         return self._dicts[attr]
 
     def take(self, indices: np.ndarray) -> "ColumnarRelation":
@@ -955,7 +938,7 @@ class ColumnarRelation:
         self, attrs: Sequence[str], indices: np.ndarray | None = None
     ) -> list[tuple]:
         """Materialize rows (all, or the selected indices) as tuples of
-        Python ints."""
+        Python values."""
         if not attrs:
             n = self.n_rows if indices is None else len(indices)
             return [()] * n
@@ -1096,9 +1079,8 @@ class ColumnarRelation:
         ]
 
     def active_domain(self) -> set:
-        """Union of all columns' value sets (as Python ints)."""
+        """Union of all columns' value sets (as Python values)."""
         present = self.present_value_arrays()
         if not present:
             return set()
-        merged = np.unique(np.concatenate(present))
-        return set(merged.tolist())
+        return set(np.concatenate(present).tolist())

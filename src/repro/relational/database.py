@@ -69,23 +69,22 @@ class Database:
     def active_domain_size(self) -> int:
         """Size of the union of all columns' value sets (the paper's N).
 
-        When every relation has a columnar twin the union is one
-        ``np.unique`` over the concatenated per-column value arrays;
-        any non-encodable relation drops the whole computation to the
-        set-union fallback (the value spaces must unify exactly).
+        One ``np.unique`` over the concatenated per-column value arrays;
+        when any column holds an ``object`` dictionary the union is a
+        Python set instead (mixed values need not sort, and must unify
+        under Python equality).
         """
-        twins = [rel.columnar() for rel in self._relations.values()]
-        if twins and all(t is not None for t in twins):
-            arrays = [
-                arr for twin in twins for arr in twin.present_value_arrays()
-            ]
-            if not arrays:
-                return 0
-            return int(np.unique(np.concatenate(arrays)).size)
-        domain = set()
-        for rel in self._relations.values():
-            domain.update(rel.active_domain())
-        return len(domain)
+        arrays = [
+            arr
+            for rel in self._relations.values()
+            for arr in rel.columnar().present_value_arrays()
+        ]
+        if not arrays:
+            return 0
+        merged = np.concatenate(arrays)
+        if merged.dtype == object:
+            return len(set(merged.tolist()))
+        return int(np.unique(merged).size)
 
     def with_relation(self, name: str, relation: Relation) -> "Database":
         """A new database with one relation added or replaced."""

@@ -36,9 +36,11 @@ structure of the arithmetic mixed-radix keys (each field is an
 order-preserving code narrower than its 2^bits slot), so sorts,
 run-length groupings, and ``searchsorted`` matches agree exactly with
 the NumPy path even though the raw key *values* differ.  When the
-radices overflow — the same ``>= 2^62`` product test as the oracle —
-both modes return ``None`` and callers fall back to the tuple path, so
-the fallback decisions can never diverge between modes.
+radices overflow — the same ``>= 2^62`` product test in both modes —
+both return ``None`` and the caller
+(:func:`~repro.relational.columnar.align_composite_keys`) re-factorizes
+the key columns instead, so the two modes never diverge on which keys
+take that route.
 
 Nothing in this module imports the rest of the package; the columnar
 substrate imports *it* (no cycles), and worker processes of
@@ -76,9 +78,7 @@ MODES = ("auto", "numba", "python")
 _ENV_VAR = "REPRO_KERNELS"
 
 #: Radix products stay below this to keep composite keys overflow-free.
-#: Mirrors ``columnar._MAX_RADIX`` — the kernels must make exactly the
-#: oracle's fallback decisions or the two modes would disagree on which
-#: relations drop to the tuple path.
+#: Mirrors ``columnar._MAX_RADIX``.
 _MAX_RADIX = 1 << 62
 
 #: A bit-packed key must stay a non-negative ``int64``.
@@ -368,8 +368,8 @@ def pack_plan(
     the fields fit one non-negative ``int64`` (``Σ bits ≤ 62``),
     ``("arithmetic", None)`` when they do not but the plain mixed-radix
     product still fits, and ``None`` when the radix product reaches
-    2^62 — exactly the oracle's overflow test, so both kernel modes
-    agree on when callers must fall back to the tuple path.
+    2^62 — one overflow test for both kernel modes, so they agree on
+    when callers must re-factorize instead.
     """
     radix = 1
     for card in cards:
@@ -387,8 +387,8 @@ def composite_keys(
 ) -> np.ndarray | None:
     """One comparable ``int64`` key per row, ``None`` on radix overflow.
 
-    The kernel-layer implementation of
-    :func:`~repro.relational.columnar.mixed_radix_keys`: under the
+    The key builder behind
+    :func:`~repro.relational.columnar.align_composite_keys`: under the
     Numba mode a :func:`pack_plan`-approved key is bit-packed (shift/or
     per column, single-int64 compares downstream); every other case —
     the NumPy mode, or dictionaries too wide to pack — uses the

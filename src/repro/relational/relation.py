@@ -12,14 +12,13 @@ common case (graphs, synthetic benchmarks), but domain products
 (:mod:`repro.tightness.normal_relations`) produce tuple-valued attributes,
 so nothing here assumes integers.
 
-Integer-valued relations additionally carry a lazily built, cached
-columnar twin (:mod:`repro.relational.columnar`): dictionary-encoded
-``int64`` NumPy code arrays per column.  The statistics hot paths —
-``group_sizes``/``group_size_counts``, ``project``, ``distinct_count``,
-``active_domain`` — dispatch to vectorized kernels whenever the twin
-exists and transparently fall back to the original tuple-at-a-time
-implementations (kept as the correctness oracle, exercised directly by the
-equivalence test-suite) for relations holding non-integer values.
+Every relation additionally carries a lazily built, cached columnar twin
+(:mod:`repro.relational.columnar`): dictionary-encoded ``int64`` NumPy
+code arrays per column, over an ``int64`` dictionary for integer columns
+and an ``object`` dictionary for any other hashable values.  The
+statistics hot paths — ``group_sizes``/``group_size_counts``,
+``project``, ``distinct_count``, ``active_domain`` — run as vectorized
+kernels over the twin.
 """
 
 from __future__ import annotations
@@ -29,7 +28,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .columnar import ColumnarRelation, encode_column, encode_rows
+from .columnar import (
+    ColumnarRelation,
+    composite_codes,
+    encode_column,
+    encode_rows,
+)
 
 __all__ = ["Relation"]
 
@@ -88,7 +92,7 @@ class Relation:
         self._row_set = seen
         self._indexes: dict = {}
         self._name = name
-        self._columnar: ColumnarRelation | None | bool = None
+        self._columnar: ColumnarRelation | None = None
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -140,7 +144,7 @@ class Relation:
         # process, and when the columnar twin exists it alone carries
         # the rows (tuples decode lazily on the other side).
         columnar = self._columnar
-        if isinstance(columnar, ColumnarRelation):
+        if columnar is not None:
             return (self._attributes, self._name, None, columnar)
         return (
             self._attributes,
@@ -178,10 +182,9 @@ class Relation:
         """Build a relation column-first, deduplicating vectorized.
 
         ``columns`` holds one sequence (list or NumPy array) per attribute.
-        Integer columns are deduplicated through the columnar backend's
-        composite keys — preserving first-occurrence row order exactly like
-        the row-at-a-time constructor — and skip the per-row Python loop
-        entirely; anything else falls back to the tuple constructor.
+        Rows are deduplicated through the columnar backend's composite
+        keys — preserving first-occurrence row order exactly like the
+        row-at-a-time constructor — without a per-row Python loop.
         """
         attrs = tuple(attributes)
         cols = list(columns)
@@ -195,11 +198,7 @@ class Relation:
         if not attrs:
             return cls(attrs, [] if not cols else [], name=name)
         encoded = [encode_column(c) for c in cols]
-        if any(e is None for e in encoded):
-            return cls(attrs, zip(*cols), name=name)
         n = lengths.pop() if lengths else 0
-        from .columnar import composite_codes
-
         keys, _ = composite_codes(
             [codes for codes, _ in encoded],
             [len(d) for _, d in encoded],
@@ -285,10 +284,7 @@ class Relation:
         out._indexes = {}
         out._name = self._name
         cached = self._columnar
-        if isinstance(cached, ColumnarRelation):
-            out._columnar = cached.renamed(mapping)
-        else:
-            out._columnar = cached
+        out._columnar = None if cached is None else cached.renamed(mapping)
         return out
 
     def with_name(self, name: str) -> "Relation":
@@ -319,23 +315,11 @@ class Relation:
 
     def project(self, attrs: Sequence[str]) -> "Relation":
         """Project onto ``attrs`` (deduplicating)."""
-        pos = self.positions(attrs)
-        col = self.columnar()
-        if col is not None:
-            rows, twin = col.project_with_rows(tuple(attrs))
-            out = Relation._from_distinct_rows(tuple(attrs), rows, self._name)
-            out._columnar = twin
-            return out
-        return self._project_tuples(attrs, pos)
-
-    def _project_tuples(
-        self, attrs: Sequence[str], pos: tuple[int, ...]
-    ) -> "Relation":
-        """Tuple-oracle projection (fallback path)."""
-        rows = {
-            tuple(row[i] for i in pos) for row in self._materialized_rows()
-        }
-        return Relation(tuple(attrs), rows, name=self._name)
+        self.positions(attrs)  # validate attribute names
+        rows, twin = self.columnar().project_with_rows(tuple(attrs))
+        out = Relation._from_distinct_rows(tuple(attrs), rows, self._name)
+        out._columnar = twin
+        return out
 
     def select(self, predicate: Callable[[tuple], bool]) -> "Relation":
         """Keep rows on which ``predicate`` returns true."""
@@ -359,35 +343,26 @@ class Relation:
     def _take_rows(self, indices) -> "Relation":
         """Row subset by positional indices (rows stay distinct).
 
-        With a columnar twin this is one gather per column and the result
-        stays lazily encoded; otherwise the materialized tuples are
-        indexed directly.  Used by the partitioning and semijoin kernels,
-        which select rows by position rather than by value.
+        One gather per column; the result stays lazily encoded.  Used by
+        the partitioning and semijoin kernels, which select rows by
+        position rather than by value.
         """
-        col = self.columnar()
-        if col is not None:
-            return Relation._from_columnar(col.take(indices), name=self._name)
-        rows = self._materialized_rows()
-        return Relation._from_distinct_rows(
-            self._attributes, [rows[i] for i in indices], self._name
+        return Relation._from_columnar(
+            self.columnar().take(indices), name=self._name
         )
 
     # ------------------------------------------------------------------
     # columnar backend
     # ------------------------------------------------------------------
-    def columnar(self) -> ColumnarRelation | None:
-        """The cached dictionary-encoded twin, or ``None`` (fallback).
+    def columnar(self) -> ColumnarRelation:
+        """The cached dictionary-encoded twin.
 
-        Encoding is attempted once per relation and the outcome — the
-        :class:`ColumnarRelation` or the fact that the values are not
-        int64-encodable — is cached; relations are immutable so the cache
-        never invalidates.
+        Encoded on first use and cached; relations are immutable so the
+        cache never invalidates.
         """
-        cached = self._columnar
-        if cached is None:
-            cached = encode_rows(self._attributes, self._rows)
-            self._columnar = cached if cached is not None else False
-        return cached or None
+        if self._columnar is None:
+            self._columnar = encode_rows(self._attributes, self._rows)
+        return self._columnar
 
     # ------------------------------------------------------------------
     # indexes and statistics helpers
@@ -421,41 +396,23 @@ class Relation:
 
         An empty ``group_attrs`` yields a single group keyed by ``()``.
         """
-        gpos = self.positions(group_attrs)
-        vpos = self.positions(value_attrs)
-        col = self.columnar()
-        if col is not None:
-            return col.group_sizes(tuple(group_attrs), tuple(value_attrs))
-        return self._group_sizes_tuples(gpos, vpos)
-
-    def _group_sizes_tuples(
-        self, gpos: tuple[int, ...], vpos: tuple[int, ...]
-    ) -> dict[tuple, int]:
-        """Tuple-oracle grouping (fallback path)."""
-        groups: dict[tuple, set] = defaultdict(set)
-        for row in self._materialized_rows():
-            groups[tuple(row[i] for i in gpos)].add(
-                tuple(row[i] for i in vpos)
-            )
-        return {key: len(values) for key, values in groups.items()}
+        self.positions((*group_attrs, *value_attrs))  # validate names
+        return self.columnar().group_sizes(
+            tuple(group_attrs), tuple(value_attrs)
+        )
 
     def group_size_counts(
         self, group_attrs: Sequence[str], value_attrs: Sequence[str]
     ) -> "np.ndarray":
         """The multiset of :meth:`group_sizes` values as an int64 array.
 
-        This is all a degree sequence needs; the columnar path never
-        decodes group keys.  Order is unspecified (callers sort).
+        This is all a degree sequence needs; group keys are never
+        decoded.  Order is unspecified (callers sort).
         """
-        gpos = self.positions(group_attrs)
-        vpos = self.positions(value_attrs)
-        col = self.columnar()
-        if col is not None:
-            return col.group_size_counts(
-                tuple(group_attrs), tuple(value_attrs)
-            )
-        sizes = self._group_sizes_tuples(gpos, vpos)
-        return np.fromiter(sizes.values(), dtype=np.int64, count=len(sizes))
+        self.positions((*group_attrs, *value_attrs))  # validate names
+        return self.columnar().group_size_counts(
+            tuple(group_attrs), tuple(value_attrs)
+        )
 
     def prefix_group_size_counts(
         self,
@@ -466,21 +423,13 @@ class Relation:
 
         Split ``(u_len, uv_len)`` is the conditional grouped by
         ``order_attrs[:u_len]`` counting distinct ``order_attrs[u_len:uv_len]``
-        values.  With a columnar twin all splits are served from a single
-        lexsort (:func:`repro.relational.columnar.prefix_run_counts`);
-        otherwise each split falls back to :meth:`group_size_counts`.
+        values.  All splits are served from a single lexsort
+        (:func:`repro.relational.columnar.prefix_run_counts`).
         """
         self.positions(order_attrs)  # validate attribute names
-        col = self.columnar()
-        if col is not None:
-            return col.prefix_group_size_counts(tuple(order_attrs), splits)
-        return [
-            self.group_size_counts(
-                tuple(order_attrs[:u_len]),
-                tuple(order_attrs[u_len:uv_len]),
-            )
-            for u_len, uv_len in splits
-        ]
+        return self.columnar().prefix_group_size_counts(
+            tuple(order_attrs), splits
+        )
 
     def distinct_count(self, attrs: Sequence[str]) -> int:
         """Number of distinct values in the projection onto ``attrs``.
@@ -493,25 +442,14 @@ class Relation:
         cached = self._indexes.get(key)
         if cached is not None:
             return cached
-        pos = self.positions(attrs)
-        col = self.columnar()
-        if col is not None:
-            count = col.distinct_count(tuple(attrs))
-        else:
-            rows = self._materialized_rows()
-            count = len({tuple(row[i] for i in pos) for row in rows})
+        self.positions(attrs)  # validate attribute names
+        count = self.columnar().distinct_count(tuple(attrs))
         self._indexes[key] = count
         return count
 
     def active_domain(self) -> set:
         """All values appearing in any column."""
-        col = self.columnar()
-        if col is not None:
-            return col.active_domain()
-        domain = set()
-        for row in self._materialized_rows():
-            domain.update(row)
-        return domain
+        return self.columnar().active_domain()
 
     def column(self, attr: str) -> list:
         """All values (with repetitions removed row-wise) of one column."""

@@ -181,17 +181,25 @@ class TestCatalogAccounting:
         assert len(again) == len(queries)
 
     def test_fallback_relation_still_served(self):
-        # non-integer values: no columnar twin, per-split fallback
-        rows = [(f"u{i % 7}", f"v{i % 5}") for i in range(40)]
-        db = Database({"T": Relation(("x", "y"), rows)})
+        # string values encode like ints: one lexsort per prefix order
+        rows = [(i % 7, i % 5) for i in range(40)]
         query = parse_query("q(a,b,c) :- T(a,b), T(b,c)")
-        catalog = StatisticsCatalog(db)
-        (stats,) = catalog.precompute([query], ps=PS)
-        direct = collect_statistics(query, db, ps=PS)
-        got = [(str(s.conditional), s.p, round(s.log2_bound, 12)) for s in stats]
-        want = [(str(s.conditional), s.p, round(s.log2_bound, 12)) for s in direct]
-        assert got == want
-        assert catalog.sequences_batched == catalog.cached_sequences()
+        catalogs = []
+        for typed in (rows, [(f"u{x}", f"v{y}") for x, y in rows]):
+            db = Database({"T": Relation(("x", "y"), typed)})
+            catalog = StatisticsCatalog(db)
+            (stats,) = catalog.precompute([query], ps=PS)
+            direct = collect_statistics(query, db, ps=PS)
+            got = [(str(s.conditional), s.p, round(s.log2_bound, 12)) for s in stats]
+            want = [
+                (str(s.conditional), s.p, round(s.log2_bound, 12)) for s in direct
+            ]
+            assert got == want
+            assert catalog.sequences_batched == catalog.cached_sequences()
+            catalogs.append(catalog)
+        ints, strings = catalogs
+        assert strings.lexsorts_performed == ints.lexsorts_performed
+        assert strings.lexsorts_performed < strings.cached_sequences()
 
     def test_repeated_variable_atoms_use_uncached_path(self, pipeline_db):
         query = parse_query("d(x,y) :- R(x,x), R(x,y)")

@@ -17,13 +17,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.strategies import fallback_value
+from oracles.tuple_engine import generic_join_tuples
 from repro.core import BoundSolver, StatisticsCatalog
 from repro.datasets import power_law_graph, star_database, star_query
-from repro.evaluation import (
-    evaluate_with_partitioning,
-    generic_join,
-    generic_join_tuples,
-)
+from repro.evaluation import evaluate_with_partitioning, generic_join
 from repro.query import parse_query
 from repro.relational import Database, Relation
 from repro.relational.columnar import ChunkedColumns
@@ -35,6 +33,8 @@ BLOCKS = (1, 7, 64)
 values = st.integers(0, 5)
 pairs = st.lists(st.tuples(values, values), max_size=18)
 units = st.lists(st.tuples(values), max_size=6)
+fallback_pairs = st.lists(st.tuples(fallback_value, fallback_value), max_size=18)
+fallback_units = st.lists(st.tuples(fallback_value), max_size=6)
 
 QUERIES = [
     parse_query("triangle(x,y,z) :- R(x,y), R(y,z), R(z,x)"),
@@ -48,7 +48,7 @@ QUERIES = [
 
 
 @st.composite
-def databases(draw):
+def databases(draw, pairs=pairs, units=units):
     return Database(
         {
             "R": Relation(("a", "b"), draw(pairs)),
@@ -76,7 +76,7 @@ def assert_block_invariant(query, db, blocks=BLOCKS):
 
 class TestBlockInvariance:
     @SETTINGS
-    @given(databases())
+    @given(databases() | databases(fallback_pairs, fallback_units))
     def test_all_query_shapes(self, db):
         for query in QUERIES:
             assert_block_invariant(query, db)
@@ -137,19 +137,25 @@ class TestBlockInvariance:
                 generic_join(query, db, frontier_block=bad)
 
     def test_fallback_path_ignores_block(self):
-        # non-integer values: the tuple engine serves every block size
+        # string values run the blocked engine: blocked and unblocked
+        # runs are bit-identical, and agree with the tuple oracle
         db = Database(
             {
-                "R": Relation(("a", "b"), [("u", "v"), ("v", "w")]),
-                "S": Relation(("a", "b"), [("v", "w")]),
+                "R": Relation(
+                    ("a", "b"), [("u", "v"), ("v", "w"), ("u", "w"), ("w", "u")]
+                ),
+                "S": Relation(("a", "b"), [("v", "w"), ("w", "u"), ("w", "v")]),
             }
         )
         query = parse_query("q(x,y,z) :- R(x,y), S(y,z)")
         oracle = generic_join_tuples(query, db)
-        for block in (None, 1, 7):
+        reference = generic_join(query, db)
+        assert set(reference.output) == set(oracle.output)
+        assert reference.nodes_visited == oracle.nodes_visited
+        for block in (1, 7):
             run = generic_join(query, db, frontier_block=block)
-            assert set(run.output) == set(oracle.output)
-            assert run.nodes_visited == oracle.nodes_visited
+            assert list(run.output) == list(reference.output)
+            assert run.nodes_visited == reference.nodes_visited
 
 
 class TestRoutedPaths:

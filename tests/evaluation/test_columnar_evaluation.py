@@ -1,28 +1,35 @@
 """Property-based equivalence: columnar evaluators vs the tuple oracles.
 
 The vectorized Generic Join, Yannakakis reduction, and counting sweep
-must match their tuple-at-a-time oracles bit for bit: same output row
-sets (of Python ints, not np.int64), same attribute order, and — for the
-WCOJ — the *same metered search-tree size*, because
-``experiments.evaluation_runtime`` compares that meter against the
-Theorem 2.6 budget.  Randomized databases cover empty relations,
-self-joins, repeated-variable (diagonal) atoms, disjoint atoms, and
-non-integer values that must take the fallback path.
+must match their tuple-at-a-time oracles (``tests/oracles/tuple_engine.py``)
+bit for bit: same output row sets (of Python ints, not np.int64, on
+integer data), same attribute order, and — for the WCOJ — the *same
+metered search-tree size*, because ``experiments.evaluation_runtime``
+compares that meter against the Theorem 2.6 budget.  Randomized
+databases cover empty relations, self-joins, repeated-variable
+(diagonal) atoms, disjoint atoms, and values outside ``int64`` (object
+dictionaries).
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.evaluation import (
-    acyclic_count,
+from oracles.strategies import fallback_value
+from oracles.tuple_engine import (
     acyclic_count_tuples,
-    count_query,
-    generic_join,
     generic_join_tuples,
-    semijoin_reduce,
+    hash_join_tuples,
     semijoin_reduce_tuples,
 )
+from repro.evaluation import (
+    acyclic_count,
+    count_query,
+    generic_join,
+    semijoin_reduce,
+)
+from repro.evaluation.joins import hash_join, join_relations
 from repro.query import parse_query
-from repro.relational import Database, Relation
+from repro.relational import Database, Relation, columnar, kernels
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -46,8 +53,12 @@ ACYCLIC_QUERIES = [
 ]
 
 
+fallback_pairs = st.lists(st.tuples(fallback_value, fallback_value), max_size=18)
+fallback_units = st.lists(st.tuples(fallback_value), max_size=6)
+
+
 @st.composite
-def databases(draw):
+def databases(draw, pairs=pairs, units=units):
     return Database(
         {
             "R": Relation(("a", "b"), draw(pairs)),
@@ -58,24 +69,29 @@ def databases(draw):
     )
 
 
+any_databases = databases() | databases(fallback_pairs, fallback_units)
+
+
 def assert_join_matches_oracle(query, db):
     fast = generic_join(query, db)
     slow = generic_join_tuples(query, db)
     assert fast.output.attributes == slow.output.attributes
     assert set(fast.output) == set(slow.output)
     assert fast.nodes_visited == slow.nodes_visited
-    assert all(type(v) is int for row in fast.output for v in row)
+    if all(rel.columnar().dictionary(a).dtype != object
+           for rel in db.relations() for a in rel.attributes):
+        assert all(type(v) is int for row in fast.output for v in row)
 
 
 class TestGenericJoinEquivalence:
     @SETTINGS
-    @given(databases())
+    @given(any_databases)
     def test_cyclic_queries(self, db):
         for query in CYCLIC_QUERIES:
             assert_join_matches_oracle(query, db)
 
     @SETTINGS
-    @given(databases())
+    @given(any_databases)
     def test_acyclic_queries(self, db):
         for query in ACYCLIC_QUERIES:
             assert_join_matches_oracle(query, db)
@@ -94,7 +110,7 @@ class TestGenericJoinEquivalence:
 
 class TestYannakakisEquivalence:
     @SETTINGS
-    @given(databases())
+    @given(any_databases)
     def test_reduction_matches_oracle(self, db):
         for query in ACYCLIC_QUERIES:
             fast = semijoin_reduce(query, db)
@@ -104,7 +120,7 @@ class TestYannakakisEquivalence:
                 assert set(fast[name]) == set(slow[name]), (query.name, name)
 
     @SETTINGS
-    @given(databases())
+    @given(any_databases)
     def test_count_matches_oracle_and_join(self, db):
         for query in ACYCLIC_QUERIES:
             fast = acyclic_count(query, db)
@@ -115,7 +131,7 @@ class TestYannakakisEquivalence:
 
 
 class TestFallbackPath:
-    """Non-integer values must silently route to the tuple engines."""
+    """Values outside ``int64`` run through the same columnar engines."""
 
     @SETTINGS
     @given(pairs, pairs)
@@ -144,7 +160,7 @@ class TestFallbackPath:
     @SETTINGS
     @given(pairs, pairs)
     def test_mixed_database_falls_back_whole(self, r_rows, s_rows):
-        # one encodable and one non-encodable relation in the same query
+        # an int64-dictionary relation next to an object-dictionary one
         db = Database(
             {
                 "R": Relation(("a", "b"), r_rows),
@@ -208,3 +224,47 @@ class TestEdgeCases:
         db = Database({"R": power_law_graph(300, 1200, 0.5, seed=5)})
         query = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")
         assert_join_matches_oracle(query, db)
+
+
+class TestRadixOverflow:
+    """Three-column separators whose radix product reaches the cap take
+    the joint re-factorization of both sides' key columns."""
+
+    QUERY = parse_query("q(a,b,c,d,e) :- R(a,b,c,d), S(a,b,c,e)")
+
+    @pytest.fixture
+    def db(self, monkeypatch):
+        for module in (columnar, kernels):
+            monkeypatch.setattr(module, "_MAX_RADIX", 32)
+        # four values per key column (radix 64 ≥ 32), but b follows a,
+        # so the re-factorized (a, b) prefix stays narrow; S holds an
+        # a-value R lacks, so remapping drops rows on one side
+        r_rows = [(i % 4, 10 + i % 4, (i // 4) % 4, i) for i in range(24)]
+        s_rows = [(i % 5, 10 + i % 5, (i // 3) % 4, -i) for i in range(30)]
+        assert kernels.pack_plan([4, 4, 4]) is None
+        return Database(
+            {
+                "R": Relation(("a", "b", "c", "d"), r_rows),
+                "S": Relation(("a", "b", "c", "e"), s_rows),
+            }
+        )
+
+    def test_semijoin_matches_oracle(self, db):
+        reduced = semijoin_reduce(self.QUERY, db)
+        oracle = semijoin_reduce_tuples(self.QUERY, db)
+        for name in db:
+            assert set(reduced[name]) == set(oracle[name])
+        assert 0 < len(reduced["S"]) < len(db["S"])
+
+    def test_counting_fold_matches_oracle(self, db):
+        count = acyclic_count(self.QUERY, db)
+        assert count == acyclic_count_tuples(self.QUERY, db) > 0
+
+    def test_hash_join_matches_oracle(self, db):
+        left, right = list(db["R"]), list(db["S"])
+        lv, rv = ("a", "b", "c", "d"), ("a", "b", "c", "e")
+        assert hash_join(lv, left, rv, right) == hash_join_tuples(
+            lv, left, rv, right
+        )
+        joined = join_relations(db["R"], db["S"])
+        assert list(joined) == hash_join_tuples(lv, left, rv, right)[1]

@@ -19,6 +19,7 @@ import json
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,7 +40,6 @@ from repro.evaluation import (
     evaluate_parallel,
     evaluate_with_partitioning,
     generic_join,
-    generic_join_tuples,
     parse_fault_spec,
     parse_memory_size,
     semijoin_reduce,
@@ -341,7 +341,8 @@ class TestEscalatingSink:
     def emit(self, sink, escalate_after=None):
         sink.open(("x", "y"))
         for start in range(0, len(self.ROWS), 1000):
-            sink.append_rows(self.ROWS[start : start + 1000])
+            xs = np.arange(start, start + 1000)
+            sink.append([xs, 2 * xs])
             if escalate_after is not None and start >= escalate_after:
                 sink.escalate()
         return sink.rows()
@@ -364,13 +365,13 @@ class TestEscalatingSink:
             assert not sink.escalated
             sink.open(("x",))
             assert sink.escalated  # pending escalation fired at open
-            sink.append_rows([(1,), (2,)])
+            sink.append([np.array([1, 2])])
             assert sink.rows() == [(1,), (2,)]
 
     def test_escalate_is_idempotent(self, tmp_path):
         with EscalatingSink(tmp_path / "esc") as sink:
             sink.open(("x",))
-            sink.append_rows([(1,)])
+            sink.append([np.array([1])])
             sink.escalate()
             sink.escalate()
             assert sink.rows() == [(1,)]
@@ -383,7 +384,7 @@ class TestEscalatingSink:
         target = tmp_path / "esc"
         sink = EscalatingSink(target)
         sink.open(("x",))
-        sink.append_rows([(1,), (2,)])
+        sink.append([np.array([1, 2])])
         sink.escalate()
         sink.close()
         assert not list(target.glob("segment-*.npz"))
@@ -475,12 +476,21 @@ class TestGovernedEquivalence:
         assert sink.total == serial.count
 
     def test_tuples_engine_cancels_cooperatively(self):
-        db = star_database(64, num_hubs=4)
+        # string-valued data runs the blocked engine too, and cancels at
+        # its first block boundary
+        ints = star_database(64, num_hubs=4)
+        db = Database({
+            name: Relation(
+                ints[name].attributes,
+                [tuple(f"v{v}" for v in row) for row in ints[name]],
+            )
+            for name in ints
+        })
         token = CancellationToken()
         token.cancel()
         gov = EvaluationGovernor(token=token)
         with pytest.raises(EvaluationCancelled):
-            generic_join_tuples(star_query(2), db, governor=gov)
+            generic_join(star_query(2), db, frontier_block=64, governor=gov)
 
     def test_semijoin_reduce_cancels_cooperatively(self):
         db = Database(

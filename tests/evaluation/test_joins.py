@@ -1,5 +1,6 @@
 """Unit tests for hash joins and left-deep evaluation."""
 
+import pytest
 
 from repro.evaluation.joins import evaluate_left_deep, hash_join
 from repro.query import parse_query
@@ -27,6 +28,10 @@ class TestHashJoin:
     def test_empty_side(self):
         _, rows = hash_join(("x",), [], ("x",), [(1,)])
         assert rows == []
+
+    def test_repeated_variable_is_rejected(self):
+        with pytest.raises(ValueError, match="duplicate variables"):
+            hash_join(("x", "x"), [(1, 1)], ("x",), [(1,)])
 
 
 class TestEvaluateLeftDeep:

@@ -4,7 +4,8 @@ Every sink sees the same rows in the same order with the same meter as
 the materialized path, for every ``frontier_block`` (including ``None``)
 — a sink only decides what happens to each finished batch, never which
 batches exist.  This suite pins that invariant across cyclic, acyclic,
-self-join, repeated-variable, empty, and non-integer-fallback queries;
+self-join, repeated-variable, empty, and non-integer (object-dictionary)
+queries, each against the tuple oracle's rows and meter;
 checks the routed Theorem 2.6 path (counts add across disjoint part
 combinations, spill segments concatenate); exercises the chunk store's
 robustness guarantees (atomicity, validation, cleanup, collision-free
@@ -20,6 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.strategies import fallback_value
+from oracles.tuple_engine import generic_join_tuples
 from repro.core import BoundSolver, StatisticsCatalog
 from repro.datasets import power_law_graph
 from repro.evaluation import (
@@ -46,6 +49,8 @@ BLOCKS = (1, 7, 64, None)
 values = st.integers(0, 5)
 pairs = st.lists(st.tuples(values, values), max_size=18)
 units = st.lists(st.tuples(values), max_size=6)
+fallback_pairs = st.lists(st.tuples(fallback_value, fallback_value), max_size=18)
+fallback_units = st.lists(st.tuples(fallback_value), max_size=6)
 
 QUERIES = [
     parse_query("triangle(x,y,z) :- R(x,y), R(y,z), R(z,x)"),
@@ -59,7 +64,7 @@ QUERIES = [
 
 
 @st.composite
-def databases(draw):
+def databases(draw, pairs=pairs, units=units):
     return Database(
         {
             "R": Relation(("a", "b"), draw(pairs)),
@@ -72,9 +77,20 @@ def databases(draw):
 
 def assert_sink_invariant(query, db, blocks=BLOCKS):
     group_vars = query.variables[:2]
+    oracle = generic_join_tuples(query, db)
+    first = None
     for block in blocks:
         reference = generic_join(query, db, frontier_block=block)
         rows = list(reference.output)
+        assert set(rows) == set(oracle.output), (query.name, block)
+        assert reference.nodes_visited == oracle.nodes_visited
+        if first is None:
+            first = rows
+        assert rows == first, (query.name, block)  # order: block-invariant
+        dtypes = [
+            reference.output.columnar().dictionary(v).dtype
+            for v in query.variables
+        ]
 
         materialize = MaterializeSink()
         run = generic_join(query, db, frontier_block=block, sink=materialize)
@@ -105,21 +121,21 @@ def assert_sink_invariant(query, db, blocks=BLOCKS):
                 assert spill.rows() == rows, (query.name, block)
                 assert spill.n_rows == len(rows)
                 assert run.nodes_visited == reference.nodes_visited
-                if rows and db["R"].columnar() is not None:
-                    for chunk in spill.iter_chunks():
-                        assert all(c.dtype == np.int64 for c in chunk)
+                for chunk in spill.iter_chunks():
+                    assert [c.dtype for c in chunk] == dtypes
 
 
 class TestSinkInvariance:
     @SETTINGS
-    @given(databases())
+    @given(databases() | databases(fallback_pairs, fallback_units))
     def test_all_query_shapes(self, db):
         for query in QUERIES:
             assert_sink_invariant(query, db)
 
     def test_fallback_values_round_trip(self):
-        # non-integer values force the tuple engine; every sink must see
-        # the same stream, and spilled object columns must round-trip
+        # mixed int/str columns run the columnar engine over object
+        # dictionaries; every sink must see the same stream through
+        # append(columns), and spilled object columns must round-trip
         # unstringified (1 stays int, "1" stays str)
         db = Database(
             {
@@ -157,7 +173,7 @@ class TestSinkInvariance:
         with pytest.raises(RuntimeError, match="not been opened"):
             sink.append([np.array([1])])
         with pytest.raises(RuntimeError, match="not been opened"):
-            sink.append_rows([(1,)])
+            sink.append_size(1)
 
     def test_ragged_batch_is_rejected(self):
         for sink in (MaterializeSink(), GroupCountSink(("y",))):
@@ -282,7 +298,7 @@ class TestSpillRobustness:
     def _spill_rows(self, directory, rows):
         sink = SpillSink(directory, chunk_rows=2)
         sink.open(("x", "y"))
-        sink.append_rows(rows)
+        sink.append([np.array(column) for column in zip(*rows)])
         sink.flush()
         return sink
 

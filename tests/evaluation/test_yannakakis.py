@@ -62,11 +62,11 @@ class TestSemijoinReduce:
         """Semijoin against a source sharing no variables keeps the target
         exactly when the source is non-empty — no cross product is formed.
 
-        Regression test for the columnar path: the tuple `_semijoin`
+        Regression test for the columnar path: the tuple oracle's semijoin
         returns `target_rows` whenever `source_rows` is non-empty, and the
         code-space engine must reproduce that semantics bit for bit.
         """
-        from repro.evaluation import semijoin_reduce_tuples
+        from oracles.tuple_engine import semijoin_reduce_tuples
 
         r = Relation(("a", "b"), [(1, 2), (3, 4)])
         s = Relation(("c", "d"), [(7, 8)])

@@ -195,7 +195,7 @@ class TestWriteFailure:
         with pytest.raises(ChunkStoreError):
             with SpillSink(target, chunk_rows=2) as sink:
                 sink.open(("x", "y"))
-                sink.append_rows([(1, 2)])
+                sink.append([np.array([1]), np.array([2])])
                 monkeypatch.setattr(
                     os,
                     "replace",
@@ -203,7 +203,8 @@ class TestWriteFailure:
                         OSError(28, "No space left on device")
                     ),
                 )
-                sink.append_rows([(3, 4), (5, 6)])  # flush boundary
+                # flush boundary
+                sink.append([np.array([3, 5]), np.array([4, 6])])
         monkeypatch.undo()
         # the context manager's cleanup still ran: no tmp survivors and
         # no stray segments the failed run would leak

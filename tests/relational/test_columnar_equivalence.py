@@ -4,8 +4,10 @@ Every vectorized kernel must match the original tuple-at-a-time
 implementation bit-for-bit — same values (Python ints, not np.int64),
 same dict contents, same relations, and for joins the same output rows in
 the same order.  Randomized relations cover empty relations, ``U = ∅`` /
-``V = ∅`` conditionals, repeated/overlapping attribute sets, and
-non-integer values that must take the fallback path.
+``V = ∅`` conditionals, repeated/overlapping attribute sets, and values
+outside ``int64`` (strings, tuples, floats, ints ≥ 2^63), which encode
+through ``object`` dictionaries.  The oracle is
+``tests/oracles/tuple_engine.py``.
 """
 
 import math
@@ -14,24 +16,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.strategies import fallback_value
+from oracles.tuple_engine import (
+    group_sizes_tuples,
+    hash_join_tuples,
+    partition_by_degree_tuples,
+    project_tuples,
+)
 from repro.core.degree import degree_sequence
 from repro.core.norms import log2_norm, log2_norms, lp_norm, norms_of_sequence
-from repro.evaluation.joins import hash_join, hash_join_tuples, join_relations
+from repro.evaluation.joins import hash_join, join_relations
+from repro.evaluation.partitioning import partition_by_degree
 from repro.relational import Relation
-from repro.relational.columnar import encode_column, remap_codes
+from repro.relational.columnar import dict_mapping, encode_column, remap_codes
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 values = st.integers(-3, 6)
 rows3 = st.lists(st.tuples(values, values, values), max_size=40)
 
-# mixed-type rows exercise the fallback path (tuples/strings/floats)
-fallback_value = st.one_of(
-    st.integers(0, 4),
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.sampled_from(["a", "b"]),
-)
+# mixed-type rows exercise the object dictionaries
 fallback_rows = st.lists(st.tuples(fallback_value, fallback_value), max_size=20)
+fallback_rows3 = st.lists(
+    st.tuples(fallback_value, fallback_value, fallback_value), max_size=30
+)
 
 ATTR_CHOICES = [
     ((), ()),
@@ -46,28 +54,39 @@ ATTR_CHOICES = [
 ]
 
 
-def oracle_group_sizes(relation, group_attrs, value_attrs):
-    return relation._group_sizes_tuples(
-        relation.positions(group_attrs), relation.positions(value_attrs)
-    )
+oracle_group_sizes = group_sizes_tuples
+
+
+def all_int(rows):
+    return all(type(v) is int and v < 2**63 for row in rows for v in row)
 
 
 class TestGroupingEquivalence:
     @SETTINGS
-    @given(rows3)
+    @given(rows3 | fallback_rows3)
     def test_group_sizes_matches_oracle(self, rows):
         r = Relation(("a", "b", "c"), rows)
-        assert r.columnar() is not None
         for group_attrs, value_attrs in ATTR_CHOICES:
             got = r.group_sizes(group_attrs, value_attrs)
             expected = oracle_group_sizes(r, group_attrs, value_attrs)
             assert got == expected
             for key, count in got.items():
-                assert all(type(v) is int for v in key)
+                if all_int(rows):
+                    assert all(type(v) is int for v in key)
                 assert type(count) is int
 
     @SETTINGS
-    @given(rows3)
+    @given(rows3 | fallback_rows3)
+    def test_partition_by_degree_matches_oracle(self, rows):
+        r = Relation(("a", "b", "c"), rows)
+        for u_attrs, v_attrs in ATTR_CHOICES:
+            parts = partition_by_degree(r, v_attrs, u_attrs)
+            assert [set(part) for part in parts] == (
+                partition_by_degree_tuples(r, v_attrs, u_attrs)
+            )
+
+    @SETTINGS
+    @given(rows3 | fallback_rows3)
     def test_degree_sequence_matches_oracle(self, rows):
         r = Relation(("a", "b", "c"), rows)
         for u_attrs, v_attrs in ATTR_CHOICES:
@@ -98,48 +117,92 @@ class TestGroupingEquivalence:
             assert sorted(counts.tolist()) == sorted(expected.tolist())
 
     @SETTINGS
-    @given(rows3)
+    @given(rows3 | fallback_rows3)
     def test_project_and_distinct_count_match_oracle(self, rows):
         r = Relation(("a", "b", "c"), rows)
         for attrs in [("a",), ("b", "a"), ("a", "b", "c"), ("c", "b")]:
-            expected = r._project_tuples(attrs, r.positions(attrs))
+            expected = project_tuples(r, attrs)
             got = r.project(attrs)
             assert got == expected
-            assert set(map(type, (v for row in got for v in row))) <= {int}
+            if all_int(rows):
+                assert set(map(type, (v for row in got for v in row))) <= {int}
             assert r.distinct_count(attrs) == len(expected)
 
     @SETTINGS
-    @given(rows3)
+    @given(rows3 | fallback_rows3)
     def test_active_domain_matches_oracle(self, rows):
         r = Relation(("a", "b", "c"), rows)
         assert r.active_domain() == {v for row in rows for v in row}
 
 
 class TestFallbackPath:
+    """Values outside ``int64`` — the domain a tuple-at-a-time fallback
+    used to serve — encode through ``object`` dictionaries."""
+
     @SETTINGS
     @given(fallback_rows)
     def test_mixed_values_fall_back_and_agree(self, rows):
         r = Relation(("x", "y"), rows)
-        # whichever path is taken, results must match the oracle
         assert r.group_sizes(("x",), ("y",)) == oracle_group_sizes(
             r, ("x",), ("y",)
         )
-        assert r.project(("y",)) == r._project_tuples(("y",), r.positions(("y",)))
+        assert r.project(("y",)) == project_tuples(r, ("y",))
         assert r.distinct_count(("y", "x")) == len(set(r))
 
     def test_tuple_values_are_not_encodable(self):
         r = Relation(("x", "y"), [((0, 1), 2), ((0, 2), 3)])
-        assert r.columnar() is None
+        dictionary = r.columnar().dictionary("x")
+        assert dictionary.dtype == object and dictionary.shape == (2,)
+        assert dictionary.tolist() == [(0, 1), (0, 2)]
+        assert r.columnar().dictionary("y").dtype == np.int64
         assert r.group_sizes(("x",), ("y",)) == {((0, 1),): 1, ((0, 2),): 1}
 
     def test_floats_strings_bools_not_encodable(self):
         for value in [1.5, "s", True]:
-            assert encode_column([value, value]) is None
+            codes, dictionary = encode_column([value, value])
+            assert codes.dtype == np.int64 and codes.tolist() == [0, 0]
+            assert dictionary.dtype == object
+            assert dictionary.tolist() == [value]
+            assert type(dictionary[0]) is type(value)
 
     def test_huge_ints_fall_back(self):
         r = Relation(("x",), [(2 ** 70,), (5,)])
-        assert r.columnar() is None
+        assert r.columnar().dictionary("x").tolist() == [5, 2 ** 70]
         assert r.distinct_count(("x",)) == 2
+        assert list(r.project(("x",))) == [(2 ** 70,), (5,)]
+
+    def test_int64_encoding_is_np_unique(self):
+        values = [7, -3, 7, 2**62, 0]
+        codes, dictionary = encode_column(values)
+        expected_dict, expected_codes = np.unique(
+            np.asarray(values), return_inverse=True
+        )
+        assert dictionary.dtype == np.int64
+        assert dictionary.tobytes() == expected_dict.tobytes()
+        assert codes.tobytes() == expected_codes.astype(np.int64).tobytes()
+
+    def test_orderable_values_get_a_sorted_dictionary(self):
+        codes, dictionary = encode_column(["b", "a", "c", "a"])
+        assert dictionary.tolist() == ["a", "b", "c"]
+        assert codes.tolist() == [1, 0, 2, 0]
+        _, dictionary = encode_column([2**64, 1.5, 3])
+        assert dictionary.tolist() == [1.5, 3, 2**64]
+
+    def test_unorderable_values_keep_first_occurrence_order(self):
+        codes, dictionary = encode_column([2, "a", (1,), 2, 1])
+        assert dictionary.tolist() == [2, "a", (1,), 1]
+        assert codes.tolist() == [0, 1, 2, 0, 3]
+
+    def test_equal_values_share_one_code(self):
+        codes, dictionary = encode_column([1, 1.0, np.int64(1), "1"])
+        assert codes.tolist() == [0, 0, 0, 1]
+        assert dictionary.tolist() == [1, "1"]
+
+    def test_object_dictionaries_align_by_python_equality(self):
+        ints = np.array([0, 1, 2], dtype=np.int64)
+        _, objects = encode_column([2.0, "x", 1])
+        assert dict_mapping(ints, objects).tolist() == [-1, 2, 0]
+        assert dict_mapping(objects, ints).tolist() == [2, -1, 1]
 
 
 class TestEdgeCases:
@@ -178,7 +241,7 @@ join_rows = st.lists(
 
 class TestJoinEquivalence:
     @SETTINGS
-    @given(join_rows, join_rows)
+    @given(join_rows | fallback_rows, join_rows | fallback_rows)
     def test_hash_join_matches_tuple_oracle(self, left, right):
         for lv, rv in [
             (("x", "y"), ("y", "z")),
@@ -191,7 +254,7 @@ class TestJoinEquivalence:
             assert got == expected  # same vars, same rows, same order
 
     @SETTINGS
-    @given(join_rows, join_rows)
+    @given(join_rows | fallback_rows, join_rows | fallback_rows)
     def test_join_relations_matches_tuple_oracle(self, left, right):
         r = Relation(("x", "y"), left)
         s = Relation(("y", "z"), right)
