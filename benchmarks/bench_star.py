@@ -36,6 +36,9 @@ import pytest
 FAN_OUT = 512
 FRONTIER_BLOCK = 8192
 
+#: A block well under the fan-out: per-slice cost, not per-row cost.
+SMALL_BLOCK = 64
+
 #: The acceptance-scale instance for the count-sink memory guard.
 FAN_OUT_LARGE = 1024
 
@@ -81,6 +84,23 @@ def test_bench_star_count_sink(benchmark, traced_peak, star_db):
     benchmark.extra_info["peak_traced_kb"] = round(peak / 1024, 1)
     run = benchmark(run_counted)
     assert run.count == FAN_OUT
+
+
+def test_bench_star_count_block64(benchmark, traced_peak, star_db):
+    """Blocked frontier at a small block + counting sink: 4096 arm slices
+    of 64 candidates, each under one parent, so the per-slice fixed cost
+    (parent and seed resolution, count-only leaves) dominates the run."""
+
+    def run_counted():
+        return generic_join(
+            QUERY, star_db, frontier_block=SMALL_BLOCK, sink=CountSink()
+        )
+
+    _, peak = traced_peak(run_counted)
+    benchmark.extra_info["peak_traced_kb"] = round(peak / 1024, 1)
+    run = benchmark(run_counted)
+    assert run.count == FAN_OUT
+    assert run.nodes_visited == (FAN_OUT + 1) ** 2
 
 
 def test_bench_star_spill_sink(benchmark, traced_peak, star_db, tmp_path):

@@ -27,7 +27,11 @@ finished bindings stream into a
 :class:`~repro.relational.columnar.ChunkedColumns` accumulator — peak
 live memory beyond the output drops to O(block × depth).  Blocks are
 slices of one fixed parent-major candidate order, so output rows, their
-order, and the meter are bit-identical for every block size.
+order, and the meter are bit-identical for every block size.  A slice
+costs only what its shape needs: under a single parent its seed's
+children are one contiguous run of trie keys, a slice that one atom
+seeds is probed once, and only a slice with mixed seeds is probed per
+seeding atom.
 
 The *output* side is pluggable too: the engine emits finished bindings
 into an :class:`~repro.relational.columnar.OutputSink` — counting
@@ -37,7 +41,9 @@ disk (:class:`~repro.relational.columnar.SpillSink`) — so workloads
 whose outputs are themselves huge never hold |Q(D)| rows in RAM.  The
 default (``sink=None``) materializes through the internal code-space
 accumulator exactly as before; every sink sees the same rows in the
-same order with the same meter.
+same order with the same meter.  A sink that consumes sizes only gets
+the last level's survivor counts directly: no binding columns are
+gathered for rows it would discard.
 
 The meter (``nodes_visited``) counts exactly the bindings that pass every
 participating atom's trie — the search-tree size of the one-binding-at-a-
@@ -113,6 +119,70 @@ def _resolve_order(
             f"order {order} must be a permutation of {query.variables}"
         )
     return order
+
+
+def _spread(column: np.ndarray, parents, width: int) -> np.ndarray:
+    """``column[parents]``; an int ``parents`` is that one parent
+    repeated ``width`` times, written as a fill instead of a gather."""
+    if isinstance(parents, np.ndarray):
+        return column[parents]
+    out = np.empty(width, dtype=column.dtype)
+    out.fill(column[parents])
+    return out
+
+
+def _choose_seeds(ranges: list[tuple[np.ndarray, np.ndarray]]):
+    """Each binding's seed: the participant with the fewest trie children.
+
+    The vectorized analogue of a per-binding ``min(views, key=len)``,
+    which keeps the expanded space at Σ_b min_i deg_i(b) instead of
+    min_i Σ_b deg_i(b).  ``ranges`` holds each participant's per-binding
+    ``(first child, child count)``.  A running minimum: strict ``<``
+    leaves a tie with the earlier participant, as ``argmin`` would.
+
+    Returns ``(seed_counts, seed, seed_choice, run_id)``.  ``seed`` is
+    the participant seeding every binding that has candidates, or
+    ``None`` when the choice varies; then ``seed_choice`` holds each
+    binding's participant and ``run_id`` numbers the runs of equal
+    choice over the bindings with candidates, so a slice has one seed
+    iff its first and last parents share a run.
+    """
+    seed_counts = ranges[0][1]
+    seed_choice = None
+    for s in range(1, len(ranges)):
+        counts = ranges[s][1]
+        fewer = counts < seed_counts
+        if fewer.any():
+            if seed_choice is None:
+                seed_choice = np.zeros(len(seed_counts), dtype=np.int64)
+            seed_choice[fewer] = s
+            seed_counts = np.minimum(counts, seed_counts)
+    if seed_choice is None:
+        return seed_counts, 0, None, None
+    live = np.flatnonzero(seed_counts)
+    change = seed_choice[live[1:]] != seed_choice[live[:-1]]
+    if not change.any():
+        seed = int(seed_choice[live[0]]) if len(live) else 0
+        return seed_counts, seed, None, None
+    run_id = np.zeros(len(seed_counts), dtype=np.int64)
+    run_id[live[1:]] = np.cumsum(change)
+    return seed_counts, None, seed_choice, run_id
+
+
+def _code_map(source: np.ndarray, target: np.ndarray) -> np.ndarray | None:
+    """The :func:`dict_mapping` table from ``source`` to ``target``, or
+    ``None`` when it is the identity.
+
+    An identity table (equal dictionaries built apart, or a source that
+    is a prefix of the target) has no −1 entries, so codes pass through
+    unchanged and every probe skips the translation gather.
+    """
+    table = dict_mapping(source, target)
+    n = len(table)
+    # the scalar test on the last entry turns most tables away cheaply
+    if n == 0 or (table[-1] == n - 1 and np.array_equal(table, np.arange(n))):
+        return None
+    return table
 
 
 def generic_join(
@@ -203,11 +273,27 @@ def _blocked_search(
     survival of a candidate depends only on its own binding, output rows,
     their order, and the meter are bit-identical for every block size.
 
+    A block's fixed work — the per-binding seed choice, where its runs of
+    equal choice change, and which atoms' node ids travel down — is paid
+    once per block, and each slice then does only the array work its
+    shape needs.  A slice under a *single parent* (common whenever the
+    fan-out reaches the block) reads its seed's children as one
+    contiguous run of level keys, with no parent recovery and no per-row
+    parent gathers.  A slice over several parents that one participant
+    seeds writes its probe results directly.  Only a slice with *mixed
+    seeds* probes per seeding participant and scatters the results back
+    into slice order.  When the sink takes sizes only
+    (``needs_values`` false) the last level is *count-only*: each slice
+    hands its survivor count to ``append_size`` and gathers no binding
+    columns at all.
+
     Each atom's trie lives in its own relation's code space (so tries are
     cacheable per relation and column order); candidate codes cross atom
     boundaries through :func:`dict_mapping` translation tables built once
     at setup over the small per-column dictionaries, with values absent
-    from the target dictionary mapping to −1 and failing membership.
+    from the target dictionary mapping to −1 and failing membership.  An
+    identity table (equal dictionaries built apart) is dropped at setup,
+    so those codes pass through untranslated.
     """
     order_index = {v: i for i, v in enumerate(order)}
     tables = [_atom_table(atom, db) for atom in query.atoms]
@@ -253,21 +339,22 @@ def _blocked_search(
             canon_of.append(None)
 
     # per level, per seed participant: the seed→other code-translation
-    # tables the membership filter consumes (None ⇒ shared dictionary,
-    # codes pass through) and the seed→canonical table for survivors.
-    # Hoisted to setup: the blocked traversal re-enters expand_slice once
-    # per slice, and rebuilding these per slice is pure repeated work —
-    # the tables depend only on the (source, target) dictionaries, and
-    # each distinct pair is built once (self-joins share dictionaries
-    # across atoms; object dictionaries pay a hash lookup per table).
-    tables_by_pair: dict[tuple[int, int], np.ndarray] = {}
+    # tables the membership filter consumes and the seed→canonical table
+    # for survivors (None ⇒ the codes already are the target's, so they
+    # pass through).  Hoisted to setup: the blocked traversal re-enters
+    # expand_slice once per slice, and rebuilding these per slice is pure
+    # repeated work — the tables depend only on the (source, target)
+    # dictionaries, and each distinct pair is built once (self-joins
+    # share dictionaries across atoms; object dictionaries pay a hash
+    # lookup per table).
+    tables_by_pair: dict[tuple[int, int], np.ndarray | None] = {}
 
     def mapping(source, target):
         if source is target:
             return None
         key = (id(source), id(target))  # both arrays live in dict_of
         if key not in tables_by_pair:
-            tables_by_pair[key] = dict_mapping(source, target)
+            tables_by_pair[key] = _code_map(source, target)
         return tables_by_pair[key]
 
     member_maps: list[list[list[np.ndarray | None]]] = []
@@ -285,22 +372,38 @@ def _blocked_search(
             )
             canon_maps[-1].append(mapping(seed_dict, canon_of[level]))
 
+    # per level, the atoms whose node ids descend with a surviving
+    # candidate: participants still constraining a deeper level take the
+    # child ids their probe found (carried), the other atoms still
+    # constraining one keep their parent's (passed); the rest are done.
+    carried_at: list[list[int]] = []
+    passed_at: list[list[int]] = []
+    for level, level_parts in enumerate(atoms_at):
+        participating = {atom_idx for atom_idx, _ in level_parts}
+        live = [i for i in range(n_atoms) if last_level[i] > level]
+        carried_at.append([i for i in live if i in participating])
+        passed_at.append([i for i in live if i not in participating])
+
+    # a sink that consumes sizes only gets them straight from the last
+    # level's slices (count-only leaves): survivors are counted, never
+    # gathered into binding columns
+    count_leaves = sink is not None and not sink.needs_values
     if sink is None:
         acc = ChunkedColumns(n)
         emit = acc.append
-    elif not sink.needs_values or n == 0:
-        # sizes suffice (a zero-variable query joins to the single empty
-        # binding, whose row carries no values)
+    elif n == 0:
+        # a zero-variable query joins to the single empty binding, whose
+        # row carries no values
 
         def emit(binding_cols):
-            sink.append_size(len(binding_cols[0]) if binding_cols else 1)
+            sink.append_size(1)
 
     else:
         # decode each finished batch into value columns (query head
         # order) before handing it to the sink: one O(batch) gather per
-        # column, so count/spill runs never hold codes or values beyond
-        # the batch.  A level's canonical dictionary exists whenever a
-        # row was emitted (an uncovered level raises before emitting).
+        # column, so spill runs never hold codes or values beyond the
+        # batch.  A level's canonical dictionary exists whenever a row
+        # was emitted (an uncovered level raises before emitting).
         out_levels = [order_index[v] for v in query.variables]
 
         def emit(binding_cols):
@@ -314,44 +417,113 @@ def _blocked_search(
             governor.register_output(lambda: acc.n_rows)
 
     def expand(level, n_front, atom_node, binding_cols):
-        """Yield the surviving sub-blocks of one frontier block, in order."""
+        """Yield the surviving sub-blocks of one frontier block, in order.
+
+        A sub-block is ``(width, sub_nodes, new_cols)``; a count-only
+        leaf level yields ``(width, None, None)``.
+        """
         nonlocal visited
         participants = atoms_at[level]
         if not participants:
             raise RuntimeError(
                 f"variable {order[level]!r} is not covered by any atom"
             )
-        # per-binding seed choice: the participant with the fewest trie
-        # children at this node — the vectorized analogue of a per-binding
-        # min(views, key=len), which keeps the expanded space at
-        # Σ_b min_i deg_i(b) instead of min_i Σ_b deg_i(b).
         ranges = [
             tries[i].children_ranges(d, atom_node[i]) for i, d in participants
         ]
-        if len(participants) == 1:
-            seed_choice = None
-            seed_counts = ranges[0][1]
-        else:
-            counts_matrix = np.stack([counts for _, counts in ranges])
-            seed_choice = np.argmin(counts_matrix, axis=0)
-            seed_counts = np.min(counts_matrix, axis=0)
-        ends = np.cumsum(seed_counts)
+        seed_counts, seed, seed_choice, run_id = _choose_seeds(ranges)
+        ends = seed_counts.cumsum()
         total = int(ends[-1]) if n_front else 0
         if total == 0:
             return
         flat_starts = ends - seed_counts
-        # node ids are only carried for atoms still constraining deeper
-        # levels; a participant whose last level is this one is done.
-        carried = [i for i, _ in participants if last_level[i] > level]
+        carried, passed = carried_at[level], passed_at[level]
+        leaf_count = count_leaves and level == n - 1
         if governor is None:
             block = frontier_block
         else:
             block = governor.effective_block(frontier_block)
         chunk = total if block is None else block
 
+        def probe(s, parents, offsets, m):
+            """Seed ``m`` candidates from participant ``s`` and filter them
+            through the other participants: ``(keep, node_ids, codes)``.
+
+            ``parents``/``offsets`` locate each candidate in its parent's
+            seed children; an int ``parents`` is one parent whose ``m``
+            candidates start at offset ``offsets`` — a contiguous run of
+            level keys whose positions are the children's node ids.
+            ``keep`` is the survivor mask (None when ``s`` is the only
+            participant), ``node_ids`` the child ids of each carried
+            participant, and ``codes`` the candidates in the level's
+            canonical code space.
+            """
+            seed_idx, seed_depth = participants[s]
+            trie = tries[seed_idx]
+            if isinstance(parents, np.ndarray):
+                children, codes = trie.children_at(
+                    seed_depth,
+                    atom_node[seed_idx][parents],
+                    ranges[s][0][parents],
+                    offsets,
+                )
+            else:
+                a = int(ranges[s][0][parents]) + offsets
+                children = np.arange(a, a + m)
+                codes = trie.level_keys[seed_depth][a : a + m] - (
+                    atom_node[seed_idx][parents] * trie.cards[seed_depth]
+                )
+            keep = None
+            node_ids = {}
+            members = member_maps[level][s]
+            for t, (atom_idx, depth) in enumerate(participants):
+                if t == s:
+                    ids = children
+                else:
+                    # the translation table re-expresses the seed's codes
+                    # in this atom's code space inside the membership
+                    # kernel (−1 ⇒ absent from its dictionary ⇒ fail)
+                    found, ids = tries[atom_idx].find_children(
+                        depth,
+                        _spread(atom_node[atom_idx], parents, m),
+                        codes,
+                        mapping=members[t],
+                    )
+                    keep = found if keep is None else keep & found
+                if atom_idx in carried:
+                    node_ids[atom_idx] = ids
+            canon_map = canon_maps[level][s]
+            if canon_map is not None and not leaf_count:
+                # survivors pass membership in the canonical participant,
+                # whose dictionary therefore contains them (lossless);
+                # non-survivors map to −1 but are dropped by ``keep``.
+                codes = canon_map[codes]
+            return keep, node_ids, codes
+
+        def probe_mixed(parents, offsets):
+            """:func:`probe` per seeding participant over its own
+            candidates, scattered back into slice order."""
+            m = len(parents)
+            choice = seed_choice[parents]
+            candidates = np.empty(m, dtype=np.int64)
+            keep = np.ones(m, dtype=bool)
+            node_ids = {i: np.empty(m, dtype=np.int64) for i in carried}
+            for s in range(len(participants)):
+                sel = np.flatnonzero(choice == s)
+                if len(sel) == 0:
+                    continue
+                keep_s, ids_s, candidates[sel] = probe(
+                    s, parents[sel], offsets[sel], len(sel)
+                )
+                for i in carried:
+                    node_ids[i][sel] = ids_s[i]
+                if keep_s is not None:
+                    keep[sel] = keep_s
+            return keep, node_ids, candidates
+
         def expand_slice(lo, hi):
-            """One candidate slice: ``(width, sub_nodes, new_cols)`` or
-            ``None`` when every candidate dies.
+            """One candidate slice: a sub-block, or ``None`` when every
+            candidate dies.
 
             A plain function, not inlined in the generator loop: its
             frame (and with it every O(slice) scratch array) dies on
@@ -359,89 +531,52 @@ def _blocked_search(
             while deeper levels run under the suspended generator.
             """
             nonlocal visited
-            if lo == 0 and hi == total:
-                # whole-space slice: O(total) repeat beats searchsorted
-                parent_of = np.repeat(np.arange(n_front), seed_counts)
-                offsets = np.arange(total) - np.repeat(
-                    flat_starts, seed_counts
-                )
-            else:
-                parent_of, offsets = kernels.slice_parents(
-                    ends, flat_starts, lo, hi
-                )
             m = hi - lo
-            candidates = np.empty(m, dtype=np.int64)
-            keep = np.ones(m, dtype=bool)
-            chunk_nodes = {i: np.empty(m, dtype=np.int64) for i in carried}
-            for s, (seed_idx, seed_depth) in enumerate(participants):
-                if seed_choice is None:
-                    sel = slice(None)
-                    sel_parents, sel_offsets = parent_of, offsets
-                else:
-                    sel = np.nonzero(seed_choice[parent_of] == s)[0]
-                    if len(sel) == 0:
-                        continue
-                    sel_parents, sel_offsets = parent_of[sel], offsets[sel]
-                first, _ = ranges[s]
-                children, codes = tries[seed_idx].children_at(
-                    seed_depth,
-                    atom_node[seed_idx][sel_parents],
-                    first[sel_parents],
-                    sel_offsets,
-                )
-                if seed_idx in chunk_nodes:
-                    chunk_nodes[seed_idx][sel] = children
-                keep_s = None
-                seed_members = member_maps[level][s]
-                for t, (atom_idx, depth) in enumerate(participants):
-                    if atom_idx == seed_idx:
-                        continue
-                    # the translation table re-expresses the seed's codes
-                    # in this atom's code space inside the membership
-                    # kernel (−1 ⇒ absent from its dictionary ⇒ fail)
-                    found, others = tries[atom_idx].find_children(
-                        depth,
-                        atom_node[atom_idx][sel_parents],
-                        codes,
-                        mapping=seed_members[t],
-                    )
-                    if atom_idx in chunk_nodes:
-                        chunk_nodes[atom_idx][sel] = others
-                    keep_s = found if keep_s is None else keep_s & found
-                canon_map = canon_maps[level][s]
-                if canon_map is not None:
-                    # survivors pass membership in the canonical
-                    # participant, whose dictionary therefore contains
-                    # them (lossless); non-survivors map to −1 but are
-                    # dropped by ``keep`` anyway.
-                    codes = canon_map[codes]
-                candidates[sel] = codes
-                if keep_s is not None:
-                    keep[sel] = keep_s
-            if keep.all():
-                chosen = None
-                sub_parent, sub_cand = parent_of, candidates
+            p = int(ends.searchsorted(lo, side="right"))
+            if ends[p] >= hi:  # one parent owns the whole slice
+                parents, offsets = p, lo - int(flat_starts[p])
+                s = seed if seed is not None else int(seed_choice[p])
             else:
-                chosen = np.nonzero(keep)[0]
+                if lo == 0 and hi == total:
+                    # whole-space slice: O(total) repeat beats searchsorted
+                    parents = np.arange(n_front).repeat(seed_counts)
+                    offsets = np.arange(total) - flat_starts.repeat(
+                        seed_counts
+                    )
+                else:
+                    parents, offsets = kernels.slice_parents(
+                        ends, flat_starts, lo, hi
+                    )
+                s = seed
+                if s is None and run_id[parents[0]] == run_id[parents[-1]]:
+                    s = int(seed_choice[parents[0]])
+            if s is None:
+                keep, node_ids, candidates = probe_mixed(parents, offsets)
+            else:
+                keep, node_ids, candidates = probe(s, parents, offsets, m)
+            if leaf_count:
+                width = m if keep is None else int(np.count_nonzero(keep))
+                visited += width
+                return (width, None, None) if width else None
+            chosen = None
+            if keep is not None and not keep.all():
+                chosen = np.flatnonzero(keep)
                 if len(chosen) == 0:
                     return None
-                sub_parent, sub_cand = parent_of[chosen], candidates[chosen]
-            visited += len(sub_cand)
-            sub_nodes = []
-            for atom_idx in range(n_atoms):
-                if atom_idx in chunk_nodes:
-                    ids = chunk_nodes[atom_idx]
-                    sub_nodes.append(ids if chosen is None else ids[chosen])
-                elif (
-                    last_level[atom_idx] > level
-                    and atom_node[atom_idx] is not None
-                ):
-                    sub_nodes.append(atom_node[atom_idx][sub_parent])
-                else:
-                    sub_nodes.append(None)
-            new_cols = [c[sub_parent] for c in binding_cols]
-            new_cols.append(sub_cand)
-            return len(sub_cand), sub_nodes, new_cols
+                candidates = candidates[chosen]
+                if isinstance(parents, np.ndarray):
+                    parents = parents[chosen]
+            width = len(candidates)
+            visited += width
+            sub_nodes = [None] * len(atom_node)
+            for i in carried:
+                ids = node_ids[i]
+                sub_nodes[i] = ids if chosen is None else ids[chosen]
+            for i in passed:
+                sub_nodes[i] = _spread(atom_node[i], parents, width)
+            new_cols = [_spread(c, parents, width) for c in binding_cols]
+            new_cols.append(candidates)
+            return width, sub_nodes, new_cols
 
         lo = 0
         while lo < total:
@@ -460,7 +595,7 @@ def _blocked_search(
                 # would pin O(n_front) arrays for the rest of the subtree
                 # (the whole-frontier path would regress ~1.5× in peak).
                 del ranges, seed_choice, seed_counts, ends, flat_starts
-                del atom_node, binding_cols
+                del run_id, atom_node, binding_cols
             if result is not None:
                 yield result
             lo = hi
@@ -472,7 +607,10 @@ def _blocked_search(
         blocks = expand(level, n_front, atom_node, binding_cols)
         del atom_node, binding_cols  # the generator owns them now
         for width, sub_nodes, sub_cols in blocks:
-            descend(level + 1, width, sub_nodes, sub_cols)
+            if sub_cols is None:  # count-only leaf slice
+                sink.append_size(width)
+            else:
+                descend(level + 1, width, sub_nodes, sub_cols)
 
     descend(0, 1, [np.zeros(1, dtype=np.int64) for _ in tables], [])
 
