@@ -147,6 +147,21 @@ def test_columnar_speedup_guard(db):
     assert slow / fast >= 2.0, f"join speedup collapsed: {slow / fast:.1f}x"
 
 
+def test_bench_imdb_setup(benchmark):
+    """job-bound-sweep's set-up path: build the IMDB instance (its
+    relations encoded over one shared dictionary) and take every twin."""
+    from repro.datasets.imdb import imdb_database
+
+    def setup():
+        db = imdb_database(scale=0.3, seed=7)
+        for relation in db.relations():
+            relation.columnar()
+        return db
+
+    db = benchmark(setup)
+    assert db.total_tuples() > 0
+
+
 def test_bench_wcoj_triangle(benchmark):
     small = power_law_graph(600, 3000, 0.6, seed=8)
     from repro.relational import Database

@@ -17,8 +17,8 @@ of distinct extensions of ``row`` to the variables of i's subtree — and
 the root's weight sum is |Q(D)|.  Counts are exact Python integers, so
 astronomically large outputs are fine.
 
-The sweep runs in code space: each separator is remapped into the
-parent's code space, flattened to one ``int64`` key per row, and folded
+The sweep runs in the database's one code space: each separator is
+flattened to one ``int64`` key per row, and folded
 with ``argsort`` + ``add.reduceat``.  Weights start as ``int64`` arrays
 and are promoted to exact Python-int (object dtype) arrays the moment an
 a-priori bound says a sum or product *could* leave the ``int64`` range,
@@ -105,19 +105,16 @@ def acyclic_count(query: ConjunctiveQuery, db: Database) -> int:
         separator = [v for v in table.vars if v in parent_vars]
         t_pos = {v: i for i, v in enumerate(table.vars)}
 
-        # child separator keys in the parent's code space
+        # parent and child separator keys in one key space
         if not separator:
             p_keys = np.zeros(parent.n_rows, dtype=np.int64)
             c_keys = np.zeros(table.n_rows, dtype=np.int64)
         else:
-            p_keys, c_keys, kept = align_composite_keys(
+            p_keys, c_keys = align_composite_keys(
                 [parent.codes[p_pos[v]] for v in separator],
-                [parent.dicts[p_pos[v]] for v in separator],
                 [table.codes[t_pos[v]] for v in separator],
-                [table.dicts[t_pos[v]] for v in separator],
+                len(parent.domain),
             )
-            if kept is not None:
-                w = w[kept]
 
         # fold: agg[key] = Σ child weights, then parent *= agg[parent key]
         agg_bound = weight_bound[atom_idx] * max(1, len(c_keys))

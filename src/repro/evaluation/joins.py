@@ -7,8 +7,9 @@ an independent oracle for true cardinalities in tests and because acyclic
 JOB-style queries evaluate faster through it.
 
 The join is a columnar sort-merge over dictionary-encoded columns
-(:mod:`repro.relational.columnar`): right-side key columns are remapped
-into the left dictionaries' code space, composite keys are matched with
+(:mod:`repro.relational.columnar`) in one shared code space (a
+database's, or :func:`~repro.relational.columnar.unify_domain` over the
+two inputs of the bare-input joins): composite keys are matched with
 ``np.searchsorted`` over a stable-sorted right side, and output rows are
 materialized as two gather operations.  Output rows come left-major,
 right rows in input order within a key.  :func:`evaluate_left_deep`
@@ -28,7 +29,7 @@ from ..relational.columnar import (
     ColumnarRelation,
     align_composite_keys,
     encode_rows,
-    remap_codes,
+    unify_domain,
 )
 
 __all__ = [
@@ -39,24 +40,29 @@ __all__ = [
 
 
 class _ColTable:
-    """A variable-labelled intermediate result in code space."""
+    """A variable-labelled intermediate result in code space.
 
-    __slots__ = ("vars", "codes", "dicts", "n_rows")
+    Every column's codes index the one ``domain`` dictionary (``None``
+    for a table without columns).
+    """
 
-    def __init__(self, vars, codes, dicts, n_rows):
+    __slots__ = ("vars", "codes", "domain", "n_rows")
+
+    def __init__(self, vars, codes, domain, n_rows):
         self.vars = vars
         self.codes = codes
-        self.dicts = dicts
+        self.domain = domain
         self.n_rows = n_rows
 
 
 def _table_of(columnar: ColumnarRelation) -> _ColTable:
-    """View a :class:`ColumnarRelation` as a positional ``_ColTable``."""
+    """View a :class:`ColumnarRelation` over one shared dictionary as a
+    positional ``_ColTable``."""
     attrs = columnar.attributes
     return _ColTable(
         attrs,
         [columnar.codes(a) for a in attrs],
-        [columnar.dictionary(a) for a in attrs],
+        columnar.dictionary(attrs[0]) if attrs else None,
         columnar.n_rows,
     )
 
@@ -66,7 +72,7 @@ def _columnar_of(table: _ColTable) -> ColumnarRelation:
     return ColumnarRelation(
         table.vars,
         dict(zip(table.vars, table.codes)),
-        dict(zip(table.vars, table.dicts)),
+        dict.fromkeys(table.vars, table.domain),
         table.n_rows,
     )
 
@@ -93,14 +99,10 @@ def _atom_table_indexed(
         first_pos.setdefault(var, position)
         repeated.setdefault(var, []).append(position)
     mask = None
-    for var, positions in repeated.items():
-        base = attrs[positions[0]]
+    for positions in repeated.values():
+        base = col.codes(attrs[positions[0]])
         for position in positions[1:]:
-            other = attrs[position]
-            aligned = remap_codes(
-                col.codes(other), col.dictionary(other), col.dictionary(base)
-            )
-            eq = aligned == col.codes(base)
+            eq = col.codes(attrs[position]) == base
             mask = eq if mask is None else (mask & eq)
     if mask is not None:
         keep = np.nonzero(mask)[0]
@@ -110,8 +112,8 @@ def _atom_table_indexed(
         keep = None
         codes_list = [col.codes(attrs[first_pos[v]]) for v in distinct_vars]
         n = col.n_rows
-    dicts_list = [col.dictionary(attrs[first_pos[v]]) for v in distinct_vars]
-    return _ColTable(distinct_vars, codes_list, dicts_list, n), keep
+    domain = col.dictionary(attrs[0]) if attrs else None
+    return _ColTable(distinct_vars, codes_list, domain, n), keep
 
 
 def _atom_table(atom: Atom, db: Database) -> _ColTable:
@@ -132,11 +134,10 @@ def _join_tables(left: _ColTable, right: _ColTable) -> _ColTable:
         left_idx = np.repeat(np.arange(left.n_rows), right.n_rows)
         right_idx = np.tile(np.arange(right.n_rows), left.n_rows)
     else:
-        left_keys, right_keys, kept = align_composite_keys(
+        left_keys, right_keys = align_composite_keys(
             [left.codes[left_pos[v]] for v in shared],
-            [left.dicts[left_pos[v]] for v in shared],
             [right.codes[right_pos[v]] for v in shared],
-            [right.dicts[right_pos[v]] for v in shared],
+            len(left.domain),
         )
         order = np.argsort(right_keys, kind="stable")
         sorted_keys = right_keys[order]
@@ -151,14 +152,13 @@ def _join_tables(left: _ColTable, right: _ColTable) -> _ColTable:
             - np.repeat(offsets, counts)
             + np.repeat(lo, counts)
         )
-        right_idx = order[span] if kept is None else kept[order[span]]
+        right_idx = order[span]
 
     codes_list = [c[left_idx] for c in left.codes]
-    dicts_list = list(left.dicts)
     for v in right_only:
         codes_list.append(right.codes[right_pos[v]][right_idx])
-        dicts_list.append(right.dicts[right_pos[v]])
-    return _ColTable(out_vars, codes_list, dicts_list, len(left_idx))
+    domain = left.domain if left.vars else right.domain
+    return _ColTable(out_vars, codes_list, domain, len(left_idx))
 
 
 # ----------------------------------------------------------------------
@@ -180,10 +180,11 @@ def hash_join(
     for labels in (left_vars, right_vars):
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate variables in {tuple(labels)!r}")
-    joined = _join_tables(
-        _table_of(encode_rows(left_vars, left_rows)),
-        _table_of(encode_rows(right_vars, right_rows)),
+    # encoded twins, not Relations: the inputs' duplicate rows stay
+    left, right = unify_domain(
+        [encode_rows(left_vars, left_rows), encode_rows(right_vars, right_rows)]
     )
+    joined = _join_tables(_table_of(left), _table_of(right))
     return joined.vars, _columnar_of(joined).decode_rows(joined.vars)
 
 
@@ -196,9 +197,8 @@ def join_relations(left: Relation, right: Relation, name: str = "") -> Relation:
     ``len()`` never pay for them.  Joining two set-semantics relations
     cannot create duplicate rows, so no deduplication pass is needed.
     """
-    joined = _join_tables(
-        _table_of(left.columnar()), _table_of(right.columnar())
-    )
+    twins = unify_domain([left.columnar(), right.columnar()])
+    joined = _join_tables(*map(_table_of, twins))
     return Relation._from_columnar(_columnar_of(joined), name=name)
 
 
@@ -242,7 +242,7 @@ def evaluate_left_deep(
     columnar = ColumnarRelation(
         target,
         {v: result.codes[position[v]] for v in target},
-        {v: result.dicts[position[v]] for v in target},
+        dict.fromkeys(target, result.domain),
         result.n_rows,
     )
     return Relation._from_columnar(columnar, name=query.name)

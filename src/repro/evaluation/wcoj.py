@@ -13,8 +13,10 @@ lexicographically in the global variable order, and the search proceeds
 on *blocks* of partial bindings — children of each binding's seed atom
 are expanded in one gather and intersected against the other
 participating atoms with batched ``searchsorted`` membership tests.
-Any hashable values work: codes cross atom boundaries through
-:func:`~repro.relational.columnar.dict_mapping` tables.
+Any hashable values work: every relation of a
+:class:`~repro.relational.database.Database` is encoded over one shared
+dictionary, so a candidate code means the same value in every atom's
+trie and one dictionary decodes every level.
 
 The engine is a depth-first traversal over frontier blocks.
 With ``frontier_block=None`` each level's whole frontier is one block,
@@ -68,7 +70,6 @@ from ..relational.columnar import (
     ColumnarRelation,
     CountSink,
     OutputSink,
-    dict_mapping,
 )
 from .joins import _atom_table
 
@@ -167,22 +168,6 @@ def _choose_seeds(ranges: list[tuple[np.ndarray, np.ndarray]]):
     run_id = np.zeros(len(seed_counts), dtype=np.int64)
     run_id[live[1:]] = np.cumsum(change)
     return seed_counts, None, seed_choice, run_id
-
-
-def _code_map(source: np.ndarray, target: np.ndarray) -> np.ndarray | None:
-    """The :func:`dict_mapping` table from ``source`` to ``target``, or
-    ``None`` when it is the identity.
-
-    An identity table (equal dictionaries built apart, or a source that
-    is a prefix of the target) has no −1 entries, so codes pass through
-    unchanged and every probe skips the translation gather.
-    """
-    table = dict_mapping(source, target)
-    n = len(table)
-    # the scalar test on the last entry turns most tables away cheaply
-    if n == 0 or (table[-1] == n - 1 and np.array_equal(table, np.arange(n))):
-        return None
-    return table
 
 
 def generic_join(
@@ -287,18 +272,14 @@ def _blocked_search(
     hands its survivor count to ``append_size`` and gathers no binding
     columns at all.
 
-    Each atom's trie lives in its own relation's code space (so tries are
-    cacheable per relation and column order); candidate codes cross atom
-    boundaries through :func:`dict_mapping` translation tables built once
-    at setup over the small per-column dictionaries, with values absent
-    from the target dictionary mapping to −1 and failing membership.  An
-    identity table (equal dictionaries built apart) is dropped at setup,
-    so those codes pass through untranslated.
+    Every atom's trie lives in the database's one code space (tries stay
+    cacheable per relation and column order): a seed's candidate codes
+    probe the other participants as they are, and the shared dictionary
+    decodes every level.
     """
     order_index = {v: i for i, v in enumerate(order)}
     tables = [_atom_table(atom, db) for atom in query.atoms]
     tries: list[CodeTrie] = []
-    dict_of: list[list[np.ndarray]] = []  # per atom, per depth: column dict
     ordered_vars_of: list[tuple[str, ...]] = []
     for atom, table in zip(query.atoms, tables):
         position = {v: i for i, v in enumerate(table.vars)}
@@ -311,13 +292,17 @@ def _blocked_search(
         else:
             trie = CodeTrie(
                 [table.codes[position[v]] for v in ordered],
-                [len(table.dicts[position[v]]) for v in ordered],
+                [len(table.domain)] * len(ordered),
             )
         tries.append(trie)
-        dict_of.append([table.dicts[position[v]] for v in ordered])
         ordered_vars_of.append(ordered)
+    # the database's one dictionary decodes every level (a query whose
+    # atoms bind no variable has none, and emits no values)
+    domain = next((t.domain for t in tables if t.domain is not None), None)
 
-    # participants per level, each with its local trie depth
+    # participants per level, each with its local trie depth.  Uncovered
+    # levels raise at runtime iff a non-empty frontier actually reaches
+    # them.
     atoms_at: list[list[tuple[int, int]]] = [[] for _ in order]
     last_level = [0] * len(tables)
     for atom_idx, ordered in enumerate(ordered_vars_of):
@@ -327,50 +312,6 @@ def _blocked_search(
 
     n = len(order)
     n_atoms = len(tables)
-    # decode dictionary per level: the first participant's (the canonical
-    # code space candidates are expressed in).  Uncovered levels raise at
-    # runtime iff a non-empty frontier actually reaches them.
-    canon_of: list[np.ndarray | None] = []
-    for level_parts in atoms_at:
-        if level_parts:
-            canon_idx, canon_depth = level_parts[0]
-            canon_of.append(dict_of[canon_idx][canon_depth])
-        else:
-            canon_of.append(None)
-
-    # per level, per seed participant: the seed→other code-translation
-    # tables the membership filter consumes and the seed→canonical table
-    # for survivors (None ⇒ the codes already are the target's, so they
-    # pass through).  Hoisted to setup: the blocked traversal re-enters
-    # expand_slice once per slice, and rebuilding these per slice is pure
-    # repeated work — the tables depend only on the (source, target)
-    # dictionaries, and each distinct pair is built once (self-joins
-    # share dictionaries across atoms; object dictionaries pay a hash
-    # lookup per table).
-    tables_by_pair: dict[tuple[int, int], np.ndarray | None] = {}
-
-    def mapping(source, target):
-        if source is target:
-            return None
-        key = (id(source), id(target))  # both arrays live in dict_of
-        if key not in tables_by_pair:
-            tables_by_pair[key] = _code_map(source, target)
-        return tables_by_pair[key]
-
-    member_maps: list[list[list[np.ndarray | None]]] = []
-    canon_maps: list[list[np.ndarray | None]] = []
-    for level, level_parts in enumerate(atoms_at):
-        member_maps.append([])
-        canon_maps.append([])
-        for seed_idx, seed_depth in level_parts:
-            seed_dict = dict_of[seed_idx][seed_depth]
-            member_maps[-1].append(
-                [
-                    mapping(seed_dict, dict_of[atom_idx][depth])
-                    for atom_idx, depth in level_parts
-                ]
-            )
-            canon_maps[-1].append(mapping(seed_dict, canon_of[level]))
 
     # per level, the atoms whose node ids descend with a surviving
     # candidate: participants still constraining a deeper level take the
@@ -402,12 +343,11 @@ def _blocked_search(
         # decode each finished batch into value columns (query head
         # order) before handing it to the sink: one O(batch) gather per
         # column, so spill runs never hold codes or values beyond the
-        # batch.  A level's canonical dictionary exists whenever a row
-        # was emitted (an uncovered level raises before emitting).
+        # batch.
         out_levels = [order_index[v] for v in query.variables]
 
         def emit(binding_cols):
-            sink.append([canon_of[i][binding_cols[i]] for i in out_levels])
+            sink.append([domain[binding_cols[i]] for i in out_levels])
 
     visited = 0
     if governor is not None:
@@ -455,8 +395,7 @@ def _blocked_search(
             level keys whose positions are the children's node ids.
             ``keep`` is the survivor mask (None when ``s`` is the only
             participant), ``node_ids`` the child ids of each carried
-            participant, and ``codes`` the candidates in the level's
-            canonical code space.
+            participant, and ``codes`` the candidates.
             """
             seed_idx, seed_depth = participants[s]
             trie = tries[seed_idx]
@@ -475,29 +414,16 @@ def _blocked_search(
                 )
             keep = None
             node_ids = {}
-            members = member_maps[level][s]
             for t, (atom_idx, depth) in enumerate(participants):
                 if t == s:
                     ids = children
                 else:
-                    # the translation table re-expresses the seed's codes
-                    # in this atom's code space inside the membership
-                    # kernel (−1 ⇒ absent from its dictionary ⇒ fail)
                     found, ids = tries[atom_idx].find_children(
-                        depth,
-                        _spread(atom_node[atom_idx], parents, m),
-                        codes,
-                        mapping=members[t],
+                        depth, _spread(atom_node[atom_idx], parents, m), codes
                     )
                     keep = found if keep is None else keep & found
                 if atom_idx in carried:
                     node_ids[atom_idx] = ids
-            canon_map = canon_maps[level][s]
-            if canon_map is not None and not leaf_count:
-                # survivors pass membership in the canonical participant,
-                # whose dictionary therefore contains them (lossless);
-                # non-survivors map to −1 but are dropped by ``keep``.
-                codes = canon_map[codes]
             return keep, node_ids, codes
 
         def probe_mixed(parents, offsets):
@@ -630,7 +556,7 @@ def _blocked_search(
     columnar = ColumnarRelation(
         query.variables,
         {v: columns[order_index[v]] for v in query.variables},
-        {v: canon_of[order_index[v]] for v in query.variables},
+        dict.fromkeys(query.variables, domain),
         acc.n_rows,
     )
     output = Relation._from_columnar(columnar, name=query.name)

@@ -9,9 +9,9 @@ estimates (every surviving tuple extends to at least one output row).
 
 The engine keeps one boolean liveness mask per atom and runs every
 semijoin as a composite-key membership test: the shared variables' code
-columns are aligned across atoms with
-:func:`~repro.relational.columnar.align_composite_keys`, flattened to one
-``int64`` key per row, and matched with a single ``searchsorted`` — no
+columns (one code space per database) are flattened to one ``int64`` key
+per row by :func:`~repro.relational.columnar.align_composite_keys` and
+matched with a single ``searchsorted`` — no
 tuple is ever materialized; the reduced relations are columnar
 row-gathers.  A semijoin against a source with no shared variables keeps
 the target exactly when the source still has rows (no cross product is
@@ -70,11 +70,10 @@ def semijoin_reduce(
             alive[target_i][:] = False
             return
         s_pos = {v: i for i, v in enumerate(source.vars)}
-        t_keys, s_keys, _ = align_composite_keys(
+        t_keys, s_keys = align_composite_keys(
             [target.codes[t_pos[v]] for v in shared],
-            [target.dicts[t_pos[v]] for v in shared],
             [source.codes[s_pos[v]][live] for v in shared],
-            [source.dicts[s_pos[v]] for v in shared],
+            len(target.domain),
         )
         if len(s_keys) == 0:
             alive[target_i][:] = False

@@ -18,12 +18,15 @@ Key design points:
   sorted when the values are mutually orderable, in first-occurrence
   order otherwise.  Either way codes are dense ``int64`` and equal values
   (by Python equality) share one code.
-* Columns encoded independently are aligned with :func:`dict_mapping` /
-  :func:`remap_codes` — a vectorized ``searchsorted`` between two
-  ``int64`` dictionaries, a hash lookup as soon as either side is
-  ``object`` (so ``1``, ``np.int64(1)`` and ``1.0`` match, exactly as
-  under Python equality).  This is the one place where values of two
-  relations meet.
+* Relations that meet share one code space: :func:`unify_domain`
+  re-expresses a set of encoded twins over one dictionary built by the
+  same rule (:class:`~repro.relational.database.Database` applies it to
+  every relation it holds, the bare-input joins to their two inputs).
+  It is the one place where values of two relations meet — a
+  vectorized ``searchsorted`` between ``int64`` dictionaries, a hash
+  lookup (:func:`dict_mapping`) as soon as either side is ``object``, so
+  ``1``, ``np.int64(1)`` and ``1.0`` match exactly as under Python
+  equality.  Every operator downstream compares codes directly.
 * Multi-column keys are flattened to a single ``int64`` per row by
   :func:`composite_codes` (mixed-radix over dictionary cardinalities,
   re-factorized through ``np.unique`` whenever the radix product would
@@ -60,9 +63,9 @@ __all__ = [
     "dict_mapping",
     "encode_column",
     "encode_rows",
-    "remap_codes",
     "composite_codes",
     "prefix_run_counts",
+    "unify_domain",
 ]
 
 #: Radix products stay below this to keep composite keys overflow-free.
@@ -106,10 +109,16 @@ def encode_column(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
         rank[order] = np.arange(len(distinct))
         codes = rank[codes]
         distinct = [distinct[i] for i in order]
-    dictionary = np.empty(len(distinct), dtype=object)
-    for code, value in enumerate(distinct):
-        dictionary[code] = value
-    return codes, dictionary
+    return codes, _object_array(distinct)
+
+
+def _object_array(values: list) -> np.ndarray:
+    """``values`` as a 1-D ``object`` array, filled element-wise (a
+    tuple value stays one element instead of becoming a row)."""
+    out = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        out[i] = value
+    return out
 
 
 def _int64_array(values: Sequence) -> np.ndarray | None:
@@ -153,11 +162,8 @@ def dict_mapping(
     dictionaries (both sorted) this is one ``searchsorted``; when either
     side is an ``object`` dictionary it is a value→code hash lookup under
     Python equality, so ``1``, ``np.int64(1)`` and ``1.0`` match exactly
-    as they do in a Python set.  This is the one place where values of
-    two relations meet.  Hoistable out of per-slice loops so a blocked
-    traversal pays the table once per level instead of once per slice,
-    and the table the fused membership kernel
-    (:func:`repro.relational.kernels.find_children`) consumes directly.
+    as they do in a Python set.  :func:`unify_domain` builds one table
+    per dictionary it re-expresses.
     """
     if len(target_dict) == 0:
         return np.full(len(source_dict), -1, dtype=np.int64)
@@ -174,19 +180,59 @@ def dict_mapping(
     )
 
 
-def remap_codes(
-    codes: np.ndarray, source_dict: np.ndarray, target_dict: np.ndarray
-) -> np.ndarray:
-    """Re-express codes of ``source_dict`` in ``target_dict``'s code space.
+def _merged_dictionary(dicts: Sequence[np.ndarray]) -> np.ndarray:
+    """One dictionary holding every value of ``dicts``, by the rule of
+    :func:`encode_column`: a sorted ``int64`` array when every input is
+    ``int64``, otherwise an ``object`` array of the distinct values
+    (under Python equality) — sorted when they are mutually orderable,
+    in first-occurrence order (``dicts`` order) when they are not."""
+    if all(d.dtype != object for d in dicts):
+        return np.unique(np.concatenate(dicts))
+    distinct = list(dict.fromkeys(v for d in dicts for v in d.tolist()))
+    try:
+        distinct.sort()
+    except TypeError:  # not mutually orderable: keep first occurrence
+        pass
+    return _object_array(distinct)
 
-    Values absent from ``target_dict`` map to −1.  One
-    :func:`dict_mapping` over the (small) dictionaries plus one gather
-    over the rows — the primitive that aligns join columns encoded
-    independently.
+
+def unify_domain(
+    twins: Sequence["ColumnarRelation"],
+) -> list["ColumnarRelation"]:
+    """``twins`` re-expressed over one shared dictionary, in input order.
+
+    The one decision about which code space a relation's codes live in:
+    after it, a code means the same value in every returned twin, so
+    joins, semijoins and trie intersections compare codes directly.  The
+    shared dictionary merges every column's dictionary by the rule of
+    :func:`encode_column`; sorted domains keep each column's value
+    order, so row order and trie order are unchanged on sortable data.
+
+    Work is paid only where something changes.  When every column
+    already holds one dictionary object the input comes back as is.
+    Each distinct twin is re-encoded once (twins shared by several
+    inputs stay shared), and a column whose dictionary equals the merged
+    one keeps its code array — as does every cached trie over such
+    columns only.
     """
-    if len(target_dict) == 0:
-        return np.full(len(codes), -1, dtype=np.int64)
-    return dict_mapping(source_dict, target_dict)[codes]
+    twins = list(twins)
+    distinct = list({id(t): t for t in twins}.values())
+    dicts = list(
+        {id(d): d for t in distinct for d in t._dicts.values()}.values()
+    )
+    if len(dicts) <= 1:
+        return twins
+    domain = _merged_dictionary(dicts)
+    tables = {
+        id(d): (
+            None
+            if d.dtype == domain.dtype and np.array_equal(d, domain)
+            else dict_mapping(d, domain)
+        )
+        for d in dicts
+    }
+    recoded = {id(t): t._recoded(domain, tables) for t in distinct}
+    return [recoded[id(t)] for t in twins]
 
 
 def composite_codes(
@@ -212,7 +258,7 @@ def composite_codes(
             uniq, keys = np.unique(keys, return_inverse=True)
             keys = keys.astype(np.int64, copy=False)
             radix = max(1, len(uniq))
-            if radix * card >= _MAX_RADIX:  # pragma: no cover - >2^31 rows
+            if radix * card >= _MAX_RADIX:  # pragma: no cover - rows×domain ≥ 2^62
                 raise OverflowError("composite key radix exceeds int64")
         keys = keys * card + codes
         radix *= card
@@ -290,50 +336,33 @@ def prefix_run_counts(
 
 def align_composite_keys(
     target_codes: Sequence[np.ndarray],
-    target_dicts: Sequence[np.ndarray],
     source_codes: Sequence[np.ndarray],
-    source_dicts: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    domain_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
     """Comparable ``int64`` keys for two relations' key columns.
 
     The shared kernel behind cross-relation key matching (semijoins, the
-    counting fold, the hash join).  Each source column's codes are
-    re-expressed in the matching ``target_dicts`` entry via
-    :func:`remap_codes`; source rows holding a value absent from a
-    target dictionary are dropped (they cannot match any target row).
-    Both sides then flatten to mixed-radix keys over the target
-    dictionaries' cardinalities
+    counting fold, the hash join).  Both sides' columns live in one code
+    space (:func:`unify_domain`) of ``domain_size`` values, and flatten
+    to mixed-radix keys over it
     (:func:`repro.relational.kernels.composite_keys`, bit-packed under
     the Numba kernels).  When that radix product would reach 2^62, both
     sides' columns are stacked and re-factorized jointly through
     :func:`composite_codes`, so the keys still share one key space.
 
-    Returns ``(target_keys, source_keys, kept_source_rows)`` —
-    ``kept_source_rows`` is ``None`` when no source row was dropped.
+    Returns ``(target_keys, source_keys)``.
     """
-    cards = [len(d) for d in target_dicts]
-    arrays = []
-    valid = None
-    for codes, s_dict, t_dict in zip(source_codes, source_dicts, target_dicts):
-        if s_dict is not t_dict:
-            codes = remap_codes(codes, s_dict, t_dict)
-            mask = codes >= 0
-            valid = mask if valid is None else valid & mask
-        arrays.append(codes)
-    kept = None
-    if valid is not None and not valid.all():
-        kept = np.nonzero(valid)[0]
-        arrays = [a[kept] for a in arrays]
+    cards = [domain_size] * len(target_codes)
     target_keys = kernels.composite_keys(target_codes, cards)
     if target_keys is not None:
-        return target_keys, kernels.composite_keys(arrays, cards), kept
+        return target_keys, kernels.composite_keys(source_codes, cards)
     n_target = len(target_codes[0])
     keys, _ = composite_codes(
-        [np.concatenate(pair) for pair in zip(target_codes, arrays)],
+        [np.concatenate(pair) for pair in zip(target_codes, source_codes)],
         cards,
-        n_target + len(arrays[0]),
+        n_target + len(source_codes[0]),
     )
-    return keys[:n_target], keys[n_target:], kept
+    return keys[:n_target], keys[n_target:]
 
 
 class ChunkedColumns:
@@ -706,9 +735,9 @@ class CodeTrie:
     level — so descending, enumerating children, and membership tests are
     all ``O(log n)`` gathers, vectorized over whole batches of bindings.
 
-    ``columns`` must already live in a code space shared by every trie
-    that will be intersected against this one (one global dictionary per
-    variable); ``cards`` are those dictionaries' sizes.  Raises
+    ``columns`` must already live in the code space shared by every trie
+    that will be intersected against this one (the database's one
+    dictionary, see :func:`unify_domain`); ``cards`` are its sizes.  Raises
     ``OverflowError`` if a level's key space would exceed ``int64``.
     """
 
@@ -822,21 +851,14 @@ class CodeTrie:
         )
 
     def find_children(
-        self,
-        depth: int,
-        nodes: np.ndarray,
-        codes: np.ndarray,
-        mapping: np.ndarray | None = None,
+        self, depth: int, nodes: np.ndarray, codes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized membership: does node ``i`` have child ``codes[i]``?
 
-        ``mapping`` optionally re-expresses the codes in this trie's code
-        space first (a :func:`dict_mapping` table; −1 ⇒ absent, the
-        candidate fails) — fused with the search under the Numba kernels.
         Returns ``(found_mask, child_node_ids)`` (ids valid where found).
         """
         return kernels.find_children(
-            self.level_keys[depth], nodes, codes, self.cards[depth], mapping
+            self.level_keys[depth], nodes, codes, self.cards[depth]
         )
 
 
@@ -915,6 +937,30 @@ class ColumnarRelation:
             self._dicts,
             len(indices),
         )
+
+    def _recoded(self, domain: np.ndarray, tables: dict) -> "ColumnarRelation":
+        """This twin over ``domain``: ``tables`` maps each dictionary's
+        ``id`` to its :func:`dict_mapping` table into ``domain``, or to
+        ``None`` when the dictionary equals ``domain`` — those columns
+        keep their code arrays, and tries over them only stay cached."""
+        kept = {
+            a for a, d in self._dicts.items() if tables[id(d)] is None
+        }
+        out = ColumnarRelation(
+            self.attributes,
+            {
+                a: c if a in kept else tables[id(self._dicts[a])][c]
+                for a, c in self._codes.items()
+            },
+            dict.fromkeys(self.attributes, domain),
+            self.n_rows,
+        )
+        cache = getattr(self, "_tries", None)
+        if cache:
+            out._tries = {
+                key: trie for key, trie in cache.items() if kept.issuperset(key)
+            }
+        return out
 
     def renamed(self, mapping) -> "ColumnarRelation":
         """Share the arrays under renamed attributes (zero copy)."""
@@ -1031,39 +1077,26 @@ class ColumnarRelation:
         keys, _ = self.key_codes(tuple(attrs))
         return int(len(np.unique(keys)))
 
-    def project_with_rows(
-        self, attrs: Sequence[str]
-    ) -> tuple[list[tuple], "ColumnarRelation"]:
-        """Projection as (deduplicated decoded rows, encoded twin).
+    def project(self, attrs: Sequence[str]) -> "ColumnarRelation":
+        """The deduplicated projection, rows first-occurrence first.
 
-        Rows come first-occurrence first.  The twin reuses the sliced code
-        arrays and the existing dictionaries (dropping duplicate rows
-        cannot drop a dictionary value, so they stay valid), sparing the
-        projected relation a re-encode on its next columnar use.
+        Reuses the sliced code arrays and the existing dictionaries
+        (dropping duplicate rows cannot drop a dictionary value, so they
+        stay valid).
         """
         attrs = tuple(attrs)
         if self.n_rows == 0:
-            twin = ColumnarRelation(
-                attrs,
-                {a: _EMPTY_CODES for a in attrs},
-                {a: self._dicts[a] for a in attrs},
-                0,
-            )
-            return [], twin
-        keys, _ = self.key_codes(attrs)
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        twin = ColumnarRelation(
+            first = _EMPTY_CODES
+        else:
+            keys, _ = self.key_codes(attrs)
+            _, first = np.unique(keys, return_index=True)
+            first.sort()
+        return ColumnarRelation(
             attrs,
             {a: self._codes[a][first] for a in attrs},
             {a: self._dicts[a] for a in attrs},
             len(first),
         )
-        return self.decode_rows(attrs, first), twin
-
-    def project_rows(self, attrs: Sequence[str]) -> list[tuple]:
-        """Deduplicated rows of the projection, first occurrence first."""
-        return self.project_with_rows(attrs)[0]
 
     def present_value_arrays(self) -> list[np.ndarray]:
         """Per column, the values actually occurring in some row.

@@ -4,6 +4,11 @@ A :class:`Database` maps relation names to :class:`~repro.relational.relation.Re
 instances.  It is the object the paper calls a *database instance* D; queries
 are evaluated against it and statistics (Σ, B) are checked against it via
 :meth:`Database.satisfies`.
+
+Every relation of a database is encoded over one shared dictionary
+(:func:`~repro.relational.columnar.unify_domain`), so a code means the
+same value in every relation and the evaluators compare codes across
+atoms without translating them.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .columnar import unify_domain
 from .relation import Relation
 
 __all__ = ["Database"]
@@ -31,9 +37,14 @@ class Database:
     __slots__ = ("_relations",)
 
     def __init__(self, relations: Mapping[str, Relation]) -> None:
+        twins = unify_domain([rel.columnar() for rel in relations.values()])
         self._relations = {
-            name: rel.with_name(name) if rel.name != name else rel
-            for name, rel in relations.items()
+            name: (
+                rel
+                if rel.name == name and rel.columnar() is twin
+                else rel._retwinned(name, twin)
+            )
+            for (name, rel), twin in zip(relations.items(), twins)
         }
 
     def __getitem__(self, name: str) -> Relation:
@@ -69,22 +80,17 @@ class Database:
     def active_domain_size(self) -> int:
         """Size of the union of all columns' value sets (the paper's N).
 
-        One ``np.unique`` over the concatenated per-column value arrays;
-        when any column holds an ``object`` dictionary the union is a
-        Python set instead (mixed values need not sort, and must unify
-        under Python equality).
+        The distinct codes present in any column: every relation shares
+        one dictionary, so equal values carry equal codes.
         """
-        arrays = [
-            arr
-            for rel in self._relations.values()
-            for arr in rel.columnar().present_value_arrays()
-        ]
-        if not arrays:
-            return 0
-        merged = np.concatenate(arrays)
-        if merged.dtype == object:
-            return len(set(merged.tolist()))
-        return int(np.unique(merged).size)
+        present = None
+        for rel in self._relations.values():
+            twin = rel.columnar()
+            for attr in twin.attributes:
+                if present is None:
+                    present = np.zeros(len(twin.dictionary(attr)), dtype=bool)
+                present[twin.codes(attr)] = True
+        return 0 if present is None else int(np.count_nonzero(present))
 
     def with_relation(self, name: str, relation: Relation) -> "Database":
         """A new database with one relation added or replaced."""

@@ -231,22 +231,6 @@ if _HAVE_NUMBA:  # pragma: no cover - exercised on the CI numba leg
         return found, positions
 
     @_njit(cache=True)
-    def _find_children_mapped_nb(keys, nodes, codes, card, mapping):
-        n = nodes.shape[0]
-        last = keys.shape[0] - 1
-        found = np.empty(n, dtype=np.bool_)
-        positions = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            c = mapping[codes[i]]
-            target = nodes[i] * card + c
-            p = _bisect_left_nb(keys, target)
-            if p > last:
-                p = last
-            positions[i] = p
-            found[i] = keys[p] == target and c >= 0
-        return found, positions
-
-    @_njit(cache=True)
     def _slice_parents_nb(ends, flat_starts, lo, hi):
         m = hi - lo
         parents = np.empty(m, dtype=np.int64)
@@ -310,35 +294,22 @@ def find_children(
     nodes: np.ndarray,
     codes: np.ndarray,
     card: int,
-    mapping: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched trie membership: ``(found_mask, child_node_ids)``.
 
-    Does node ``i`` have child ``codes[i]``?  With ``mapping`` the codes
-    are first re-expressed in the target trie's code space
-    (``mapping[code] == -1`` ⇒ the value is absent from the target
-    dictionary and the candidate fails) — the fused spelling of
-    ``remap_codes`` + membership the intersection filter runs per
-    non-seed atom.  Ids are valid where found.
+    Does node ``i`` have child ``codes[i]``?  The intersection filter
+    runs this per non-seed atom; the codes are already in the target
+    trie's code space (one per database).  Ids are valid where found.
     """
     if len(level_keys) == 0:
         zeros = np.zeros(len(nodes), dtype=np.int64)
         return np.zeros(len(nodes), dtype=bool), zeros
     if _use_numba():
-        if mapping is None:
-            return _find_children_nb(level_keys, nodes, codes, card)
-        return _find_children_mapped_nb(
-            level_keys, nodes, codes, card, mapping
-        )
-    if mapping is not None:
-        codes = mapping[codes]
+        return _find_children_nb(level_keys, nodes, codes, card)
     target = nodes * card + codes
     positions = np.searchsorted(level_keys, target, side="left")
     clipped = np.minimum(positions, len(level_keys) - 1)
-    found = level_keys[clipped] == target
-    if mapping is not None:
-        found &= codes >= 0
-    return found, clipped
+    return level_keys[clipped] == target, clipped
 
 
 def slice_parents(

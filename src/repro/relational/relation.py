@@ -184,7 +184,8 @@ class Relation:
         ``columns`` holds one sequence (list or NumPy array) per attribute.
         Rows are deduplicated through the columnar backend's composite
         keys — preserving first-occurrence row order exactly like the
-        row-at-a-time constructor — without a per-row Python loop.
+        row-at-a-time constructor — without a per-row Python loop, and
+        their tuples materialize only when something row-oriented asks.
         """
         attrs = tuple(attributes)
         cols = list(columns)
@@ -206,35 +207,15 @@ class Relation:
         )
         _, first = np.unique(keys, return_index=True)
         first.sort()
-        decoded = [d[codes[first]].tolist() for codes, d in encoded]
-        rows = list(zip(*decoded))
-        out = cls._from_distinct_rows(attrs, rows, name)
         # dropping duplicate rows cannot drop a dictionary value (its first
-        # row survives), so the encoding is exact — keep it instead of
-        # re-running encode_rows on the first columnar() call.
-        out._columnar = ColumnarRelation(
+        # row survives), so the encoding is exact; rows decode lazily.
+        twin = ColumnarRelation(
             attrs,
             {a: codes[first] for a, (codes, _) in zip(attrs, encoded)},
             {a: d for a, (_, d) in zip(attrs, encoded)},
             len(first),
         )
-        return out
-
-    @classmethod
-    def _from_distinct_rows(
-        cls, attributes: tuple[str, ...], rows: list[tuple], name: str
-    ) -> "Relation":
-        """Internal: wrap rows already known distinct and well-formed."""
-        if len(set(attributes)) != len(attributes):
-            raise ValueError(f"duplicate attribute names in {attributes!r}")
-        out = cls.__new__(cls)
-        out._attributes = attributes
-        out._rows = tuple(rows)
-        out._row_set = set(rows)
-        out._indexes = {}
-        out._name = name
-        out._columnar = None
-        return out
+        return cls._from_columnar(twin, name=name)
 
     @classmethod
     def _from_columnar(
@@ -289,13 +270,21 @@ class Relation:
 
     def with_name(self, name: str) -> "Relation":
         """Return the same relation carrying a different display name."""
+        return self._retwinned(name, self._columnar)
+
+    def _retwinned(
+        self, name: str, columnar: ColumnarRelation | None
+    ) -> "Relation":
+        """Internal: the same rows under ``name`` with an equivalent
+        encoded twin (the one a database re-expressed over its shared
+        dictionary)."""
         out = Relation.__new__(Relation)
         out._attributes = self._attributes
         out._rows = self._rows
         out._row_set = self._row_set
         out._indexes = self._indexes
         out._name = name
-        out._columnar = self._columnar
+        out._columnar = columnar
         return out
 
     # ------------------------------------------------------------------
@@ -316,10 +305,9 @@ class Relation:
     def project(self, attrs: Sequence[str]) -> "Relation":
         """Project onto ``attrs`` (deduplicating)."""
         self.positions(attrs)  # validate attribute names
-        rows, twin = self.columnar().project_with_rows(tuple(attrs))
-        out = Relation._from_distinct_rows(tuple(attrs), rows, self._name)
-        out._columnar = twin
-        return out
+        return Relation._from_columnar(
+            self.columnar().project(attrs), name=self._name
+        )
 
     def select(self, predicate: Callable[[tuple], bool]) -> "Relation":
         """Keep rows on which ``predicate`` returns true."""

@@ -35,7 +35,6 @@ from repro.evaluation import (
     evaluate_with_partitioning,
     generic_join,
 )
-from repro.evaluation import wcoj
 from repro.query import parse_query
 from repro.relational import (
     CountSink,
@@ -43,9 +42,8 @@ from repro.relational import (
     GroupCountSink,
     Relation,
     SpillSink,
-    kernels,
 )
-from repro.relational.columnar import ChunkedColumns, CodeTrie, dict_mapping
+from repro.relational.columnar import ChunkedColumns, CodeTrie
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -320,41 +318,6 @@ class TestSliceShapes:
             run = generic_join(query, db, sink=sink, governor=governor)
             assert sink.total == reference.count, name
             assert run.nodes_visited == reference.nodes_visited, name
-
-
-class TestIdentityTranslation:
-    """Equal dictionaries built apart translate as ``None``, not as an
-    identity table, and the collapsed run equals the table-driven one."""
-
-    @pytest.mark.parametrize("value", [int, lambda i: f"v{i}"], ids=["int", "str"])
-    def test_identity_tables_collapse(self, value, monkeypatch):
-        rows = [(value(i), value((i * 5) % 11)) for i in range(11)]
-        db = Database(
-            {
-                "R": Relation(("a", "b"), rows),
-                "S": Relation(("a", "b"), [(b, a) for a, b in rows]),
-            }
-        )
-        query = parse_query("q(x,y,z) :- R(x,y), S(y,z)")
-        tables = []
-        find_children = kernels.find_children
-
-        def spy(*args, **kwargs):
-            tables.append(args[4] if len(args) > 4 else kwargs.get("mapping"))
-            return find_children(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "find_children", spy)
-        for block in SINK_BLOCKS:
-            tables.clear()
-            collapsed = generic_join(query, db, frontier_block=block)
-            assert tables and all(t is None for t in tables)
-            with monkeypatch.context() as patch:
-                patch.setattr(wcoj, "_code_map", dict_mapping)
-                tables.clear()
-                mapped = generic_join(query, db, frontier_block=block)
-                assert any(t is not None for t in tables)
-            assert list(collapsed.output) == list(mapped.output)
-            assert collapsed.nodes_visited == mapped.nodes_visited
 
 
 class TestStarMemoryCap:

@@ -234,37 +234,60 @@ class TestRadixOverflow:
 
     @pytest.fixture
     def db(self, monkeypatch):
+        # one shared domain of 53 values (a: 0..4, b: 10..14, c, d:
+        # 0..23, e: −29..0): any two key columns (53² = 2809) reach the
+        # cap, but b follows a, so a re-factorized (a, b) prefix holds
+        # ≤ 5 keys and 5 × 53 = 265 stays under it; S holds an a-value
+        # R lacks, so the semijoin drops rows on one side
         for module in (columnar, kernels):
-            monkeypatch.setattr(module, "_MAX_RADIX", 32)
-        # four values per key column (radix 64 ≥ 32), but b follows a,
-        # so the re-factorized (a, b) prefix stays narrow; S holds an
-        # a-value R lacks, so remapping drops rows on one side
+            monkeypatch.setattr(module, "_MAX_RADIX", 1024)
         r_rows = [(i % 4, 10 + i % 4, (i // 4) % 4, i) for i in range(24)]
         s_rows = [(i % 5, 10 + i % 5, (i // 3) % 4, -i) for i in range(30)]
-        assert kernels.pack_plan([4, 4, 4]) is None
-        return Database(
+        db = Database(
             {
                 "R": Relation(("a", "b", "c", "d"), r_rows),
                 "S": Relation(("a", "b", "c", "e"), s_rows),
             }
         )
+        card = len(db["R"].columnar().dictionary("a"))
+        assert card == 53
+        assert kernels.pack_plan([card] * 3) is None
+        return db
 
-    def test_semijoin_matches_oracle(self, db):
+    @pytest.fixture
+    def refactorized(self, monkeypatch):
+        """Counts the joint re-factorizations of cross-relation keys."""
+        calls = []
+        composite_codes = columnar.composite_codes
+
+        def spy(*args):
+            calls.append(args)
+            return composite_codes(*args)
+
+        monkeypatch.setattr(columnar, "composite_codes", spy)
+        return calls
+
+    def test_semijoin_matches_oracle(self, db, refactorized):
         reduced = semijoin_reduce(self.QUERY, db)
+        assert refactorized
         oracle = semijoin_reduce_tuples(self.QUERY, db)
         for name in db:
             assert set(reduced[name]) == set(oracle[name])
         assert 0 < len(reduced["S"]) < len(db["S"])
 
-    def test_counting_fold_matches_oracle(self, db):
+    def test_counting_fold_matches_oracle(self, db, refactorized):
         count = acyclic_count(self.QUERY, db)
+        assert refactorized
         assert count == acyclic_count_tuples(self.QUERY, db) > 0
 
-    def test_hash_join_matches_oracle(self, db):
+    def test_hash_join_matches_oracle(self, db, refactorized):
         left, right = list(db["R"]), list(db["S"])
         lv, rv = ("a", "b", "c", "d"), ("a", "b", "c", "e")
         assert hash_join(lv, left, rv, right) == hash_join_tuples(
             lv, left, rv, right
         )
+        assert refactorized
+        refactorized.clear()
         joined = join_relations(db["R"], db["S"])
+        assert refactorized
         assert list(joined) == hash_join_tuples(lv, left, rv, right)[1]

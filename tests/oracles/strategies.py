@@ -14,3 +14,20 @@ fallback_value = st.one_of(
     st.integers(2**63, 2**63 + 2),
     st.sampled_from([0.5, 1.0, 2.0]),
 )
+
+#: Per-column value kinds.  A relation draws one kind per column, so a
+#: database mixes ``int64`` and ``object`` dictionaries across relations
+#: and its shared domain must unify them: plain ints, strings (sorted),
+#: ints mixed with strings (first-occurrence order), floats equal to
+#: ints (``1.0 == 1``), ints ≥ 2^63 beside small ones, and every
+#: :data:`fallback_value`.
+column_kinds = st.sampled_from(
+    [
+        st.integers(0, 4),
+        st.sampled_from(["a", "b", "c"]),
+        st.one_of(st.integers(0, 4), st.sampled_from(["a", "b"])),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.one_of(st.integers(0, 2), st.integers(2**63, 2**63 + 1)),
+        fallback_value,
+    ]
+)

@@ -28,7 +28,7 @@ from repro.core.norms import log2_norm, log2_norms, lp_norm, norms_of_sequence
 from repro.evaluation.joins import hash_join, join_relations
 from repro.evaluation.partitioning import partition_by_degree
 from repro.relational import Relation
-from repro.relational.columnar import dict_mapping, encode_column, remap_codes
+from repro.relational.columnar import dict_mapping, encode_column
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -226,12 +226,6 @@ class TestEdgeCases:
         seq = degree_sequence(r, [], ["x"])
         assert seq.tolist() == [1, 1]
         assert r.group_sizes(("x",), ()) == {(1,): 1, (4,): 1}
-
-    def test_remap_codes_empty_target(self):
-        codes = np.array([0, 1], dtype=np.int64)
-        source = np.array([5, 9], dtype=np.int64)
-        target = np.zeros(0, dtype=np.int64)
-        assert remap_codes(codes, source, target).tolist() == [-1, -1]
 
 
 join_rows = st.lists(

@@ -8,7 +8,7 @@ against it.  Coverage:
 * mode plumbing — env parsing, strict ``numba`` mode without Numba,
   ``set_mode`` validation ordering, ``forced`` save/restore;
 * per-primitive differentials — ``children_at``, ``gather_ranges``,
-  ``find_children`` (with and without translation tables),
+  ``find_children``,
   ``slice_parents``, ``composite_keys`` against hand-rolled NumPy
   oracles on hypothesis-generated trie shapes;
 * ``pack_plan`` radix edge cases — the 2^62 overflow boundary (where
@@ -136,35 +136,6 @@ def test_find_children_matches_oracle(level):
     found, got = kernels.find_children(keys, nodes, codes, card)
     np.testing.assert_array_equal(found, expect_found)
     np.testing.assert_array_equal(got, positions)
-
-
-@SETTINGS
-@given(level=trie_levels(), data=st.data())
-def test_find_children_mapping_matches_oracle(level, data):
-    keys, nodes, codes, card = level
-    # a translation table over the seed's code space: some codes map
-    # into [0, card), some are absent (−1)
-    mapping = np.array(
-        data.draw(
-            st.lists(
-                st.one_of(st.just(-1), st.integers(0, card - 1)),
-                min_size=int(codes.max()) + 1,
-                max_size=int(codes.max()) + 1,
-            )
-        ),
-        dtype=np.int64,
-    )
-    mapped = mapping[codes]
-    target = nodes * card + mapped
-    positions = np.minimum(
-        np.searchsorted(keys, target, side="left"), len(keys) - 1
-    )
-    expect_found = (keys[positions] == target) & (mapped >= 0)
-    found, got = kernels.find_children(keys, nodes, codes, card, mapping)
-    np.testing.assert_array_equal(found, expect_found)
-    # positions only need to agree where found: a missed probe's resting
-    # index is never dereferenced by the engine
-    np.testing.assert_array_equal(got[found], positions[found])
 
 
 def test_find_children_empty_level():
@@ -411,8 +382,8 @@ _STUB_DIFFERENTIAL = """
 import sys, types
 
 # passthrough numba stand-in: njit returns the function unchanged, so
-# the compiled-branch *logic* (fused loops, bit-packing, the mapped
-# membership probe, the parent pointer sweep) executes as plain Python
+# the compiled-branch *logic* (fused loops, bit-packing, the membership
+# probe, the parent pointer sweep) executes as plain Python
 fake = types.ModuleType("numba")
 def njit(*a, **k):
     if a and callable(a[0]):
