@@ -26,16 +26,9 @@ from repro.evaluation import (
 )
 from repro.experiments.evaluation_runtime import run_evaluation_experiment
 from repro.query import parse_query
-from repro.relational import CountSink, kernels
 
 TRIANGLE = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")
 LOOMIS_WHITNEY = parse_query("lw(x,y,z) :- R(x,y), R(y,z), R(x,z)")
-
-needs_numba = pytest.mark.skipif(
-    not kernels.numba_available(),
-    reason="numba not installed (pip install 'repro[kernels]')",
-)
-
 
 @pytest.fixture(scope="module")
 def db():
@@ -80,7 +73,6 @@ def test_bench_wcoj_triangle_columnar(benchmark, traced_peak, db):
     """Triangle counting through the vectorized sorted-codes engine."""
     _, peak = traced_peak(generic_join, TRIANGLE, db)
     benchmark.extra_info["peak_traced_kb"] = round(peak / 1024, 1)
-    benchmark.extra_info["kernel_mode"] = kernels.active_mode()
     run = benchmark(generic_join, TRIANGLE, db)
     assert run.count > 0
 
@@ -95,7 +87,6 @@ def test_bench_wcoj_loomis_whitney_columnar(benchmark, traced_peak, db):
     """LW(3) counting through the vectorized sorted-codes engine."""
     _, peak = traced_peak(generic_join, LOOMIS_WHITNEY, db)
     benchmark.extra_info["peak_traced_kb"] = round(peak / 1024, 1)
-    benchmark.extra_info["kernel_mode"] = kernels.active_mode()
     run = benchmark(generic_join, LOOMIS_WHITNEY, db)
     assert run.count > 0
 
@@ -181,99 +172,3 @@ def test_governor_overhead_guard(db):
         f"governor overhead exceeded 5%: governed {best_governed * 1e3:.2f}ms "
         f"vs ungoverned {best_ungoverned * 1e3:.2f}ms"
     )
-
-
-@needs_numba
-def test_bench_wcoj_triangle_kernels(benchmark, traced_peak, db):
-    """Triangle counting through the compiled Numba trie kernels.
-
-    The first call inside the ``forced`` block pays trie-cache warm-up
-    plus JIT compilation (or a Numba disk-cache load), so the benchmark
-    itself times only steady-state kernel execution.
-    """
-    with kernels.forced("numba"):
-        generic_join(TRIANGLE, db)  # warm trie cache + JIT compile
-        _, peak = traced_peak(generic_join, TRIANGLE, db)
-        benchmark.extra_info["peak_traced_kb"] = round(peak / 1024, 1)
-        benchmark.extra_info["kernel_mode"] = "numba"
-        run = benchmark(generic_join, TRIANGLE, db)
-    assert run.count > 0
-
-
-@needs_numba
-def test_bench_wcoj_loomis_whitney_kernels(benchmark, traced_peak, db):
-    """LW(3) counting through the compiled Numba trie kernels."""
-    with kernels.forced("numba"):
-        generic_join(LOOMIS_WHITNEY, db)  # warm trie cache + JIT compile
-        _, peak = traced_peak(generic_join, LOOMIS_WHITNEY, db)
-        benchmark.extra_info["peak_traced_kb"] = round(peak / 1024, 1)
-        benchmark.extra_info["kernel_mode"] = "numba"
-        run = benchmark(generic_join, LOOMIS_WHITNEY, db)
-    assert run.count > 0
-
-
-@needs_numba
-def test_kernel_speedup_guard(db):
-    """Compiled-kernel regression guard (runs even in CI smoke mode).
-
-    The Numba path must hold a ≥3× median advantage over the NumPy
-    oracle on the triangle (the acceptance workload; LW(3) gets a softer
-    2× floor — its frontier is narrower, so kernel dispatch amortizes
-    less).  Parity is asserted the strict way first: identical rows in
-    identical order, identical ``nodes_visited``, identical counts under
-    a CountSink and under the supervised parallel evaluator, for both
-    kernel modes.
-    """
-
-    def median_of(fn, repeats=5):
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        times.sort()
-        return times[len(times) // 2]
-
-    floors = {TRIANGLE.name: 3.0, LOOMIS_WHITNEY.name: 2.0}
-    for query in (TRIANGLE, LOOMIS_WHITNEY):
-        with kernels.forced("python"):
-            oracle = generic_join(query, db)
-            oracle_blocked = generic_join(query, db, frontier_block=512)
-            sink = CountSink()
-            generic_join(query, db, sink=sink)
-            oracle_sunk = sink.n_rows
-        with kernels.forced("numba"):
-            fast = generic_join(query, db)  # warm trie cache + JIT
-            fast_blocked = generic_join(query, db, frontier_block=512)
-            sink = CountSink()
-            generic_join(query, db, sink=sink)
-            fast_sunk = sink.n_rows
-        assert list(fast.output) == list(oracle.output)
-        assert fast.nodes_visited == oracle.nodes_visited
-        assert list(fast_blocked.output) == list(oracle.output)
-        assert fast_blocked.nodes_visited == oracle.nodes_visited
-        assert fast_sunk == oracle_sunk == oracle.count
-
-        with kernels.forced("python"):
-            slow_t = median_of(lambda: generic_join(query, db))
-        with kernels.forced("numba"):
-            fast_t = median_of(lambda: generic_join(query, db))
-        floor = floors[query.name]
-        assert slow_t / fast_t >= floor, (
-            f"{query.name} kernel speedup below {floor}x: "
-            f"{slow_t / fast_t:.2f}x (python {slow_t * 1e3:.3f} ms, "
-            f"numba {fast_t * 1e3:.3f} ms)"
-        )
-
-    # the parallel supervisor's workers must inherit the kernel mode and
-    # land on the same counts and meters in either mode
-    stats = collect_statistics(TRIANGLE, db, ps=[1.0, 2.0, math.inf])
-    bound = lp_bound(stats, query=TRIANGLE)
-    results = {}
-    for mode in ("python", "numba"):
-        with kernels.forced(mode):
-            run = evaluate_parallel(
-                TRIANGLE, db, bound, workers=2, max_parts=20000
-            )
-            results[mode] = (run.count, run.nodes_visited)
-    assert results["python"] == results["numba"]

@@ -9,14 +9,13 @@ Three workloads enter the CI trajectory:
   stdlib HTTP front-end over one keep-alive connection;
 * ``test_bench_service_http_contended`` — warm throughput (requests/s)
   at 8 concurrent keep-alive clients, the locking-discipline canary;
-* the ``b_swap`` pair — the persistent warm-started HiGHS model vs the
-  cached one-shot scipy path on the plan-search shape that motivates
-  it: one LP structure re-solved under many statistics vectors.
+* the ``b_swap`` pair — the persistent warm-started HiGHS model vs a
+  fresh one-shot model per solve on the plan-search shape that
+  motivates it: one LP structure re-solved under many statistics
+  vectors.
 
 ``test_service_persistent_speedup_guard`` asserts the ≥2× acceptance
-bar for the persistent path (and 1e-6 bound agreement); it runs only
-where the ``repro[service]`` extra is installed — the CI
-``REPRO_LP=persistent`` leg.
+bar for the persistent path (and 1e-6 bound agreement).
 """
 
 import math
@@ -29,7 +28,6 @@ from repro.core import (
     StatisticsSet,
     collect_statistics,
     forced_lp_mode,
-    highspy_available,
 )
 from repro.datasets import power_law_graph
 from repro.query import parse_query
@@ -163,7 +161,7 @@ def _solve_swaps(solver, query, variants):
 
 
 def test_bench_lp_b_swap_oneshot(benchmark):
-    """The cached one-shot baseline: skeleton cached, scipy per solve."""
+    """The cached one-shot baseline: skeleton cached, a model per solve."""
     query, variants = _b_swap_workload()
     with forced_lp_mode("oneshot"):
         solver = BoundSolver(memoize_results=False)
@@ -172,9 +170,6 @@ def test_bench_lp_b_swap_oneshot(benchmark):
     assert solver.cached_assemblies() >= 1
 
 
-@pytest.mark.skipif(
-    not highspy_available(), reason="persistent path needs highspy"
-)
 def test_bench_lp_b_swap_persistent(benchmark):
     """The warm path: one HiGHS model, b swapped in place per solve."""
     query, variants = _b_swap_workload()
@@ -186,9 +181,6 @@ def test_bench_lp_b_swap_persistent(benchmark):
     assert solver.persistent_resolves >= SWAPS
 
 
-@pytest.mark.skipif(
-    not highspy_available(), reason="persistent path needs highspy"
-)
 def test_service_persistent_speedup_guard():
     """Acceptance bar: persistent ≥2× over cached one-shot, 1e-6 agree."""
     import time

@@ -57,11 +57,6 @@ TOLERANCES = {
     # top of the measured work, so they get extra slack before gating.
     "benchmarks/bench_evaluation.py::test_bench_parallel_triangle": 2.5,
     "benchmarks/bench_star.py::test_bench_star_parallel": 2.5,
-    # the compiled-kernel entries measure post-warm-up medians, but a
-    # cold Numba cache (cache key miss after a kernels.py edit) leaks
-    # residual compilation into early rounds on slow runners.
-    "benchmarks/bench_evaluation.py::test_bench_wcoj_triangle_kernels": 2.0,
-    "benchmarks/bench_evaluation.py::test_bench_wcoj_loomis_whitney_kernels": 2.0,
     # the service entries measure sub-ms request paths (dictionary hits,
     # loopback HTTP round trips): thread scheduling and socket latency
     # dominate at that scale, so they get extra slack before gating.
@@ -109,9 +104,6 @@ def normalize(raw_path: str, sha: str) -> dict:
         peak = extra.get("peak_traced_kb")
         if peak is not None:
             entry["peak_kb"] = peak
-        kernel_mode = extra.get("kernel_mode")
-        if kernel_mode is not None:
-            entry["kernel_mode"] = kernel_mode
         medians[bench["fullname"]] = entry
     if CALIBRATION not in medians:
         raise SystemExit(
@@ -183,10 +175,8 @@ def compare(
         elif ratio > allowed:
             flag = "  REGRESS "
             failures.append((name, "time", ratio, allowed))
-        mode = entry.get("kernel_mode")
-        suffix = f" [kernels={mode}]" if mode else ""
         print(f"{flag}{name}: {median_ms:.3f} ms "
-              f"({ratio:.2f}x of baseline){suffix}")
+              f"({ratio:.2f}x of baseline)")
     print("\npeak traced allocation:")
     tracked_mem = False
     for name, base in sorted(baseline["benchmarks"].items()):

@@ -134,14 +134,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if module_name not in EXPERIMENTS.values():
         print(f"unknown experiment {args.id!r}; try `list`", file=sys.stderr)
         return 2
-    if args.kernels is not None:
-        from .relational import kernels as _kernels
-
-        try:
-            _kernels.set_mode(args.kernels)
-        except _kernels.KernelUnavailableError as exc:
-            print(f"--kernels: {exc}", file=sys.stderr)
-            return 2
     import importlib
     import inspect
 
@@ -320,15 +312,11 @@ def _run_experiment_main(module, params, kwargs) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .core import LpUnavailableError, set_lp_mode
+    from .core import set_lp_mode
     from .service import BoundService, BoundServiceServer, ServiceError
 
     if args.lp is not None:
-        try:
-            set_lp_mode(args.lp)
-        except LpUnavailableError as exc:
-            print(f"--lp: {exc}", file=sys.stderr)
-            return 2
+        set_lp_mode(args.lp)
     relations = {}
     for spec in args.table:
         name, _, path = spec.partition("=")
@@ -442,16 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap the WCOJ's live frontier at N candidate bindings per "
         "level (experiments that evaluate queries, e.g. E14); results "
         "are bit-identical to the unblocked run",
-    )
-    experiment.add_argument(
-        "--kernels",
-        choices=("auto", "numba", "python"),
-        default=None,
-        help="trie-kernel implementation for the evaluators: 'numba' "
-        "requires the compiled kernels (install repro[kernels]), "
-        "'python' forces the NumPy oracle path, 'auto' (the default) "
-        "uses the compiled kernels when available; outputs are "
-        "bit-identical across modes",
     )
     experiment.add_argument(
         "--sink",
@@ -576,12 +554,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--lp",
-        choices=("auto", "persistent", "oneshot"),
+        choices=("persistent", "oneshot"),
         default=None,
-        help="LP solve mode: 'persistent' keeps one warm HiGHS model "
-        "per LP structure (install repro[service]), 'oneshot' forces "
-        "the scipy path, 'auto' (the default) uses persistent when "
-        "highspy is available; bounds agree to 1e-6 across modes",
+        help="LP solve mode (default: REPRO_LP, else 'persistent'): "
+        "'persistent' keeps one warm HiGHS model per LP structure, "
+        "'oneshot' builds a fresh model per solve; bounds agree to "
+        "1e-9 across modes",
     )
     serve.add_argument(
         "--cache-budget",

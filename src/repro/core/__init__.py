@@ -18,11 +18,9 @@ from .lp_bound import (
     BoundSolver,
     BoundTask,
     BoundTaskError,
-    LpUnavailableError,
     active_lp_mode,
     configured_lp_mode,
     forced_lp_mode,
-    highspy_available,
     lp_bound,
     lp_bound_many,
     set_lp_mode,
@@ -55,7 +53,6 @@ __all__ = [
     "BoundSolver",
     "BoundTask",
     "BoundTaskError",
-    "LpUnavailableError",
     "LruCache",
     "approx_bytes",
     "CONES",
@@ -63,7 +60,6 @@ __all__ = [
     "active_lp_mode",
     "configured_lp_mode",
     "forced_lp_mode",
-    "highspy_available",
     "set_lp_mode",
     "product_form",
     "verify_certificate",

@@ -38,25 +38,26 @@ and therefore "which norms were used" (the paper's Fig. 1 Norms column).
 
 Solve modes
 -----------
-Two solve paths answer every LP, selected by a process-wide *LP mode*
-(``REPRO_LP``, mirroring ``REPRO_KERNELS``):
+Every LP goes through one HiGHS model class, :class:`_HighsModel`, on
+the HiGHS binding that scipy bundles (``scipy.optimize._highspy``,
+scipy ≥ 1.15).  A process-wide *LP mode* (``REPRO_LP``) decides only
+whether a model is kept:
 
+``REPRO_LP=persistent`` (default)
+    :class:`BoundSolver` caches one model per (cone, order, structure)
+    next to its assemblies; a re-solve swaps only the statistic rows'
+    upper bounds, so HiGHS warm-starts from the previous basis instead
+    of re-presolving and solving cold.
 ``REPRO_LP=oneshot``
-    :func:`scipy.optimize.linprog` (method ``highs``), one cold solve per
-    request.  This is the oracle path — :func:`lp_bound` always uses it.
-``REPRO_LP=persistent``
-    A long-lived :mod:`highspy` model per (cone, order, structure),
-    cached by :class:`BoundSolver` next to its assemblies: re-solves swap
-    only the statistic rows' bounds, so HiGHS warm-starts from the
-    previous basis instead of re-presolving and solving cold.  Requires
-    the ``repro[service]`` extra; raises :class:`LpUnavailableError`
-    without it.
-``REPRO_LP=auto`` (default)
-    ``persistent`` when :mod:`highspy` is importable, else ``oneshot``.
+    A fresh model per solve.  This is the oracle path — :func:`lp_bound`
+    always uses it.  It sets the options scipy's own HiGHS LP wrapper
+    sets and hands HiGHS the same column-wise matrix, so its objective,
+    primal and duals are bit-identical to that wrapper's (the reference
+    in ``tests/oracles/scipy_lp.py``).
 
-Both paths solve the *identical* constraint system; optima agree to
+Both modes solve the *identical* constraint system; optima agree to
 solver tolerance (the differential suite ``tests/core/test_lp_modes.py``
-enforces 1e-6 on ``log2_bound`` across the E-family and JOB queries),
+enforces 1e-9 on ``log2_bound`` across the E-family and JOB queries),
 but last-bit values and degenerate dual witnesses may differ — anything
 that needs bit-identical numbers pins ``oneshot``.
 
@@ -82,8 +83,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize import linprog
 
 from ..entropy.shannon import elemental_inequalities
 from ..entropy.vectors import EntropyVector
@@ -91,12 +92,24 @@ from ..query.query import ConjunctiveQuery
 from .conditionals import ConcreteStatistic, StatisticsSet
 from .lru import LruCache
 
+
+class HighsBindingError(ImportError):
+    """scipy is older than 1.15 and bundles no HiGHS model binding."""
+
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # pragma: no cover - scipy below the floor
+    raise HighsBindingError(
+        "repro needs scipy>=1.15, which bundles the HiGHS binding "
+        f"scipy.optimize._highspy._core; found scipy {scipy.__version__}"
+    ) from exc
+
 __all__ = [
     "BoundResult",
     "BoundSolver",
     "BoundTask",
     "BoundTaskError",
-    "LpUnavailableError",
     "lp_bound",
     "lp_bound_many",
     "CONES",
@@ -104,7 +117,6 @@ __all__ = [
     "active_lp_mode",
     "configured_lp_mode",
     "forced_lp_mode",
-    "highspy_available",
     "set_lp_mode",
 ]
 
@@ -114,35 +126,17 @@ _POLYMATROID_MAX_VARS = 14
 _NORMAL_MAX_VARS = 22
 
 # ----------------------------------------------------------------------
-# LP solve modes (REPRO_LP), mirroring relational.kernels' REPRO_KERNELS
+# LP solve modes (REPRO_LP)
 # ----------------------------------------------------------------------
 
-LP_MODES = ("auto", "persistent", "oneshot")
+LP_MODES = ("persistent", "oneshot")
 
 _LP_ENV_VAR = "REPRO_LP"
 
 
-class LpUnavailableError(RuntimeError):
-    """The ``persistent`` LP mode was requested but highspy is missing."""
-
-
-try:  # pragma: no cover - exercised on the CI service leg
-    import highspy as _highspy
-
-    _HAVE_HIGHSPY = True
-except ImportError:
-    _highspy = None
-    _HAVE_HIGHSPY = False
-
-
-def highspy_available() -> bool:
-    """Whether the persistent warm-started path can run in this process."""
-    return _HAVE_HIGHSPY
-
-
 def configured_lp_mode() -> str:
-    """The mode requested by ``REPRO_LP`` (default ``auto``)."""
-    mode = os.environ.get(_LP_ENV_VAR, "auto").strip().lower() or "auto"
+    """The mode requested by ``REPRO_LP`` (default ``persistent``)."""
+    mode = os.environ.get(_LP_ENV_VAR, "").strip().lower() or "persistent"
     if mode not in LP_MODES:
         raise ValueError(
             f"{_LP_ENV_VAR}={mode!r} is not one of {', '.join(LP_MODES)}"
@@ -150,43 +144,31 @@ def configured_lp_mode() -> str:
     return mode
 
 
-def _resolve_lp_mode(mode: str) -> str:
+def _checked_lp_mode(mode: str) -> str:
     if mode not in LP_MODES:
         raise ValueError(
             f"LP mode {mode!r} is not one of {', '.join(LP_MODES)}"
         )
-    if mode == "auto":
-        return "persistent" if _HAVE_HIGHSPY else "oneshot"
-    if mode == "persistent" and not _HAVE_HIGHSPY:
-        raise LpUnavailableError(
-            "LP mode 'persistent' requested but highspy is not importable; "
-            "install the optional extra (pip install 'repro[service]') "
-            "or use REPRO_LP=oneshot"
-        )
     return mode
 
 
-#: The resolved mode (``"persistent"`` | ``"oneshot"``), lazily bound so
-#: importing the package never fails — a bad ``REPRO_LP`` value or a
-#: missing highspy surfaces on the first governed solve (or an explicit
-#: :func:`set_lp_mode`), with a message naming the fix.
+#: The active mode, read from ``REPRO_LP`` on first use so importing
+#: the package never fails on a bad value.
 _LP_ACTIVE: str | None = None
 
 
 def active_lp_mode() -> str:
-    """The resolved LP mode of this process."""
+    """The LP mode of this process."""
     global _LP_ACTIVE
     if _LP_ACTIVE is None:
-        _LP_ACTIVE = _resolve_lp_mode(configured_lp_mode())
+        _LP_ACTIVE = configured_lp_mode()
     return _LP_ACTIVE
 
 
 def set_lp_mode(mode: str | None = None) -> str:
     """Pin the process-wide LP mode (``None`` re-reads ``REPRO_LP``)."""
     global _LP_ACTIVE
-    if mode is None:
-        mode = configured_lp_mode()
-    _LP_ACTIVE = _resolve_lp_mode(mode)
+    _LP_ACTIVE = configured_lp_mode() if mode is None else _checked_lp_mode(mode)
     return _LP_ACTIVE
 
 
@@ -195,7 +177,7 @@ def forced_lp_mode(mode: str):
     """Temporarily pin the LP mode (tests and benchmarks)."""
     global _LP_ACTIVE
     previous = _LP_ACTIVE
-    _LP_ACTIVE = _resolve_lp_mode(mode)
+    _LP_ACTIVE = _checked_lp_mode(mode)
     try:
         yield _LP_ACTIVE
     finally:
@@ -314,15 +296,6 @@ def _stat_structure(
     return tuple(struct), b
 
 
-def _solve(
-    c: np.ndarray,
-    a_ub,
-    b_ub: np.ndarray,
-    bounds,
-) -> "linprog.OptimizeResult":
-    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-
-
 @lru_cache(maxsize=None)
 def _neg_shannon_block(n: int) -> tuple[sparse.csr_matrix, int]:
     """The memoised −A block of the elemental inequalities plus its row
@@ -341,13 +314,14 @@ class _Assembly:
     ``a_ub`` the full stat+Shannon matrix; for the step cones ``a_ub`` is
     the dense statistic-row matrix over the step-function ``candidates``
     of :func:`_step_candidates` (``None`` when there are no statistics).
+    Every column's lower bound is 0; ``col_upper`` holds the upper ones.
     """
 
     cone: str
     num_stats: int
     a_ub: "sparse.csr_matrix | np.ndarray | None"
     c: np.ndarray
-    bounds: list[tuple[float, float | None]]
+    col_upper: np.ndarray
     a_stats: "sparse.csr_matrix | None" = None
     candidates: np.ndarray | None = None
 
@@ -393,8 +367,9 @@ def _assemble_polymatroid(
         a_ub = sparse.vstack([neg_shannon], format="csr")
     c = np.zeros(size)
     c[size - 1] = -1.0
-    bounds = [(0.0, 0.0)] + [(0.0, None)] * (size - 1)
-    return _Assembly("polymatroid", len(struct), a_ub, c, bounds, a_stats)
+    col_upper = np.full(size, math.inf)
+    col_upper[0] = 0.0  # h(∅) = 0
+    return _Assembly("polymatroid", len(struct), a_ub, c, col_upper, a_stats)
 
 
 #: candidates per dominance block, and the booleans one block may hold:
@@ -533,8 +508,8 @@ def _assemble_step_cone(
         a_ub = hit_uv + (inv_p - 1.0) * hit_u
     # every non-empty W intersects X, so h(X) = Σ_W α_W
     c = -np.ones(m)
-    bounds = [(0.0, None)] * m
-    return _Assembly(cone, len(struct), a_ub, c, bounds, None, candidates)
+    col_upper = np.full(m, math.inf)
+    return _Assembly(cone, len(struct), a_ub, c, col_upper, None, candidates)
 
 
 def _optimal_result(
@@ -545,11 +520,7 @@ def _optimal_result(
     x: np.ndarray,
     stat_duals: np.ndarray,
 ) -> BoundResult:
-    """Wrap an optimal (objective, primal, stat duals) into a BoundResult.
-
-    Shared by the scipy one-shot path and the persistent HiGHS path — the
-    two differ only in how the raw solution was produced.
-    """
+    """Wrap an optimal (objective, primal, stat duals) into a BoundResult."""
     if assembly.cone == "polymatroid":
         return BoundResult(
             log2_bound,
@@ -582,102 +553,82 @@ def _optimal_result(
     )
 
 
-def _solve_assembly(
-    assembly: _Assembly,
-    b_stats: np.ndarray,
-    variables: tuple[str, ...],
-    statistics: StatisticsSet,
-    extra_inequalities: Sequence[np.ndarray] = (),
-) -> BoundResult:
-    """Run the LP for an assembled skeleton and wrap up a BoundResult."""
-    cone = assembly.cone
-    if cone == "polymatroid":
-        a_ub = assembly.a_ub
-        extra_rows = len(extra_inequalities)
-        if extra_rows:
-            size = len(assembly.c)
-            blocks = [a_ub]
-            for vec in extra_inequalities:
+#: The options scipy's HiGHS LP wrapper (``method="highs"``) sets on a
+#: fresh instance: same options and same matrix give bit-identical
+#: numbers.
+_HIGHS_OPTIONS = (
+    ("presolve", "on"),
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("highs_debug_level", int(_highs.HighsDebugLevel.kHighsDebugLevelNone)),
+    (
+        "simplex_strategy",
+        int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    ),
+)
+
+
+class _HighsModel:
+    """One HiGHS model of an assembly, solvable again with a new ``b``.
+
+    The rows are the statistic rows (upper bound ``b``), then the
+    Shannon rows of the polymatroid cone and any ``extra_rows`` — valid
+    inequalities c·h ≥ 0, entered as −c·h ≤ 0.  :meth:`solve` swaps the
+    upper bounds of the statistic rows whose ``b`` changed, so a kept
+    model warm-starts from its previous basis; a model built for one
+    solve runs cold, exactly as scipy's wrapper would.  A per-model lock
+    serialises solves: HiGHS instances are not reentrant, and one kept
+    model serves every thread of :func:`lp_bound_many` and the service.
+    """
+
+    def __init__(
+        self,
+        assembly: _Assembly,
+        b_stats: np.ndarray,
+        extra_rows: Sequence[np.ndarray] = (),
+    ) -> None:
+        self._assembly = assembly
+        self._lock = threading.Lock()
+        self._b = np.array(b_stats, dtype=float)
+        num_cols = len(assembly.c)
+        matrix = assembly.a_ub
+        if matrix is None:
+            matrix = sparse.csc_array((0, num_cols))
+        if len(extra_rows):
+            blocks = [matrix]
+            for vec in extra_rows:
                 vec = np.asarray(vec, float)
-                if vec.shape != (size,):
+                if vec.shape != (num_cols,):
                     raise ValueError(
-                        f"extra inequality must have length {size}, "
+                        f"extra inequality must have length {num_cols}, "
                         f"got {vec.shape}"
                     )
                 blocks.append(sparse.csr_matrix(-vec.reshape(1, -1)))
-            a_ub = sparse.vstack(blocks, format="csr")
-        shannon_rows = a_ub.shape[0] - assembly.num_stats - extra_rows
-        b_ub = np.concatenate(
-            [b_stats, np.zeros(shannon_rows + extra_rows)]
-        )
-        res = _solve(assembly.c, a_ub, b_ub, assembly.bounds)
-    else:
-        b_arr = b_stats if assembly.num_stats else None
-        res = _solve(assembly.c, assembly.a_ub, b_arr, assembly.bounds)
-    if res.status == 3:
-        return BoundResult(math.inf, cone, "unbounded", variables, statistics)
-    if res.status == 2:
-        return BoundResult(-math.inf, cone, "infeasible", variables, statistics)
-    if res.status != 0:
-        return BoundResult(
-            math.nan, cone, f"error: {res.message}", variables, statistics
-        )
-    if cone == "polymatroid":
-        duals = -np.asarray(res.ineqlin.marginals[: assembly.num_stats], float)
-    elif assembly.num_stats:
-        duals = -np.asarray(res.ineqlin.marginals, float)
-    else:
-        duals = np.zeros(0)
-    return _optimal_result(
-        assembly, variables, statistics, float(-res.fun), res.x, duals
-    )
-
-
-class _PersistentModel:
-    """A long-lived HiGHS model for one cached assembly.
-
-    Built once per (cone, order, structure) from the same matrices the
-    one-shot path hands to scipy; every re-solve swaps only the statistic
-    rows' upper bounds (the Shannon rows stay ≤ 0), so HiGHS keeps the
-    previous basis and warm-starts the simplex instead of solving cold.
-    Thread-safe: one model is shared across :func:`lp_bound_many`'s
-    thread pool, serialised by a per-model lock (HiGHS instances are not
-    reentrant).
-    """
-
-    def __init__(self, assembly: _Assembly) -> None:
-        if not _HAVE_HIGHSPY:  # pragma: no cover - guarded by callers
-            raise LpUnavailableError("highspy is not importable")
-        if not assembly.num_stats:
-            raise ValueError("persistent models need ≥ 1 statistic row")
-        self._assembly = assembly
-        self._lock = threading.Lock()
-        self.resolves = 0
-        matrix = sparse.csr_matrix(assembly.a_ub)
-        num_rows, num_cols = matrix.shape
-        inf = _highspy.kHighsInf
-        lp = _highspy.HighsLp()
+            matrix = sparse.vstack(blocks, format="csr")
+        matrix = sparse.csc_array(matrix)
+        num_rows = matrix.shape[0]
+        inf = _highs.kHighsInf
+        lp = _highs.HighsLp()
         lp.num_col_ = num_cols
         lp.num_row_ = num_rows
+        lp.a_matrix_.num_col_ = num_cols
+        lp.a_matrix_.num_row_ = num_rows
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
         lp.col_cost_ = np.asarray(assembly.c, dtype=np.float64)
-        lp.col_lower_ = np.array(
-            [low for low, _ in assembly.bounds], dtype=np.float64
-        )
-        lp.col_upper_ = np.array(
-            [inf if high is None else high for _, high in assembly.bounds],
-            dtype=np.float64,
-        )
+        lp.col_lower_ = np.zeros(num_cols)
+        lp.col_upper_ = assembly.col_upper
         lp.row_lower_ = np.full(num_rows, -inf)
-        lp.row_upper_ = np.zeros(num_rows)
-        lp.a_matrix_.format_ = _highspy.MatrixFormat.kRowwise
+        row_upper = np.zeros(num_rows)
+        row_upper[: assembly.num_stats] = self._b
+        lp.row_upper_ = row_upper
         lp.a_matrix_.start_ = matrix.indptr
         lp.a_matrix_.index_ = matrix.indices
         lp.a_matrix_.value_ = matrix.data
-        solver = _highspy.Highs()
-        solver.setOptionValue("output_flag", False)
+        solver = _highs._Highs()
+        for name, value in _HIGHS_OPTIONS:
+            solver.setOptionValue(name, value)
         solver.passModel(lp)
         self._solver = solver
-        self._inf = inf
 
     def solve(
         self,
@@ -685,49 +636,43 @@ class _PersistentModel:
         variables: tuple[str, ...],
         statistics: StatisticsSet,
     ) -> BoundResult:
+        """The bound for statistic-row upper bounds ``b_stats``."""
         assembly = self._assembly
+        cone = assembly.cone
         with self._lock:
             solver = self._solver
-            for i, value in enumerate(np.asarray(b_stats, dtype=float)):
-                solver.changeRowBounds(i, -self._inf, float(value))
+            for i in np.flatnonzero(b_stats != self._b):
+                solver.changeRowBounds(
+                    int(i), -_highs.kHighsInf, float(b_stats[i])
+                )
+            self._b = np.array(b_stats, dtype=float)
             solver.run()
             status = solver.getModelStatus()
-            Status = _highspy.HighsModelStatus
+            Status = _highs.HighsModelStatus
             if status in (Status.kUnbounded, Status.kUnboundedOrInfeasible):
                 # h ≡ 0 is always feasible for our LPs (b ≥ 0), so an
                 # ambiguous presolve verdict means unbounded in practice
                 return BoundResult(
-                    math.inf,
-                    assembly.cone,
-                    "unbounded",
-                    variables,
-                    statistics,
+                    math.inf, cone, "unbounded", variables, statistics
                 )
             if status == Status.kInfeasible:
                 return BoundResult(
-                    -math.inf,
-                    assembly.cone,
-                    "infeasible",
-                    variables,
-                    statistics,
+                    -math.inf, cone, "infeasible", variables, statistics
                 )
             if status != Status.kOptimal:
                 return BoundResult(
                     math.nan,
-                    assembly.cone,
+                    cone,
                     f"error: {solver.modelStatusToString(status)}",
                     variables,
                     statistics,
                 )
-            self.resolves += 1
             solution = solver.getSolution()
-            x = np.asarray(solution.col_value, dtype=float)
-            duals = -np.asarray(
-                solution.row_dual[: assembly.num_stats], dtype=float
-            )
-            objective = float(solver.getObjectiveValue())
+            x = np.array(solution.col_value)
+            duals = -np.array(solution.row_dual[: assembly.num_stats], float)
+            objective = solver.getObjectiveValue()
         return _optimal_result(
-            assembly, variables, statistics, -objective, x, duals
+            assembly, variables, statistics, float(-objective), x, duals
         )
 
 
@@ -802,9 +747,8 @@ def lp_bound(
     else:
         candidates = _step_candidates(len(order), cone, _step_pairs(struct))
         assembly = _assemble_step_cone(cone, struct, candidates)
-    return _solve_assembly(
-        assembly, b_stats, order, statistics, list(extra_inequalities)
-    )
+    model = _HighsModel(assembly, b_stats, extra_inequalities)
+    return model.solve(b_stats, order, statistics)
 
 
 def _resolve_cone(
@@ -855,7 +799,7 @@ class BoundSolver:
     so results are numerically identical to the one-shot path; memo hits
     return the previously computed numbers re-bound to the caller's
     statistics set.  Under ``persistent`` (see the module docstring) the
-    solver additionally keeps one warm :class:`_PersistentModel` per
+    solver additionally keeps one warm :class:`_HighsModel` per
     assembly and re-solves swap only the statistic bounds — optima agree
     with the oracle to solver tolerance, not bit-identically.
 
@@ -954,9 +898,7 @@ class BoundSolver:
 
     def resolved_lp_mode(self) -> str:
         """The concrete mode this solver's next fresh solve will use."""
-        if self._lp_mode is not None:
-            return _resolve_lp_mode(self._lp_mode)
-        return active_lp_mode()
+        return self._lp_mode or active_lp_mode()
 
     # ------------------------------------------------------------------
     def _assembly_for(
@@ -1060,15 +1002,15 @@ class BoundSolver:
             assembly = self._assembly_for(cone, order, struct)
         else:
             assembly = assemble()
-        if self.resolved_lp_mode() == "persistent" and assembly.num_stats:
-            model = self._model_for(cone, order, struct, assembly)
-            result = model.solve(b_stats, order, statistics)
-            with self._lock:
-                self.persistent_resolves += 1
+        persistent = self.resolved_lp_mode() == "persistent"
+        if persistent:
+            model = self._model_for(cone, order, struct, assembly, b_stats)
         else:
-            result = _solve_assembly(assembly, b_stats, order, statistics)
+            model = _HighsModel(assembly, b_stats)
+        result = model.solve(b_stats, order, statistics)
         with self._lock:
             self.solves += 1
+            self.persistent_resolves += persistent
             if memo_key is not None:
                 self._results.add(memo_key, result)
         return result
@@ -1079,12 +1021,13 @@ class BoundSolver:
         order: tuple[str, ...],
         struct: tuple[tuple[int, int, float], ...],
         assembly: _Assembly,
-    ) -> _PersistentModel:
+        b_stats: np.ndarray,
+    ) -> _HighsModel:
         key = (cone, order, struct)
         with self._lock:
             model = self._models.get(key)
         if model is None:
-            model = _PersistentModel(assembly)
+            model = _HighsModel(assembly, b_stats)
             with self._lock:
                 model = self._models.add(key, model)
         return model
@@ -1159,7 +1102,7 @@ class BoundSolver:
                 len(struct),
                 sparse.vstack([a_stats, neg_shannon], format="csr"),
                 full.c,
-                full.bounds,
+                full.col_upper,
                 a_stats,
             )
         else:

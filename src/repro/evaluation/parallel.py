@@ -79,7 +79,7 @@ from random import Random
 
 from ..core.lp_bound import BoundResult
 from ..query.query import ConjunctiveQuery
-from ..relational import Database, OutputSink, Relation, kernels
+from ..relational import Database, OutputSink, Relation
 from ..relational.chunkstore import (
     ChunkStoreError,
     SegmentStore,
@@ -215,7 +215,6 @@ class _PartTask:
     part_dir: str
     chunk_rows: int
     fault: FaultCommand | None
-    kernel_mode: str = "auto"
     # the run budget with its deadline apportioned to this attempt's
     # remaining share (memory watermarks travel unchanged: one worker
     # holds one part at a time).  The cancellation token never ships —
@@ -244,14 +243,7 @@ def _run_part_task(task: _PartTask) -> _PartResult:
     return just their meters.  The segments are deliberately left on
     disk (no ``close()``): the supervisor owns their lifetime through
     the checkpoint manifest.
-
-    The worker adopts the supervisor's *resolved* kernel mode before
-    evaluating, so a spawned pool (no inherited module state) runs the
-    same compiled/NumPy path as the parent process.  Kernel mode never
-    enters the checkpoint fingerprint: both paths are bit-identical, so
-    a run may legitimately be resumed under a different mode.
     """
-    kernels.set_mode(task.kernel_mode)
     governor = None
     if task.budget is not None and task.budget.governs_anything:
         governor = EvaluationGovernor(
@@ -613,7 +605,6 @@ def _supervise(
             part_dir=str(part_dir(index)),
             chunk_rows=chunk_rows,
             fault=fault,
-            kernel_mode=kernels.active_mode(),
             budget=part_budget(),
         )
 

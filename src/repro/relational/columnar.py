@@ -345,10 +345,10 @@ def align_composite_keys(
     counting fold, the hash join).  Both sides' columns live in one code
     space (:func:`unify_domain`) of ``domain_size`` values, and flatten
     to mixed-radix keys over it
-    (:func:`repro.relational.kernels.composite_keys`, bit-packed under
-    the Numba kernels).  When that radix product would reach 2^62, both
-    sides' columns are stacked and re-factorized jointly through
-    :func:`composite_codes`, so the keys still share one key space.
+    (:func:`repro.relational.kernels.composite_keys`).  When that radix
+    product would reach 2^62, both sides' columns are stacked and
+    re-factorized jointly through :func:`composite_codes`, so the keys
+    still share one key space.
 
     Returns ``(target_keys, source_keys)``.
     """

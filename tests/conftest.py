@@ -4,8 +4,21 @@ import random
 
 import pytest
 
+from repro.core import set_lp_mode
 from repro.query import parse_query
 from repro.relational import Database, Relation
+
+
+@pytest.fixture(autouse=True)
+def _lp_mode_from_environment():
+    """Start every test in the LP mode its environment names.
+
+    The process-wide mode is cached on first use, so a test that pins
+    ``REPRO_LP`` through ``monkeypatch`` and solves (perfbench's smoke
+    run, collected first, pins ``oneshot``) would otherwise leave its
+    mode to every later test, whatever the CI leg's environment says.
+    """
+    set_lp_mode()
 
 
 @pytest.fixture

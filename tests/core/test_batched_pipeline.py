@@ -17,6 +17,7 @@ from repro.core import (
     BoundTaskError,
     StatisticsCatalog,
     collect_statistics,
+    forced_lp_mode,
     lp_bound,
     lp_bound_many,
 )
@@ -277,14 +278,22 @@ class TestLpBoundMany:
         return tasks
 
     def test_serial_matches_one_shot_in_order(self, pipeline_db):
+        # bit-identity to lp_bound is the one-shot mode's guarantee; the
+        # persistent mode's warm re-solves agree on the bound, while a
+        # degenerate optimum may leave it a different witness h
         tasks = self._tasks(pipeline_db)
-        results = lp_bound_many(tasks, executor="serial")
-        for task, result in zip(tasks, results):
+        with forced_lp_mode("oneshot"):
+            results = lp_bound_many(tasks, executor="serial")
+        with forced_lp_mode("persistent"):
+            warm = lp_bound_many(tasks, executor="serial")
+        for task, result, warm_result in zip(tasks, results, warm):
             stats = task.statistics
             if task.family is not None:
                 stats = stats.restrict_ps(task.family)
-            assert_results_identical(
-                lp_bound(stats, query=task.query), result
+            direct = lp_bound(stats, query=task.query)
+            assert_results_identical(direct, result)
+            assert warm_result.log2_bound == pytest.approx(
+                direct.log2_bound, abs=1e-9
             )
 
     def test_thread_pool_matches_serial(self, pipeline_db):

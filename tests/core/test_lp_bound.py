@@ -248,8 +248,7 @@ class TestEmptyRelations:
     @pytest.mark.parametrize("lp_mode", ["oneshot", "persistent"])
     @pytest.mark.parametrize("cone", ["polymatroid", "normal"])
     def test_solver_and_families_are_zero(self, stats, cone, lp_mode):
-        # both LP modes answer before any LP exists, so the persistent
-        # mode needs no highspy here
+        # both LP modes answer before any LP exists
         solver = BoundSolver(lp_mode=lp_mode)
         result = solver.solve(stats, query=self.QUERY, cone=cone)
         self.assert_empty_bound(result, stats, cone)

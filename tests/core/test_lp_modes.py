@@ -1,58 +1,96 @@
-"""The REPRO_LP solve-mode machinery and the persistent/one-shot contract.
+"""The REPRO_LP solve modes and the persistent/one-shot contract.
 
-``REPRO_LP=oneshot`` is byte-for-byte the scipy ``linprog`` path the
-whole suite already exercises, so these tests pin down the rest:
+Both modes run the library's one HiGHS model class; they differ only
+in whether a model is kept.  These tests pin down:
 
 * env parsing, ``set_lp_mode`` validation ordering, ``forced_lp_mode``
   save/restore;
-* graceful degradation when highspy is absent (``auto`` falls back,
-  ``persistent`` raises :class:`LpUnavailableError` naming the extra);
+* the oracle contract: ``oneshot`` is bit-identical (``log2_bound``,
+  ``h_values``, ``dual_weights``) to scipy's ``linprog``
+  (``tests/oracles/scipy_lp.py``) on the E-family × {normal,
+  polymatroid}, the Appendix D.2 Zhang–Yeung ``extra_inequalities``
+  case, and JOB × the six nested E9 norm families;
 * the differential contract: the warm-started persistent path agrees
-  with the one-shot oracle to 1e-6 on every cone and query shape, and
+  with the one-shot oracle to 1e-9 on every cone and query shape, and
   on the pruned normal-cone LPs of JOB queries 1, 7, 19 and 33 under
-  the six nested E9 norm families, re-solved warm on a second database
-  (run only where highspy is installed — the CI service leg).
+  the six families, re-solved warm on a second database — and its
+  certificates verify.
 """
 
+import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from oracles.scipy_lp import linprog_bound
 from repro import Database, collect_statistics, lp_bound, parse_query
 from repro.core import (
     LP_MODES,
     BoundSolver,
-    LpUnavailableError,
+    StatisticsCatalog,
     active_lp_mode,
     configured_lp_mode,
     forced_lp_mode,
-    highspy_available,
     set_lp_mode,
+    verify_certificate,
 )
-import importlib
+from repro.datasets import power_law_graph
+from repro.datasets.generators import alpha_beta_relation
+from repro.datasets.imdb import imdb_database
+from repro.datasets.job_queries import JOB_QUERY_IDS, job_query
+from repro.entropy.zhang_yeung import zhang_yeung_coefficients
+from repro.experiments.cycle import cycle_query
+from repro.experiments.nonshannon import (
+    theorem_d3_query,
+    theorem_d3_statistics,
+)
+from repro.experiments.norm_ablation import DEFAULT_FAMILIES
 
 # the module, not the identically-named function repro.core re-exports
 lp_mod = importlib.import_module("repro.core.lp_bound")
-from repro.datasets import power_law_graph
-from repro.datasets.imdb import imdb_database
-from repro.datasets.job_queries import job_query
-from repro.experiments.norm_ablation import DEFAULT_FAMILIES
 
 PS = [1.0, 2.0, 3.0, math.inf]
 JOB_FAMILIES = DEFAULT_FAMILIES[:6]
 JOB_PS = sorted(set().union(*JOB_FAMILIES))
 
-
-@pytest.fixture(autouse=True)
-def _restore_lp_mode():
-    previous = lp_mod._LP_ACTIVE
-    yield
-    lp_mod._LP_ACTIVE = previous
+#: One representative query per E-family shape (E1–E12).
+E_FAMILY_QUERIES = [
+    parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)"),
+    parse_query("j(x,y,z) :- R(x,y), R(y,z)"),
+    cycle_query(4),
+    parse_query("g(x,y,z) :- R(x,y), S(y,z)"),
+    parse_query("p(a,b,c,d) :- R(a,b), R(b,c), R(c,d)"),
+    parse_query("lw(x,y,z) :- R(x,y), R(y,z), R(x,z)"),
+]
 
 
 @pytest.fixture(scope="module")
 def job_dbs():
     return [imdb_database(scale=0.05, seed=seed) for seed in (7, 11)]
+
+
+@pytest.fixture(scope="module")
+def job_statistics(job_dbs):
+    """Every JOB query with its statistics over ``JOB_PS``."""
+    queries = [job_query(qid) for qid in JOB_QUERY_IDS]
+    catalog = StatisticsCatalog(job_dbs[0])
+    return list(zip(queries, catalog.precompute(queries, ps=JOB_PS)))
+
+
+@pytest.fixture(scope="module")
+def e_family_db():
+    edges = power_law_graph(400, 2000, 0.7, seed=5)
+    return Database(
+        {
+            "R": edges,
+            "S": alpha_beta_relation(0.0, 2.0 / 3.0, 729).with_name("S"),
+            **{f"R{i}": edges for i in range(4)},
+        }
+    )
 
 
 @pytest.fixture
@@ -65,14 +103,21 @@ def skew_db():
     )
 
 
-class TestModeConfiguration:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP", raising=False)
-        assert configured_lp_mode() == "auto"
+def assert_bits_identical(a, b):
+    assert a.status == b.status
+    assert a.cone == b.cone
+    assert a.log2_bound == b.log2_bound
+    assert a.dual_weights.tobytes() == b.dual_weights.tobytes()
+    assert a.h_values.tobytes() == b.h_values.tobytes()
+    assert a.normal_coefficients == b.normal_coefficients
 
-    @pytest.mark.parametrize(
-        "raw", ["oneshot", "ONESHOT", " persistent ", "Auto", ""]
-    )
+
+class TestModeConfiguration:
+    def test_default_is_persistent(self, monkeypatch):
+        monkeypatch.delenv("REPRO_LP", raising=False)
+        assert configured_lp_mode() == "persistent"
+
+    @pytest.mark.parametrize("raw", ["oneshot", "ONESHOT", " persistent ", ""])
     def test_parses_env(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_LP", raw)
         assert configured_lp_mode() in LP_MODES
@@ -82,17 +127,26 @@ class TestModeConfiguration:
         with pytest.raises(ValueError, match="REPRO_LP"):
             configured_lp_mode()
 
+    def test_auto_is_no_longer_a_mode(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LP", "auto")
+        with pytest.raises(ValueError, match="REPRO_LP"):
+            configured_lp_mode()
+        with pytest.raises(ValueError, match="not one of"):
+            set_lp_mode("auto")
+
     def test_set_mode_rejects_unknown_without_switching(self):
         before = active_lp_mode()
         with pytest.raises(ValueError, match="not one of"):
             set_lp_mode("warp")
         assert active_lp_mode() == before
 
-    def test_active_mode_is_resolved(self):
-        # auto never survives resolution: the active mode is concrete
-        assert active_lp_mode() in ("persistent", "oneshot")
-        expected = "persistent" if highspy_available() else "oneshot"
-        assert set_lp_mode("auto") == expected
+    def test_active_mode_is_resolved(self, monkeypatch):
+        # the active mode is the one the environment names
+        assert active_lp_mode() == configured_lp_mode()
+        monkeypatch.setenv("REPRO_LP", "oneshot")
+        assert set_lp_mode() == "oneshot" == active_lp_mode()
+        monkeypatch.setenv("REPRO_LP", "persistent")
+        assert set_lp_mode() == "persistent" == active_lp_mode()
 
     def test_forced_mode_restores(self):
         before = active_lp_mode()
@@ -107,32 +161,76 @@ class TestModeConfiguration:
 
     def test_pinned_solver_ignores_process_mode(self):
         solver = BoundSolver(lp_mode="oneshot")
-        with forced_lp_mode("oneshot"):
+        with forced_lp_mode("persistent"):
             assert solver.resolved_lp_mode() == "oneshot"
         unpinned = BoundSolver()
         with forced_lp_mode("oneshot"):
             assert unpinned.resolved_lp_mode() == "oneshot"
 
 
-@pytest.mark.skipif(
-    highspy_available(), reason="highspy installed: degradation n/a"
-)
-class TestWithoutHighspy:
-    def test_auto_degrades_to_oneshot(self):
-        assert set_lp_mode("auto") == "oneshot"
+_WITHOUT_BINDING = """
+import importlib.abc, sys
+import scipy.optimize._highspy as package
 
-    def test_persistent_raises_naming_the_extra(self):
-        with pytest.raises(LpUnavailableError, match=r"repro\[service\]"):
-            set_lp_mode("persistent")
+# a scipy below the floor: the binding module does not exist
+del sys.modules["scipy.optimize._highspy._core"]
+del package._core
 
-    def test_pinned_persistent_solver_fails_at_solve_time(
-        self, skew_db
-    ):
-        query = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
-        stats = collect_statistics(query, skew_db, ps=PS)
-        solver = BoundSolver(lp_mode="persistent")
-        with pytest.raises(LpUnavailableError):
-            solver.solve(stats, query=query)
+
+class Missing(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "scipy.optimize._highspy._core":
+            raise ImportError(name)
+
+
+sys.meta_path.insert(0, Missing())
+try:
+    import repro.core.lp_bound
+except ImportError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_missing_binding_is_a_typed_import_error():
+    src = Path(lp_mod.__file__).resolve().parents[2]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_BINDING],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("HighsBindingError"), proc.stdout
+    assert "scipy>=1.15" in proc.stdout
+
+
+class TestModeIsolation:
+    """A mode cached by one test must not outlive it.
+
+    The first test does what perfbench's smoke run does before ``tests/``
+    is collected: it pins ``REPRO_LP`` through ``monkeypatch`` and
+    solves, which caches the mode; ``monkeypatch`` restores the variable
+    but not the cache.  The second test (pytest runs them in file order)
+    must still see the mode its own environment names.
+    """
+
+    leaked: list[str] = []
+
+    def test_a_test_pins_and_caches_the_other_mode(self, monkeypatch, skew_db):
+        other = "oneshot" if configured_lp_mode() == "persistent" else "persistent"
+        monkeypatch.setenv("REPRO_LP", other)
+        set_lp_mode()
+        query = parse_query("Q(x,y) :- R(x,y)")
+        BoundSolver().solve(collect_statistics(query, skew_db, ps=PS), query=query)
+        assert active_lp_mode() == other
+        self.leaked.append(other)
+
+    def test_the_next_test_resolves_its_own_environment(self):
+        assert active_lp_mode() == configured_lp_mode()
+        assert BoundSolver().resolved_lp_mode() == configured_lp_mode()
+        if self.leaked:
+            assert active_lp_mode() != self.leaked[-1]
 
 
 class TestOneshotIsTheOracle:
@@ -146,6 +244,41 @@ class TestOneshotIsTheOracle:
         assert served.cone == direct.cone
         assert served.status == direct.status
 
+    @pytest.mark.parametrize("cone", ["normal", "polymatroid"])
+    @pytest.mark.parametrize(
+        "query", E_FAMILY_QUERIES, ids=lambda q: q.name
+    )
+    def test_e_family_matches_linprog(self, e_family_db, query, cone):
+        stats = collect_statistics(query, e_family_db, ps=PS)
+        oracle = linprog_bound(stats, query=query, cone=cone)
+        assert oracle.status == "optimal"
+        assert_bits_identical(lp_bound(stats, query=query, cone=cone), oracle)
+        with forced_lp_mode("oneshot"):
+            served = BoundSolver().solve(stats, query=query, cone=cone)
+        assert_bits_identical(served, oracle)
+
+    def test_extra_inequalities_match_linprog(self):
+        # Appendix D.2: the Zhang–Yeung row enters the same model
+        query = theorem_d3_query()
+        stats = theorem_d3_statistics(1.0)
+        zy = zhang_yeung_coefficients(query.variables)
+        kwargs = dict(query=query, cone="polymatroid", extra_inequalities=[zy])
+        oracle = linprog_bound(stats, **kwargs)
+        result = lp_bound(stats, **kwargs)
+        assert_bits_identical(result, oracle)
+        assert result.log2_bound < lp_bound(
+            stats, query=query, cone="polymatroid"
+        ).log2_bound
+
+    def test_job_families_match_linprog(self, job_statistics):
+        for family in JOB_FAMILIES:
+            for query, full in job_statistics:
+                restricted = full.restrict_ps(family)
+                assert_bits_identical(
+                    lp_bound(restricted, query=query),
+                    linprog_bound(restricted, query=query),
+                )
+
 
 DIFFERENTIAL_QUERIES = [
     "triangle(x,y,z) :- R(x,y), R(y,z), R(z,x)",
@@ -157,11 +290,16 @@ DIFFERENTIAL_QUERIES = [
 ]
 
 
-@pytest.mark.skipif(
-    not highspy_available(), reason="persistent path needs highspy"
-)
+def assert_agrees(warm, oracle):
+    assert warm.status == oracle.status
+    assert warm.cone == oracle.cone
+    if oracle.status == "optimal":
+        assert warm.log2_bound == pytest.approx(oracle.log2_bound, abs=1e-9)
+        assert verify_certificate(warm)
+
+
 class TestPersistentDifferential:
-    """The warm path must agree with scipy to LP-solver tolerance."""
+    """The warm path must agree with the one-shot oracle to 1e-9."""
 
     @pytest.mark.parametrize("text", DIFFERENTIAL_QUERIES)
     @pytest.mark.parametrize("cone", ["auto", "polymatroid", "normal"])
@@ -172,32 +310,21 @@ class TestPersistentDifferential:
             oracle = BoundSolver().solve(stats, query=query, cone=cone)
         with forced_lp_mode("persistent"):
             warm = BoundSolver().solve(stats, query=query, cone=cone)
-        assert warm.status == oracle.status
-        assert warm.cone == oracle.cone
-        if oracle.status == "optimal":
-            assert warm.log2_bound == pytest.approx(
-                oracle.log2_bound, abs=1e-6
-            )
+        assert_agrees(warm, oracle)
 
     def test_model_reuse_across_b_swaps(self):
         # same LP structure, different statistics vectors: one model,
         # many warm re-solves
         query = parse_query("triangle(x,y,z) :- R(x,y), R(y,z), R(z,x)")
         solver = BoundSolver(lp_mode="persistent", memoize_results=False)
-        bounds = []
         for seed in (11, 12, 13, 14):
             db = Database({"R": power_law_graph(60, 250, 0.7, seed=seed)})
             stats = collect_statistics(query, db, ps=PS)
-            with forced_lp_mode("oneshot"):
-                oracle = lp_bound(stats, query=query)
-            bounds.append(
-                (solver.solve(stats, query=query).log2_bound,
-                 oracle.log2_bound)
+            assert_agrees(
+                solver.solve(stats, query=query), lp_bound(stats, query=query)
             )
         assert solver.cached_models() == 1
         assert solver.persistent_resolves == 4
-        for warm, oracle in bounds:
-            assert warm == pytest.approx(oracle, abs=1e-6)
 
     @pytest.mark.parametrize("qid", [1, 7, 19, 33])
     def test_job_families_agree_under_warm_resolves(self, job_dbs, qid):
@@ -210,14 +337,11 @@ class TestPersistentDifferential:
                 structures.add(lp_mod._stat_structure(
                     query.variables, stats.restrict_ps(family)
                 )[0])
-                with forced_lp_mode("oneshot"):
-                    oracle = lp_bound(stats.restrict_ps(family), query=query)
+                oracle = lp_bound(stats.restrict_ps(family), query=query)
                 warm = solver.solve_family(stats, family, query=query)
                 assert warm.status == oracle.status == "optimal"
                 assert warm.cone == oracle.cone == "normal"
-                assert warm.log2_bound == pytest.approx(
-                    oracle.log2_bound, abs=1e-6
-                )
+                assert_agrees(warm, oracle)
         # one model per distinct structure; every solve goes through one,
         # and a structure seen again (the next database) re-solves warm
         assert solver.cached_models() == len(structures)
@@ -231,3 +355,4 @@ class TestPersistentDifferential:
         full = solver.solve(stats, query=query)
         agm = solver.solve_family(stats, (1.0,), query=query)
         assert agm.log2_bound >= full.log2_bound - 1e-9
+        assert solver.persistent_resolves == 2

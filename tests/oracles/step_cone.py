@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.lp_bound import (
     _Assembly,
-    _solve_assembly,
+    _HighsModel,
     _stat_structure,
     _variable_order,
 )
@@ -56,8 +56,8 @@ def unpruned_lp_bound(statistics, query=None, variables=None):
         len(struct),
         step_rows(struct, candidates) if struct else None,
         -np.ones(m),
-        [(0.0, None)] * m,
+        np.full(m, np.inf),
         None,
         candidates,
     )
-    return _solve_assembly(assembly, b_stats, order, statistics)
+    return _HighsModel(assembly, b_stats).solve(b_stats, order, statistics)

@@ -125,25 +125,6 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["experiment", "E14", "--kernels", "turbo"])
 
-    def test_kernels_python_mode_runs(self, capsys):
-        from repro.relational import kernels
-
-        prior = kernels.active_mode()
-        try:
-            assert main(["experiment", "E14", "--kernels", "python"]) == 0
-            assert kernels.active_mode() == "python"
-            assert "E14" in capsys.readouterr().out
-        finally:
-            kernels.set_mode(prior)
-
-    def test_kernels_numba_without_numba_is_a_clean_error(self, capsys):
-        from repro.relational import kernels
-
-        if kernels.numba_available():
-            pytest.skip("numba is installed")
-        assert main(["experiment", "E14", "--kernels", "numba"]) == 2
-        assert "--kernels" in capsys.readouterr().err
-
     def test_star_experiment_parallel_workers(self, capsys):
         assert (
             main(

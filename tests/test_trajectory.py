@@ -3,7 +3,7 @@
 The compare sweep is CI's only window into a perf regression, so its
 failure mode matters: one run must name *every* regressing series —
 time and memory, including malformed entries — instead of aborting at
-the first, and ``normalize`` must carry the kernel-mode label through
+the first, and ``normalize`` must carry the traced peak memory through
 to the trajectory artifact.
 """
 
@@ -53,14 +53,13 @@ def _trajectory_doc(sha, benchmarks):
     return {"sha": sha, "benchmarks": base}
 
 
-def test_normalize_carries_kernel_mode_and_peak(tmp_path):
+def test_normalize_carries_peak(tmp_path):
     raw = tmp_path / "raw.json"
     raw.write_text(
         json.dumps(
             _raw_dump(
                 [
-                    ("b/x.py::fast", 0.002, {"kernel_mode": "numba",
-                                             "peak_traced_kb": 12.5}),
+                    ("b/x.py::fast", 0.002, {"peak_traced_kb": 12.5}),
                     ("b/x.py::plain", 0.004, {}),
                 ]
             )
@@ -68,10 +67,9 @@ def test_normalize_carries_kernel_mode_and_peak(tmp_path):
     )
     doc = trajectory.normalize(str(raw), "abc123")
     fast = doc["benchmarks"]["b/x.py::fast"]
-    assert fast["kernel_mode"] == "numba"
     assert fast["peak_kb"] == 12.5
     assert fast["normalized"] == pytest.approx(0.2)
-    assert "kernel_mode" not in doc["benchmarks"]["b/x.py::plain"]
+    assert "peak_kb" not in doc["benchmarks"]["b/x.py::plain"]
 
 
 def test_normalize_requires_calibration(tmp_path):
@@ -165,14 +163,3 @@ def test_compare_new_and_low_round_entries_are_informational(
     out = capsys.readouterr().out
     assert "[info]" in out
     assert "[new]" in out
-
-
-def test_compare_kernel_mode_label_is_printed(tmp_path, capsys):
-    bench = {"median_s": 0.002, "rounds": 10, "normalized": 0.2,
-             "kernel_mode": "numba"}
-    baseline = tmp_path / "base.json"
-    current = tmp_path / "cur.json"
-    baseline.write_text(json.dumps(_trajectory_doc("base", {"b::k": bench})))
-    current.write_text(json.dumps(_trajectory_doc("cur", {"b::k": bench})))
-    assert trajectory.compare(str(current), str(baseline), 1.5) == 0
-    assert "[kernels=numba]" in capsys.readouterr().out
