@@ -102,8 +102,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         relations[name] = _load_csv_relation(path, name)
     db = Database(relations)
     # the batched pipeline: one catalog pass collects every query's
-    # statistics (shared lexsorts, multi-p norm batches), then the
-    # independent LPs fan out through one structure-cached solver.
+    # statistics (each degree sequence once, multi-p norm batches), then
+    # the independent LPs fan out through one structure-cached solver.
     catalog = StatisticsCatalog(db)
     all_stats = catalog.precompute(queries, ps=args.norms)
     results = lp_bound_many(

@@ -1,6 +1,6 @@
 """Core LpBound machinery: degree statistics and the bound LP."""
 
-from .catalog import StatisticsCatalog
+from .catalog import StatisticsCatalog, collect_statistics
 from .certificates import certificate_gap, product_form, verify_certificate
 from .constraints import fd_statistic, key_statistic, key_statistics_for_query
 from .conditionals import (
@@ -8,7 +8,6 @@ from .conditionals import (
     ConcreteStatistic,
     Conditional,
     StatisticsSet,
-    collect_statistics,
 )
 from .degree import average_degree, degree_sequence, max_degree
 from .lp_bound import (

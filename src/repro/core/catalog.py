@@ -4,27 +4,24 @@ The paper's standing assumption (Sec. 1, Sec. 2.1) is that ℓp-norms are
 *precomputed* and merely looked up at estimation time; computing a degree
 sequence costs O(N log N) once, after which every norm is O(length).
 :class:`StatisticsCatalog` realises that split: it caches degree sequences
-per (relation, conditional) and serves concrete statistics for any norm on
-demand, so a workload of many queries over one database pays the
-sequence-extraction cost once.
+per (relation, conditional, diagonal) and their norms, so a workload of
+many queries over one database pays each extraction once.
 
-:meth:`StatisticsCatalog.precompute` goes further: it plans every
-(relation, V | U) degree-sequence request of a whole workload up front,
-groups the requests by relation, and serves all conditionals that share a
-sort-order prefix from a *single* lexsort of the relation's columnar code
-matrix (:meth:`repro.relational.relation.Relation.prefix_group_size_counts`)
-— e.g. the standard per-atom family of a binary relation needs two
-lexsorts, not five extractions — with all requested ℓp-norms of each
-sequence computed in one vectorized batch.
-
-This is the object a query optimiser would hold; ``collect_statistics``
-remains the convenient one-shot path for scripts and tests.
+This module is the one place that knows the statistics family
+(:func:`_plan`).  :meth:`StatisticsCatalog.precompute` plans a whole
+workload, extracts each missing sequence once
+(:func:`repro.core.degree.degree_sequence`), and computes all of a
+sequence's requested norms in one vectorized batch;
+:meth:`~StatisticsCatalog.statistics_for` and :func:`collect_statistics`
+are its one-query forms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterable, Sequence
+from collections import Counter
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -35,49 +32,75 @@ from .conditionals import (
     ConcreteStatistic,
     Conditional,
     StatisticsSet,
+    atom_columns,
+    select_diagonal,
 )
 from .degree import degree_sequence
-from .norms import log2_norm, log2_norms
+from .norms import log2_norms
 
-__all__ = ["StatisticsCatalog", "plan_prefix_orders"]
+__all__ = ["StatisticsCatalog", "collect_statistics"]
 
-#: A degree-sequence request: grouping columns U and counted columns V,
-#: both canonically sorted.
-_SeqRequest = tuple[tuple[str, ...], tuple[str, ...]]
+#: A degree sequence: relation name, counted columns V, grouping columns
+#: U (both sorted — the sequence does not depend on column order), and
+#: the guard's diagonal (:func:`repro.core.conditionals.atom_columns`).
+_SeqKey = tuple[str, tuple[str, ...], tuple[str, ...], tuple[tuple[str, ...], ...]]
+
+#: One planned statistic: what it asserts, its guard, and the sequence
+#: whose norm is its bound.
+_Planned = tuple[AbstractStatistic, Atom, _SeqKey]
 
 
-def plan_prefix_orders(
-    requests: Iterable[_SeqRequest],
-) -> list[tuple[tuple[str, ...], list[tuple[int, int, _SeqRequest]]]]:
-    """Assign degree-sequence requests to shared lexsort orders.
+def _plan(
+    query: ConjunctiveQuery,
+    db: Database,
+    ps: Sequence[float],
+    join_variables_only: bool,
+    max_u_size: int,
+) -> list[_Planned]:
+    """The standard statistics family of one query, in collection order.
 
-    A request (U, V) can be served by any column order whose first |U|
-    columns are exactly U (as a set) and whose next |V| columns are exactly
-    V: the group-size multiset is invariant under column permutations
-    within U and within V.  Greedy assignment, longest requests first:
-    each unplaced request opens the order ``U ++ V``; shorter requests then
-    ride along as prefixes.  Returns ``(order, [(u_len, uv_len, request)])``
-    pairs; deterministic for a given request set.
+    Per atom R(Z): the cardinality (Z | ∅) at p = 1; then, for every join
+    variable A ∈ Z, the distinct count (A | ∅) at p = 1 and (Z − A | A)
+    at every p in ``ps``; with ``max_u_size=2``, also (Z − {A, B} | {A, B})
+    at every p for each pair of join variables of the atom.  A variable is
+    a join variable when ≥ 2 atoms share it, or always when
+    ``join_variables_only`` is false.
     """
-    ordered = sorted(
-        set(requests), key=lambda r: (-(len(r[0]) + len(r[1])), r)
-    )
-    orders: list[tuple[tuple[str, ...], list]] = []
-    for u, v in ordered:
-        u_len, uv_len = len(u), len(u) + len(v)
-        placed = False
-        for cols, assigned in orders:
-            if (
-                uv_len <= len(cols)
-                and set(cols[:u_len]) == set(u)
-                and set(cols[u_len:uv_len]) == set(v)
-            ):
-                assigned.append((u_len, uv_len, (u, v)))
-                placed = True
-                break
-        if not placed:
-            orders.append((u + v, [(u_len, uv_len, (u, v))]))
-    return orders
+    if max_u_size not in (1, 2):
+        raise ValueError(f"max_u_size must be 1 or 2, got {max_u_size}")
+    if join_variables_only:
+        counts = Counter(v for atom in query.atoms for v in atom.variable_set)
+        join_vars = {v for v, c in counts.items() if c >= 2}
+    else:
+        join_vars = query.variable_set
+    plan: list[_Planned] = []
+    for atom in query.atoms:
+        mapping, diagonal = atom_columns(atom, db[atom.relation].attributes)
+
+        def add(v: Collection[str], u: Collection[str], p_values) -> None:
+            key = (
+                atom.relation,
+                tuple(sorted(mapping[x] for x in v)),
+                tuple(sorted(mapping[x] for x in u)),
+                diagonal,
+            )
+            cond = Conditional(frozenset(v), frozenset(u))
+            plan.extend((AbstractStatistic(cond, p), atom, key) for p in p_values)
+
+        variables = tuple(dict.fromkeys(atom.variables))
+        joined = [v for v in variables if v in join_vars]
+        add(variables, (), (1.0,))
+        for var in joined:
+            add((var,), (), (1.0,))
+            others = set(variables) - {var}
+            if others:
+                add(others, (var,), ps)
+        if max_u_size == 2:
+            for pair in itertools.combinations(joined, 2):
+                others = set(variables) - set(pair)
+                if others:
+                    add(others, pair, ps)
+    return plan
 
 
 class StatisticsCatalog:
@@ -92,12 +115,9 @@ class StatisticsCatalog:
 
     def __init__(self, db: Database) -> None:
         self._db = db
-        # (relation name, v-cols, u-cols) -> degree sequence
-        self._sequences: dict[tuple, np.ndarray] = {}
-        # (sequence key, p) -> log2 norm
-        self._norms: dict[tuple, float] = {}
+        self._sequences: dict[_SeqKey, np.ndarray] = {}
+        self._norms: dict[tuple[_SeqKey, float], float] = {}
         self._lexsorts = 0
-        self._batched_sequences = 0
 
     @property
     def database(self) -> Database:
@@ -111,30 +131,37 @@ class StatisticsCatalog:
         """Number of (sequence, p) norms memoised so far."""
         return len(self._norms)
 
-    @property
-    def lexsorts_performed(self) -> int:
-        """Physical sorts paid for sequence extraction so far.
-
-        Batched :meth:`precompute` pays one per shared sort order; the
-        one-shot :meth:`sequence` path pays one per conditional.
-        """
-        return self._lexsorts
-
-    @property
-    def sequences_batched(self) -> int:
-        """Degree sequences served by the prefix-sharing batch kernel."""
-        return self._batched_sequences
-
     def cache_stats(self) -> dict[str, int]:
-        """All cache counters as one dict (the service's ``/metrics``)."""
+        """All cache counters as one dict (the service's ``/metrics``).
+
+        ``lexsorts`` counts the sorts paid for sequence extraction: one
+        per extracted degree sequence.
+        """
         return {
             "sequences": len(self._sequences),
             "norms": len(self._norms),
             "lexsorts": self._lexsorts,
-            "sequences_batched": self._batched_sequences,
         }
 
     # ------------------------------------------------------------------
+    def _sequence(self, key: _SeqKey) -> np.ndarray:
+        cached = self._sequences.get(key)
+        if cached is None:
+            name, v_cols, u_cols, diagonal = key
+            relation = select_diagonal(self._db[name], diagonal)
+            cached = degree_sequence(relation, v_cols, u_cols)
+            self._sequences[key] = cached
+            self._lexsorts += 1
+        return cached
+
+    def _log2_norms(self, key: _SeqKey, ps: Sequence[float]) -> None:
+        """Memoise the log2 norms of one sequence for every p in ``ps``,
+        the misses in one :func:`repro.core.norms.log2_norms` batch."""
+        missing = [p for p in ps if (key, p) not in self._norms]
+        if missing:
+            for p, value in log2_norms(self._sequence(key), missing).items():
+                self._norms[key, p] = value
+
     def sequence(
         self,
         relation_name: str,
@@ -147,13 +174,9 @@ class StatisticsCatalog:
         change the sequence), so self-join atoms binding the same columns
         under different variable names share one cache entry.
         """
-        key = (relation_name, tuple(sorted(v_attrs)), tuple(sorted(u_attrs)))
-        cached = self._sequences.get(key)
-        if cached is None:
-            cached = degree_sequence(self._db[relation_name], key[1], key[2])
-            self._sequences[key] = cached
-            self._lexsorts += 1
-        return cached
+        return self._sequence(
+            (relation_name, tuple(sorted(v_attrs)), tuple(sorted(u_attrs)), ())
+        )
 
     def log2_norm(
         self,
@@ -163,103 +186,36 @@ class StatisticsCatalog:
         p: float,
     ) -> float:
         """The cached log2 ℓp-norm of deg_relation(V | U)."""
-        key = (relation_name, tuple(sorted(v_attrs)), tuple(sorted(u_attrs)), p)
-        cached = self._norms.get(key)
-        if cached is None:
-            cached = log2_norm(self.sequence(relation_name, v_attrs, u_attrs), p)
-            self._norms[key] = cached
-        return cached
-
-    def log2_norms(
-        self,
-        relation_name: str,
-        v_attrs: Sequence[str],
-        u_attrs: Sequence[str],
-        ps: Sequence[float],
-    ) -> dict[float, float]:
-        """Cached log2 ℓp-norms for all ``ps`` of one degree sequence.
-
-        Misses are computed in a single vectorized batch
-        (:func:`repro.core.norms.log2_norms`): the log of the sequence is
-        taken once, not once per p.
-        """
-        v_key = tuple(sorted(v_attrs))
-        u_key = tuple(sorted(u_attrs))
-        missing = [
-            p for p in ps
-            if (relation_name, v_key, u_key, p) not in self._norms
-        ]
-        if missing:
-            sequence = self.sequence(relation_name, v_attrs, u_attrs)
-            for p, value in log2_norms(sequence, missing).items():
-                self._norms[(relation_name, v_key, u_key, p)] = value
-        return {
-            p: self._norms[(relation_name, v_key, u_key, p)] for p in ps
-        }
+        key = (relation_name, tuple(sorted(v_attrs)), tuple(sorted(u_attrs)), ())
+        self._log2_norms(key, (p,))
+        return self._norms[key, p]
 
     # ------------------------------------------------------------------
-    # workload-level batched precomputation
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _join_variables(
-        query: ConjunctiveQuery, join_variables_only: bool
-    ) -> frozenset[str]:
-        if not join_variables_only:
-            return query.variable_set
-        counts: dict[str, int] = {}
-        for atom in query.atoms:
-            for v in atom.variable_set:
-                counts[v] = counts.get(v, 0) + 1
-        return frozenset(v for v, c in counts.items() if c >= 2)
-
-    def _plan_requests(
+    def _collect(
         self,
         queries: Sequence[ConjunctiveQuery],
         ps: Sequence[float],
         join_variables_only: bool,
-    ) -> dict[tuple, set[float]]:
-        """Every (relation, V-cols, U-cols) sequence the workload will ask
-        for, with the set of p values needed on it.
-
-        Mirrors :meth:`_atom_statistics` exactly; atoms with repeated
-        variables are skipped (they take the uncached diagonal-selection
-        path at serve time).
-        """
-        needed: dict[tuple, set[float]] = {}
-
-        def need(relation: str, v_cols, u_cols, p_values) -> None:
-            key = (relation, tuple(sorted(v_cols)), tuple(sorted(u_cols)))
-            needed.setdefault(key, set()).update(p_values)
-
-        for query in queries:
-            join_vars = self._join_variables(query, join_variables_only)
-            for atom in query.atoms:
-                if len(set(atom.variables)) != len(atom.variables):
-                    continue
-                relation = self._db[atom.relation]
-                mapping = {
-                    var: relation.attributes[i]
-                    for i, var in enumerate(atom.variables)
-                }
-                need(
-                    atom.relation,
-                    [mapping[v] for v in atom.variables],
-                    (),
-                    (1.0,),
-                )
-                for var in atom.variables:
-                    if var not in join_vars:
-                        continue
-                    need(atom.relation, [mapping[var]], (), (1.0,))
-                    others = frozenset(atom.variables) - {var}
-                    if others:
-                        need(
-                            atom.relation,
-                            [mapping[v] for v in others],
-                            [mapping[var]],
-                            ps,
-                        )
-        return needed
+        max_u_size: int,
+    ) -> list[StatisticsSet]:
+        ps = tuple(ps)
+        plans = [
+            _plan(query, self._db, ps, join_variables_only, max_u_size)
+            for query in queries
+        ]
+        needed: dict[_SeqKey, set[float]] = {}
+        for plan in plans:
+            for stat, _, key in plan:
+                needed.setdefault(key, set()).add(stat.p)
+        for key, p_set in needed.items():
+            self._log2_norms(key, sorted(p_set))
+        return [
+            StatisticsSet(
+                ConcreteStatistic(stat, self._norms[key, stat.p], atom)
+                for stat, atom, key in plan
+            ).deduplicated()
+            for plan in plans
+        ]
 
     def precompute(
         self,
@@ -267,94 +223,15 @@ class StatisticsCatalog:
         ps: Sequence[float] = (1.0, 2.0, math.inf),
         join_variables_only: bool = True,
     ) -> list[StatisticsSet]:
-        """Batch-collect statistics for a whole workload of queries.
+        """Collect the standard statistics family for a whole workload.
 
-        All missing degree sequences are planned up front, grouped by
-        relation, and extracted through the prefix-sharing kernel — one
-        lexsort serves every conditional whose (U, V) columns form a prefix
-        of a shared sort order (:func:`plan_prefix_orders`).  Norms are
-        computed in one multi-p batch per sequence.  Returns one
-        :class:`StatisticsSet` per query, in workload order; the results
-        are identical to calling :meth:`statistics_for` per query (and
-        therefore to ``collect_statistics``).
+        Every statistic of every query is planned first; each missing
+        degree sequence is then extracted once and all of its requested
+        norms are computed in one batch.  Returns one
+        :class:`StatisticsSet` per query, in workload order (see
+        :func:`collect_statistics` for the family).
         """
-        queries = list(queries)
-        ps = tuple(ps)
-        needed = self._plan_requests(queries, ps, join_variables_only)
-        missing_by_rel: dict[str, list] = {}
-        for rel, v_key, u_key in needed:
-            if (rel, v_key, u_key) in self._sequences:
-                continue
-            missing_by_rel.setdefault(rel, []).append((u_key, v_key))
-        for rel in sorted(missing_by_rel):
-            relation = self._db[rel]
-            for cols, assigned in plan_prefix_orders(missing_by_rel[rel]):
-                splits = [(u_len, uv_len) for u_len, uv_len, _ in assigned]
-                counts_list = relation.prefix_group_size_counts(cols, splits)
-                self._lexsorts += 1
-                for (_, _, (u_key, v_key)), counts in zip(
-                    assigned, counts_list
-                ):
-                    counts[::-1].sort()  # non-increasing, as degree_sequence
-                    self._sequences[(rel, v_key, u_key)] = counts
-                    self._batched_sequences += 1
-        for (rel, v_key, u_key), p_set in sorted(needed.items()):
-            self.log2_norms(rel, v_key, u_key, sorted(p_set))
-        return [
-            self.statistics_for(
-                query, ps=ps, join_variables_only=join_variables_only
-            )
-            for query in queries
-        ]
-
-    # ------------------------------------------------------------------
-    def _atom_statistics(
-        self,
-        atom: Atom,
-        ps: Sequence[float],
-        join_vars: frozenset[str],
-    ) -> Iterable[ConcreteStatistic]:
-        relation = self._db[atom.relation]
-        if len(set(atom.variables)) != len(atom.variables):
-            # repeated-variable atoms fall back to the uncached one-shot
-            # path, which handles the diagonal selection correctly.
-            from .conditionals import _atom_statistics as uncached
-
-            yield from uncached(atom, relation, ps, join_vars, True, True)
-            return
-        mapping = {
-            var: relation.attributes[i]
-            for i, var in enumerate(atom.variables)
-        }
-        variables = atom.variables
-        cond = Conditional(frozenset(variables))
-        v_cols = [mapping[v] for v in sorted(variables)]
-        yield ConcreteStatistic(
-            AbstractStatistic(cond, 1.0),
-            self.log2_norm(atom.relation, v_cols, (), 1.0),
-            atom,
-        )
-        for var in variables:
-            if var not in join_vars:
-                continue
-            yield ConcreteStatistic(
-                AbstractStatistic(Conditional(frozenset({var})), 1.0),
-                self.log2_norm(atom.relation, [mapping[var]], (), 1.0),
-                atom,
-            )
-            others = frozenset(variables) - {var}
-            if not others:
-                continue
-            v_cols = [mapping[v] for v in sorted(others)]
-            norms = self.log2_norms(
-                atom.relation, v_cols, [mapping[var]], tuple(ps)
-            )
-            for p in ps:
-                yield ConcreteStatistic(
-                    AbstractStatistic(Conditional(others, frozenset({var})), p),
-                    norms[p],
-                    atom,
-                )
+        return self._collect(list(queries), ps, join_variables_only, 1)
 
     def statistics_for(
         self,
@@ -362,10 +239,42 @@ class StatisticsCatalog:
         ps: Sequence[float] = (1.0, 2.0, math.inf),
         join_variables_only: bool = True,
     ) -> StatisticsSet:
-        """The same statistics family as :func:`collect_statistics`,
-        served from the cache."""
-        join_vars = self._join_variables(query, join_variables_only)
-        stats: list[ConcreteStatistic] = []
-        for atom in query.atoms:
-            stats.extend(self._atom_statistics(atom, ps, join_vars))
-        return StatisticsSet(stats).deduplicated()
+        """One query's statistics, served from (and into) the cache."""
+        return self.precompute([query], ps, join_variables_only)[0]
+
+
+def collect_statistics(
+    query: ConjunctiveQuery,
+    db: Database,
+    ps: Sequence[float] = (1.0, 2.0, math.inf),
+    join_variables_only: bool = True,
+    max_u_size: int = 1,
+) -> StatisticsSet:
+    """Measure a standard family of simple statistics on a database.
+
+    For every atom R(Z): the cardinality |Π_Z(R)| (ℓ1 on (Z | ∅)); and for
+    every (join) variable A ∈ Z, the distinct count |Π_A(R)| and
+    ``||deg_R(Z − A | A)||_p`` for each requested p.  All statistics are
+    *simple*, so the polymatroid bound computed from them is tight
+    (Corollary 6.3) and the fast normal-cone LP is exact (Theorem 6.1).
+    An atom that repeats a variable (``R(x, x)``) is measured on its
+    diagonal.  This is a fresh :class:`StatisticsCatalog`'s
+    :meth:`~StatisticsCatalog.statistics_for`.
+
+    Parameters
+    ----------
+    ps:
+        The ℓp norms to precompute, e.g. ``[1, 2, ..., 30, math.inf]`` for
+        the paper's JOB experiment.
+    join_variables_only:
+        When true (default), per-variable statistics are collected only for
+        variables shared by ≥ 2 atoms; non-join variables never help the
+        bound of a full query beyond the cardinality statistic.
+    max_u_size:
+        1 (default) keeps every statistic simple.  2 additionally collects
+        (rest | {u1, u2}) conditionals on atoms of arity ≥ 3 — *non-simple*
+        statistics that force the polymatroid cone but can tighten bounds
+        on wide relations.
+    """
+    catalog = StatisticsCatalog(db)
+    return catalog._collect([query], ps, join_variables_only, max_u_size)[0]

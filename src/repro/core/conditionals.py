@@ -8,12 +8,9 @@ The paper's statistics language:
   guard relation R; we carry b = log2(B);
 * a **statistics set** (Σ, B) guarded by a query.
 
-:func:`collect_statistics` computes a standard family of *simple*
-statistics (|U| ≤ 1, the Sec. 6 tightness regime and exactly what the
-paper's JOB experiment uses): per atom, the cardinality (an ℓ1 statistic)
-and, for every variable of the atom, ``deg(other vars | var)`` for each
-requested p, plus the distinct count of each variable (an ℓ1 statistic on
-(var | ∅)).
+The standard family a query collects, and the cache that serves it,
+live in :mod:`repro.core.catalog` (:class:`StatisticsCatalog` and its
+one-query form :func:`collect_statistics`).
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from ..relational import Database, Relation
-from ..query.query import Atom, ConjunctiveQuery
+from ..query.query import Atom
 from .degree import degree_sequence
 from .norms import log2_norm
 
@@ -32,8 +29,42 @@ __all__ = [
     "AbstractStatistic",
     "ConcreteStatistic",
     "StatisticsSet",
-    "collect_statistics",
+    "atom_columns",
+    "select_diagonal",
 ]
+
+
+def atom_columns(
+    atom: Atom, attributes: Sequence[str]
+) -> tuple[dict[str, str], tuple[tuple[str, ...], ...]]:
+    """Where an atom's variables sit among its relation's ``attributes``.
+
+    Returns ``(mapping, diagonal)``: ``mapping`` sends each variable to
+    the column of its first occurrence, and ``diagonal`` lists, per
+    repeated variable, the columns it binds.  ``R(x, y, x)`` over
+    columns ``(a, b, c)`` gives ``{x: a, y: b}`` and ``(("a", "c"),)``:
+    the atom ranges over the rows whose ``a`` and ``c`` agree (see
+    :func:`select_diagonal`).  An atom without repeats has ``()``.
+    """
+    columns: dict[str, list[str]] = {}
+    for position, var in enumerate(atom.variables):
+        columns.setdefault(var, []).append(attributes[position])
+    mapping = {var: cols[0] for var, cols in columns.items()}
+    diagonal = tuple(tuple(cols) for cols in columns.values() if len(cols) > 1)
+    return mapping, diagonal
+
+
+def select_diagonal(
+    relation: Relation, diagonal: tuple[tuple[str, ...], ...]
+) -> Relation:
+    """The rows of ``relation`` on which each column group of ``diagonal``
+    (from :func:`atom_columns`) holds one value."""
+    if not diagonal:
+        return relation
+    groups = [relation.positions(cols) for cols in diagonal]
+    return relation.select(
+        lambda row: all(len({row[i] for i in group}) == 1 for group in groups)
+    )
 
 
 def _format_vars(vs: frozenset[str]) -> str:
@@ -135,31 +166,14 @@ class ConcreteStatistic:
         )
 
     # measurement ------------------------------------------------------------
-    def _attr_map(self, relation: Relation) -> dict[str, str]:
-        mapping: dict[str, str] = {}
-        for position, var in enumerate(self.guard.variables):
-            mapping.setdefault(var, relation.attributes[position])
-        return mapping
-
     def measured_log2(self, db: Database) -> float:
-        """log2 ||deg(V|U)||_p actually measured on the database."""
+        """log2 ||deg(V|U)||_p actually measured on the database (on the
+        guard's diagonal when it repeats a variable)."""
         relation = db[self.guard.relation]
-        if len(set(self.guard.variables)) != len(self.guard.variables):
-            # repeated variable in the atom: restrict to rows where the
-            # repeated columns agree before measuring.
-            groups: dict[str, list[int]] = {}
-            for position, var in enumerate(self.guard.variables):
-                groups.setdefault(var, []).append(position)
-            repeated = [ps for ps in groups.values() if len(ps) > 1]
-            relation = relation.select(
-                lambda row: all(
-                    len({row[i] for i in ps}) == 1 for ps in repeated
-                )
-            )
-        mapping = self._attr_map(relation)
+        mapping, diagonal = atom_columns(self.guard, relation.attributes)
         cond = self.conditional
         seq = degree_sequence(
-            relation,
+            select_diagonal(relation, diagonal),
             [mapping[v] for v in sorted(cond.v)],
             [mapping[u] for u in sorted(cond.u)],
         )
@@ -219,160 +233,3 @@ class StatisticsSet:
 
     def __repr__(self) -> str:
         return f"<StatisticsSet with {len(self._stats)} statistics>"
-
-
-def _pair_conditionals(
-    atom: Atom,
-    relation: Relation,
-    mapping: dict[str, str],
-    distinct_vars: tuple[str, ...],
-    join_variables: frozenset[str],
-    ps: Sequence[float],
-) -> Iterator[ConcreteStatistic]:
-    """Non-simple conditionals (rest | {u1,u2}) for atoms of arity ≥ 3.
-
-    These leave the Theorem 6.1 regime (the polymatroid cone becomes
-    necessary and tightness is no longer guaranteed) but can strictly
-    tighten bounds on ternary-and-wider relations.
-    """
-    import itertools as _it
-
-    join_in_atom = [v for v in distinct_vars if v in join_variables]
-    for u_pair in _it.combinations(join_in_atom, 2):
-        others = frozenset(distinct_vars) - set(u_pair)
-        if not others:
-            continue
-        seq = degree_sequence(
-            relation,
-            [mapping[v] for v in sorted(others)],
-            [mapping[u] for u in sorted(u_pair)],
-        )
-        for p in ps:
-            yield ConcreteStatistic(
-                AbstractStatistic(
-                    Conditional(others, frozenset(u_pair)), p
-                ),
-                log2_norm(seq, p),
-                atom,
-            )
-
-
-def _atom_statistics(
-    atom: Atom,
-    relation: Relation,
-    ps: Sequence[float],
-    join_variables: frozenset[str],
-    include_cardinalities: bool,
-    include_distinct_counts: bool,
-) -> Iterator[ConcreteStatistic]:
-    distinct_vars = tuple(dict.fromkeys(atom.variables))
-    if len(distinct_vars) != len(atom.variables):
-        # repeated variable in the atom: measure on the diagonal selection,
-        # mirroring ConcreteStatistic.measured_log2.
-        groups: dict[str, list[int]] = {}
-        for position, var in enumerate(atom.variables):
-            groups.setdefault(var, []).append(position)
-        repeated = [ps_ for ps_ in groups.values() if len(ps_) > 1]
-        relation = relation.select(
-            lambda row: all(len({row[i] for i in ps_}) == 1 for ps_ in repeated)
-        )
-    mapping: dict[str, str] = {}
-    for position, var in enumerate(atom.variables):
-        mapping.setdefault(var, relation.attributes[position])
-    if include_cardinalities:
-        cond = Conditional(frozenset(distinct_vars))
-        seq = degree_sequence(relation, [mapping[v] for v in sorted(cond.v)])
-        yield ConcreteStatistic(
-            AbstractStatistic(cond, 1.0), log2_norm(seq, 1.0), atom
-        )
-    for var in distinct_vars:
-        if var not in join_variables:
-            continue
-        others = frozenset(distinct_vars) - {var}
-        if include_distinct_counts:
-            cond = Conditional(frozenset({var}))
-            seq = degree_sequence(relation, [mapping[var]])
-            yield ConcreteStatistic(
-                AbstractStatistic(cond, 1.0), log2_norm(seq, 1.0), atom
-            )
-        if not others:
-            continue
-        seq = degree_sequence(
-            relation,
-            [mapping[v] for v in sorted(others)],
-            [mapping[var]],
-        )
-        for p in ps:
-            yield ConcreteStatistic(
-                AbstractStatistic(Conditional(others, frozenset({var})), p),
-                log2_norm(seq, p),
-                atom,
-            )
-
-
-def collect_statistics(
-    query: ConjunctiveQuery,
-    db: Database,
-    ps: Sequence[float] = (1.0, 2.0, math.inf),
-    join_variables_only: bool = True,
-    include_cardinalities: bool = True,
-    include_distinct_counts: bool = True,
-    max_u_size: int = 1,
-) -> StatisticsSet:
-    """Measure a standard family of simple statistics on a database.
-
-    For every atom R(Z): the cardinality |Π_Z(R)| (ℓ1 on (Z | ∅)); and for
-    every (join) variable A ∈ Z, the distinct count |Π_A(R)| and
-    ``||deg_R(Z − A | A)||_p`` for each requested p.  All statistics are
-    *simple*, so the polymatroid bound computed from them is tight
-    (Corollary 6.3) and the fast normal-cone LP is exact (Theorem 6.1).
-
-    Parameters
-    ----------
-    ps:
-        The ℓp norms to precompute, e.g. ``[1, 2, ..., 30, math.inf]`` for
-        the paper's JOB experiment.
-    join_variables_only:
-        When true (default), per-variable statistics are collected only for
-        variables shared by ≥ 2 atoms; non-join variables never help the
-        bound of a full query beyond the cardinality statistic.
-    max_u_size:
-        1 (default) keeps every statistic simple.  2 additionally collects
-        (rest | {u1, u2}) conditionals on atoms of arity ≥ 3 — *non-simple*
-        statistics that force the polymatroid cone but can tighten bounds
-        on wide relations.
-    """
-    if max_u_size not in (1, 2):
-        raise ValueError(f"max_u_size must be 1 or 2, got {max_u_size}")
-    if join_variables_only:
-        counts: dict[str, int] = {}
-        for atom in query.atoms:
-            for v in atom.variable_set:
-                counts[v] = counts.get(v, 0) + 1
-        join_vars = frozenset(v for v, c in counts.items() if c >= 2)
-    else:
-        join_vars = query.variable_set
-    stats: list[ConcreteStatistic] = []
-    for atom in query.atoms:
-        relation = db[atom.relation]
-        stats.extend(
-            _atom_statistics(
-                atom,
-                relation,
-                ps,
-                join_vars,
-                include_cardinalities,
-                include_distinct_counts,
-            )
-        )
-        if max_u_size >= 2 and len(set(atom.variables)) >= 3:
-            distinct_vars = tuple(dict.fromkeys(atom.variables))
-            mapping: dict[str, str] = {}
-            for position, var in enumerate(atom.variables):
-                mapping.setdefault(var, relation.attributes[position])
-            stats.extend(
-                _pair_conditionals(
-                    atom, relation, mapping, distinct_vars, join_vars, ps
-                )
-            )
-    return StatisticsSet(stats).deduplicated()

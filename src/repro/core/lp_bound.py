@@ -803,6 +803,14 @@ class BoundSolver:
     assembly and re-solves swap only the statistic bounds — optima agree
     with the oracle to solver tolerance, not bit-identically.
 
+    **Warm-model determinism contract** (``persistent``): the bound LPs
+    are degenerate, so a warm start may land on another optimal vertex
+    than a cold one.  ``log2_bound`` does not depend on the model's
+    solve history beyond 1e-12, and the certificate always verifies;
+    ``h_values`` and ``dual_weights`` are *an* optimum, not a canonical
+    one.  The result memo keeps the first answer it computes, so a
+    repeated request returns that answer's witness until evicted.
+
     **Locking discipline** (the solver is shared by
     :func:`lp_bound_many`'s thread pool and by every thread of the
     bound service's HTTP front-end): all cache and counter mutations
@@ -1177,6 +1185,20 @@ def _identified(result_fn, index: int, task: BoundTask) -> BoundResult:
         raise BoundTaskError(index, task, exc) from exc
 
 
+def _structure_key(task: BoundTask, index: int) -> object:
+    """The LP structure a task solves: tasks with equal keys may share a
+    warm model.  A task whose structure cannot be worked out gets a key
+    of its own; running it reports the failure."""
+    try:
+        stats = StatisticsSet(task.statistics)
+        if task.family is not None:
+            stats = stats.restrict_ps(task.family)
+        order = _variable_order(task.query, stats, task.variables)
+        return _stat_structure(order, stats)[0]
+    except Exception:
+        return ("task", index)
+
+
 def lp_bound_many(
     tasks: Iterable[BoundTask],
     solver: BoundSolver | None = None,
@@ -1190,7 +1212,10 @@ def lp_bound_many(
     serial otherwise; both share one :class:`BoundSolver` (pass
     ``solver=`` to share caches across calls), so a query's nested norm
     families reuse its candidates and assemblies.  The result list is
-    always in task order.
+    always in task order, and the threaded results equal the serial
+    ones bit for bit: tasks of one LP structure share a warm model whose
+    optimal vertex depends on its solve order, so the thread executor
+    runs them in task order on one worker.
 
     A task that fails raises :class:`BoundTaskError` carrying the task's
     index and query name (original exception chained), whichever
@@ -1208,14 +1233,28 @@ def lp_bound_many(
             for index, task in enumerate(tasks)
         ]
     if executor == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            def run(pair: tuple[int, BoundTask]) -> BoundResult:
-                index, task = pair
-                return _identified(
-                    lambda: _run_task(task, solver), index, task
-                )
+        groups: dict[object, list[int]] = {}
+        for index, task in enumerate(tasks):
+            groups.setdefault(_structure_key(task, index), []).append(index)
+        outcomes: list[BoundResult | BoundTaskError | None] = [None] * len(tasks)
 
-            return list(pool.map(run, enumerate(tasks)))
+        def run(indices: list[int]) -> None:
+            for index in indices:
+                task = tasks[index]
+                try:
+                    outcomes[index] = _identified(
+                        lambda: _run_task(task, solver), index, task
+                    )
+                except BoundTaskError as exc:
+                    outcomes[index] = exc
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(run, g) for g in groups.values()]:
+                future.result()
+        for outcome in outcomes:
+            if isinstance(outcome, BoundTaskError):
+                raise outcome
+        return outcomes
     raise ValueError(
         f"unknown executor {executor!r}; expected auto, serial, or thread"
     )

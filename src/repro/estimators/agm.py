@@ -1,60 +1,39 @@
 """The AGM bound [1] — the paper's {1}-bound baseline.
 
 The AGM bound is |Q| ≤ Π_j |R_j|^{x*_j} where x* is a minimum fractional
-edge cover weighted by log|R_j|.  Two equivalent implementations are
-provided and cross-checked in tests:
-
-* :func:`agm_bound` — directly via the fractional edge cover LP;
-* restricting the main LP of :mod:`repro.core.lp_bound` to the ℓ1
-  cardinality statistics, which the paper shows is the same thing.
+edge cover weighted by log|R_j|.  The paper shows this is the main LP of
+:mod:`repro.core.lp_bound` restricted to the atoms' ℓ1 cardinality
+statistics, which is how it is computed here.
 """
 
 from __future__ import annotations
 
-import math
-
-from ..query.hypergraph import Hypergraph
 from ..query.query import ConjunctiveQuery
 from ..relational import Database
-from ..core.conditionals import StatisticsSet, collect_statistics
+from ..core.catalog import collect_statistics
+from ..core.conditionals import StatisticsSet
 from ..core.lp_bound import BoundResult, lp_bound
 
 __all__ = ["agm_bound", "agm_bound_lp", "agm_statistics"]
 
 
 def agm_statistics(query: ConjunctiveQuery, db: Database) -> StatisticsSet:
-    """Just the cardinality (ℓ1) statistics of the query's atoms."""
-    return collect_statistics(
-        query,
-        db,
-        ps=(),
-        include_cardinalities=True,
-        include_distinct_counts=False,
+    """Just the cardinality (ℓ1) statistics of the query's atoms.
+
+    Each atom's statistic is (V | ∅) with V all of the atom's variables,
+    i.e. |Π_V(R)| (|R| for the usual atom binding every column of a
+    distinct-variable relation; the diagonal's size for ``R(x, x)``).
+    """
+    return StatisticsSet(
+        s
+        for s in collect_statistics(query, db, ps=())
+        if not s.conditional.u and s.conditional.v == s.guard.variable_set
     )
 
 
 def agm_bound(query: ConjunctiveQuery, db: Database) -> float:
-    """log2 of the AGM bound, via the fractional edge cover LP.
-
-    Uses |Π_{vars(atom)}(R)| per atom (equals |R| for the usual case where
-    the atom binds every column of a distinct-variable relation).
-    """
-    weights = []
-    for atom in query.atoms:
-        relation = db[atom.relation]
-        distinct_vars = tuple(dict.fromkeys(atom.variables))
-        attrs = []
-        seen = set()
-        for position, var in enumerate(atom.variables):
-            if var not in seen:
-                seen.add(var)
-                attrs.append(relation.attributes[position])
-        count = relation.distinct_count(attrs)
-        if count == 0:
-            return -math.inf  # empty relation ⇒ empty output
-        weights.append(math.log2(count))
-    value, _ = Hypergraph.of_query(query).fractional_edge_cover(weights)
-    return float(value)
+    """log2 of the AGM bound (−inf when some relation is empty)."""
+    return agm_bound_lp(query, db).log2_bound
 
 
 def agm_bound_lp(query: ConjunctiveQuery, db: Database) -> BoundResult:

@@ -23,7 +23,6 @@ dominated by the original ones.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -127,8 +126,3 @@ def dsb_chain(query: ConjunctiveQuery, db: Database) -> float:
         # out-degree; the result is again sorted non-increasingly.
         counts = np.sort(counts[:m] * out_deg[:m])[::-1]
     return float(counts.sum())
-
-
-def dsb_log2(value: float) -> float:
-    """log2 helper mirroring the library's log-space conventions."""
-    return math.log2(value) if value > 0 else -math.inf

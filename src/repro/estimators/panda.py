@@ -11,7 +11,8 @@ import math
 
 from ..query.query import ConjunctiveQuery
 from ..relational import Database
-from ..core.conditionals import StatisticsSet, collect_statistics
+from ..core.catalog import collect_statistics
+from ..core.conditionals import StatisticsSet
 from ..core.lp_bound import BoundResult, lp_bound
 
 __all__ = ["panda_statistics", "panda_bound"]
@@ -19,13 +20,7 @@ __all__ = ["panda_statistics", "panda_bound"]
 
 def panda_statistics(query: ConjunctiveQuery, db: Database) -> StatisticsSet:
     """Cardinality (ℓ1) and max-degree (ℓ∞) statistics for every atom."""
-    return collect_statistics(
-        query,
-        db,
-        ps=(math.inf,),
-        include_cardinalities=True,
-        include_distinct_counts=True,
-    )
+    return collect_statistics(query, db, ps=(math.inf,))
 
 
 def panda_bound(

@@ -53,7 +53,7 @@ def run_job_experiment(
     ids = query_ids or JOB_QUERY_IDS
     queries = [job_query(qid) for qid in ids]
     # batched pipeline: one catalog pass extracts every degree sequence of
-    # the whole workload (prefix-shared lexsorts, multi-p norm batches),
+    # the whole workload once (multi-p norm batches per sequence),
     # then all 3 bounds per query fan out through one solver.
     catalog = StatisticsCatalog(database)
     all_stats = catalog.precompute(queries, ps=JOB_PS)

@@ -2,7 +2,6 @@
 
 from .hypergraph import (
     Hypergraph,
-    fractional_edge_cover,
     girth,
     is_alpha_acyclic,
     is_berge_acyclic,
@@ -18,5 +17,4 @@ __all__ = [
     "is_alpha_acyclic",
     "is_berge_acyclic",
     "girth",
-    "fractional_edge_cover",
 ]

@@ -1,4 +1,4 @@
-"""Query hypergraphs: acyclicity tests, girth, fractional edge covers.
+"""Query hypergraphs: acyclicity tests and girth.
 
 A join query induces a hypergraph whose nodes are the query variables and
 whose hyperedges are the atoms' variable sets.  The paper needs three
@@ -9,8 +9,11 @@ structural notions:
 * **Berge-acyclicity** — the class where the Degree Sequence Bound [6]
   applies (Appendix C.3);
 * **girth** of the query graph for binary-relation queries — the
-  applicability condition of Jayaraman et al. [14] (Appendix B);
-* the **fractional edge cover** LP whose optimum gives the AGM bound.
+  applicability condition of Jayaraman et al. [14] (Appendix B).
+
+The fractional edge cover LP of the AGM bound is not solved here: the AGM
+bound is the ℓp bound LP on cardinality statistics
+(:mod:`repro.estimators.agm`).
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import math
 from typing import Sequence
 
 import networkx as nx
-import numpy as np
-from scipy.optimize import linprog
 
 from .query import ConjunctiveQuery
 
@@ -29,7 +30,6 @@ __all__ = [
     "is_alpha_acyclic",
     "is_berge_acyclic",
     "girth",
-    "fractional_edge_cover",
 ]
 
 
@@ -132,35 +132,6 @@ class Hypergraph:
             simple = min((len(c) for c in cycles), default=math.inf)
         return simple
 
-    # ------------------------------------------------------------------
-    def fractional_edge_cover(
-        self, weights: Sequence[float] | None = None
-    ) -> tuple[float, np.ndarray]:
-        """Minimum-weight fractional edge cover.
-
-        Solves ``min Σ_j c_j x_j`` subject to ``Σ_{j: v∈e_j} x_j ≥ 1`` for
-        every node v and ``x ≥ 0``.  With ``weights`` c_j = log|R_j| the
-        optimal value is the (log of the) AGM bound; with unit weights the
-        optimum is the fractional edge cover number ρ*.
-
-        Returns ``(optimal value, x*)``.
-        """
-        m = len(self.edges)
-        if m == 0:
-            return 0.0, np.zeros(0)
-        cost = np.ones(m) if weights is None else np.asarray(weights, float)
-        nodes = sorted(self.nodes)
-        a_ub = np.zeros((len(nodes), m))
-        for i, v in enumerate(nodes):
-            for j, e in enumerate(self.edges):
-                if v in e:
-                    a_ub[i, j] = -1.0  # -Σ x_j ≤ -1
-        b_ub = -np.ones(len(nodes))
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-        if not res.success:
-            raise RuntimeError(f"edge cover LP failed: {res.message}")
-        return float(res.fun), res.x
-
 
 def is_alpha_acyclic(query: ConjunctiveQuery) -> bool:
     """Whether the query's hypergraph is α-acyclic."""
@@ -175,10 +146,3 @@ def is_berge_acyclic(query: ConjunctiveQuery) -> bool:
 def girth(query: ConjunctiveQuery) -> float:
     """Girth of a binary-relation query's graph (inf if acyclic)."""
     return Hypergraph.of_query(query).girth()
-
-
-def fractional_edge_cover(
-    query: ConjunctiveQuery, weights: Sequence[float] | None = None
-) -> tuple[float, np.ndarray]:
-    """Fractional edge cover of the query hypergraph; see Hypergraph."""
-    return Hypergraph.of_query(query).fractional_edge_cover(weights)

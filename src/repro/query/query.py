@@ -116,8 +116,3 @@ class ConjunctiveQuery:
         head = f"{self.name}({', '.join(self.variables)})"
         body = " ∧ ".join(str(a) for a in self.atoms)
         return f"{head} = {body}"
-
-
-def _module_self_test() -> None:  # pragma: no cover - exercised by tests/
-    q = ConjunctiveQuery([Atom("R", ("x", "y")), Atom("R", ("y", "z"))])
-    assert q.relation_names == ("R",)

@@ -64,7 +64,6 @@ __all__ = [
     "encode_column",
     "encode_rows",
     "composite_codes",
-    "prefix_run_counts",
     "unify_domain",
 ]
 
@@ -263,75 +262,6 @@ def composite_codes(
         keys = keys * card + codes
         radix *= card
     return keys, radix
-
-
-def prefix_run_counts(
-    columns: Sequence[np.ndarray],
-    splits: Sequence[tuple[int, int]],
-) -> list[np.ndarray]:
-    """Group-size multisets for many conditionals from ONE lexsort.
-
-    ``columns`` are code arrays in a shared sort order; each split
-    ``(u_len, uv_len)`` asks for the conditional whose grouping columns are
-    ``columns[:u_len]`` and whose counted columns are
-    ``columns[u_len:uv_len]`` — i.e. the number of distinct length-``uv_len``
-    prefixes under each distinct length-``u_len`` prefix.  All splits are
-    served from a single ``np.lexsort`` of the longest prefix: level ``d``'s
-    run boundaries (where the length-(d+1) prefix changes) are one
-    cumulative ``!=`` pass per column, and every split reduces to run-length
-    arithmetic over two boundary masks.
-
-    The returned arrays are the same multisets
-    :meth:`ColumnarRelation.group_size_counts` produces per conditional
-    (order unspecified — degree sequences sort anyway).
-    """
-    if not splits:
-        return []
-    depth = max(uv for _, uv in splits)
-    if depth > len(columns):
-        raise ValueError(
-            f"split depth {depth} exceeds {len(columns)} sort columns"
-        )
-    n = len(columns[0]) if columns else 0
-    if n == 0:
-        return [np.zeros(0, dtype=np.int64) for _ in splits]
-    order = np.lexsort(tuple(reversed(list(columns[:depth]))))
-    # new_at[d][i] <=> row i starts a new distinct length-(d+1) prefix
-    new_at: list[np.ndarray] = []
-    prev: np.ndarray | None = None
-    for column in columns[:depth]:
-        sorted_col = column[order]
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        np.not_equal(sorted_col[1:], sorted_col[:-1], out=new[1:])
-        if prev is not None:
-            new |= prev
-        new_at.append(new)
-        prev = new
-    out: list[np.ndarray] = []
-    for u_len, uv_len in splits:
-        if not (0 <= u_len <= uv_len <= depth):
-            raise ValueError(f"bad split {(u_len, uv_len)} for depth {depth}")
-        if uv_len == 0:
-            # (∅ | ∅): the single empty group holds one (empty) value.
-            out.append(np.ones(1, dtype=np.int64))
-        elif u_len == 0:
-            # one group (the empty U-tuple) counting all distinct UV rows
-            out.append(
-                np.array([int(new_at[uv_len - 1].sum())], dtype=np.int64)
-            )
-        elif u_len == uv_len:
-            # V = ∅: every distinct U-value has degree 1 (the empty tuple)
-            out.append(
-                np.ones(int(new_at[u_len - 1].sum()), dtype=np.int64)
-            )
-        else:
-            uv_rows = np.nonzero(new_at[uv_len - 1])[0]
-            group_start = new_at[u_len - 1][uv_rows]
-            starts = np.nonzero(group_start)[0]
-            counts = np.diff(np.append(starts, len(uv_rows)))
-            out.append(counts.astype(np.int64, copy=False))
-    return out
 
 
 def align_composite_keys(
@@ -1009,21 +939,6 @@ class ColumnarRelation:
         """
         counts, _, _ = self._grouped_distinct(group_attrs, value_attrs)
         return counts
-
-    def prefix_group_size_counts(
-        self,
-        order_attrs: Sequence[str],
-        splits: Sequence[tuple[int, int]],
-    ) -> list[np.ndarray]:
-        """Many conditionals' group-size multisets from one lexsort.
-
-        Each split ``(u_len, uv_len)`` is served over the column prefix of
-        ``order_attrs``: grouping columns ``order_attrs[:u_len]``, counted
-        columns ``order_attrs[u_len:uv_len]``.  See :func:`prefix_run_counts`.
-        """
-        return prefix_run_counts(
-            [self._codes[a] for a in order_attrs], splits
-        )
 
     def group_sizes(
         self, group_attrs: Sequence[str], value_attrs: Sequence[str]

@@ -402,23 +402,6 @@ class Relation:
             tuple(group_attrs), tuple(value_attrs)
         )
 
-    def prefix_group_size_counts(
-        self,
-        order_attrs: Sequence[str],
-        splits: Sequence[tuple[int, int]],
-    ) -> list["np.ndarray"]:
-        """Group-size multisets for many conditionals sharing a sort order.
-
-        Split ``(u_len, uv_len)`` is the conditional grouped by
-        ``order_attrs[:u_len]`` counting distinct ``order_attrs[u_len:uv_len]``
-        values.  All splits are served from a single lexsort
-        (:func:`repro.relational.columnar.prefix_run_counts`).
-        """
-        self.positions(order_attrs)  # validate attribute names
-        return self.columnar().prefix_group_size_counts(
-            tuple(order_attrs), splits
-        )
-
     def distinct_count(self, attrs: Sequence[str]) -> int:
         """Number of distinct values in the projection onto ``attrs``.
 

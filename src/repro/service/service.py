@@ -222,9 +222,9 @@ class BoundService:
     def precompute(self, query_texts: list[str] | tuple[str, ...]) -> int:
         """Warm every cache layer for a known workload of query templates.
 
-        One batched catalog pass (shared lexsorts, multi-p norm batches)
-        plus one solve per template: after this, a request for any
-        warmed template is a result-memo hit.  Returns the number of
+        One batched catalog pass (each degree sequence once, multi-p
+        norm batches) plus one solve per template: after this, a request
+        for any warmed template is a result-memo hit.  Returns the number of
         templates warmed.  Safe against a live server: the statistics
         cache is only ever touched under ``self._lock``, so warming
         cannot lose or clobber entries written by concurrent requests.

@@ -75,19 +75,3 @@ def normal_relation(
     if result is None:
         return Relation(variables, [tuple(0 for _ in variables)], name="T^∅")
     return result
-
-
-def entropy_matches_normal(
-    relation: Relation, coefficients: dict[frozenset[str], float]
-) -> bool:
-    """Debug helper: does the relation's entropy equal Σ α_W·h_W?
-
-    Exact only when every 2^α_W is an integer; tests use powers of two.
-    """
-    from ..entropy.vectors import entropy_of_relation, normal
-
-    empirical = entropy_of_relation(relation)
-    expected = normal(relation.attributes, coefficients)
-    import numpy as np
-
-    return bool(np.allclose(empirical.values, expected.values, atol=1e-9))

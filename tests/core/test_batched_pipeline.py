@@ -1,7 +1,8 @@
 """The batched bound pipeline must be bit-identical to the one-shot path.
 
-``StatisticsCatalog.precompute`` + ``BoundSolver`` vs
-``collect_statistics`` + ``lp_bound`` across the E1–E9 query families,
+``StatisticsCatalog.precompute`` vs the per-atom reference collector of
+``tests/oracles/statistics.py`` on the E1–E9 query families, all 33 JOB
+queries and the graph-eval workload; ``BoundSolver`` vs ``lp_bound``;
 plus cache-hit accounting on the catalog and solver and determinism of
 ``lp_bound_many``.
 """
@@ -11,6 +12,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles.statistics import (
+    collect_statistics as oracle_statistics,
+    statistic_tuples,
+)
 from repro.core import (
     BoundSolver,
     BoundTask,
@@ -21,12 +26,12 @@ from repro.core import (
     lp_bound,
     lp_bound_many,
 )
-from repro.core.catalog import plan_prefix_orders
-from repro.datasets import power_law_graph
+from repro.datasets import power_law_graph, star_database, star_query
 from repro.datasets.generators import alpha_beta_relation
 from repro.datasets.imdb import imdb_database
-from repro.datasets.job_queries import job_query
+from repro.datasets.job_queries import JOB_QUERY_IDS, job_query
 from repro.experiments.cycle import cycle_query
+from repro.experiments.job import JOB_PS
 from repro.query import parse_query
 from repro.relational import Database, Relation
 
@@ -61,6 +66,15 @@ def job_db():
     return imdb_database(scale=0.05, seed=7)
 
 
+def assert_catalog_matches_oracle(db, queries, ps):
+    """One catalog's batched statistics equal the reference collector's,
+    bit for bit and in order, for every query of a workload."""
+    batched = StatisticsCatalog(db).precompute(queries, ps=ps)
+    for query, stats in zip(queries, batched, strict=True):
+        want = oracle_statistics(query, db, ps=ps)
+        assert statistic_tuples(stats) == statistic_tuples(want)
+
+
 def assert_results_identical(a, b):
     assert a.log2_bound == b.log2_bound
     assert a.status == b.status
@@ -83,19 +97,24 @@ def assert_results_identical(a, b):
 class TestEquivalence:
     def test_precompute_matches_collect_statistics(self, pipeline_db):
         queries = [q for _, q in E_FAMILY_QUERIES]
-        catalog = StatisticsCatalog(pipeline_db)
-        batched = catalog.precompute(queries, ps=PS)
-        for query, stats in zip(queries, batched):
-            direct = collect_statistics(query, pipeline_db, ps=PS)
-            got = [
-                (str(s.conditional), s.p, s.guard, s.log2_bound)
-                for s in stats
-            ]
-            want = [
-                (str(s.conditional), s.p, s.guard, s.log2_bound)
-                for s in direct
-            ]
-            assert got == want  # same statistics, same order, same bits
+        assert_catalog_matches_oracle(pipeline_db, queries, PS)
+
+    def test_job_statistics_match_oracle(self, job_db):
+        queries = [job_query(qid) for qid in JOB_QUERY_IDS]
+        assert len(queries) == 33
+        assert_catalog_matches_oracle(job_db, queries, JOB_PS)
+
+    def test_graph_eval_statistics_match_oracle(self):
+        edges = power_law_graph(300, 1500, 0.9, seed=11)
+        strings = Relation(("x", "y"), [(f"v{x}", f"v{y}") for x, y in edges])
+        triangle = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")
+        lw = parse_query("lw(x,y,z) :- R(x,y), R(y,z), R(x,z)")
+        for relation in (edges, strings):
+            db = Database({"R": relation})
+            assert_catalog_matches_oracle(db, [triangle, lw], PS)
+        assert_catalog_matches_oracle(
+            star_database(64), [star_query(2)], (1.0, 2.0, math.inf)
+        )
 
     @pytest.mark.parametrize("label,query", E_FAMILY_QUERIES)
     @pytest.mark.parametrize("cone", ["auto", "normal", "polymatroid"])
@@ -156,82 +175,37 @@ class TestEquivalence:
 
 
 class TestCatalogAccounting:
-    def test_precompute_shares_lexsorts(self, pipeline_db):
-        queries = [q for _, q in E_FAMILY_QUERIES]
-        catalog = StatisticsCatalog(pipeline_db)
-        catalog.precompute(queries, ps=PS)
-        assert catalog.sequences_batched == catalog.cached_sequences()
-        # prefix sharing: strictly fewer sorts than sequences (a binary
-        # relation's 5-conditional family needs only 2 lexsorts)
-        assert catalog.lexsorts_performed < catalog.cached_sequences()
-
     def test_one_shot_path_pays_one_sort_per_sequence(self, pipeline_db):
         catalog = StatisticsCatalog(pipeline_db)
         catalog.sequence("R", ["x"], ["y"])
         catalog.sequence("R", ["y"], ["x"])
-        assert catalog.lexsorts_performed == 2
-        assert catalog.sequences_batched == 0
+        assert catalog.cache_stats()["lexsorts"] == 2
 
     def test_warm_precompute_adds_no_sorts(self, pipeline_db):
         queries = [q for _, q in E_FAMILY_QUERIES]
         catalog = StatisticsCatalog(pipeline_db)
         catalog.precompute(queries, ps=PS)
-        sorts = catalog.lexsorts_performed
+        stored = catalog.cache_stats()
+        assert stored["lexsorts"] == stored["sequences"]
         again = catalog.precompute(queries, ps=PS)
-        assert catalog.lexsorts_performed == sorts
+        assert catalog.cache_stats() == stored
         assert len(again) == len(queries)
 
     def test_fallback_relation_still_served(self):
-        # string values encode like ints: one lexsort per prefix order
+        # string values encode like ints: the same sequences, the same sorts
         rows = [(i % 7, i % 5) for i in range(40)]
         query = parse_query("q(a,b,c) :- T(a,b), T(b,c)")
-        catalogs = []
+        counters = []
         for typed in (rows, [(f"u{x}", f"v{y}") for x, y in rows]):
             db = Database({"T": Relation(("x", "y"), typed)})
             catalog = StatisticsCatalog(db)
             (stats,) = catalog.precompute([query], ps=PS)
-            direct = collect_statistics(query, db, ps=PS)
-            got = [(str(s.conditional), s.p, round(s.log2_bound, 12)) for s in stats]
-            want = [
-                (str(s.conditional), s.p, round(s.log2_bound, 12)) for s in direct
-            ]
-            assert got == want
-            assert catalog.sequences_batched == catalog.cached_sequences()
-            catalogs.append(catalog)
-        ints, strings = catalogs
-        assert strings.lexsorts_performed == ints.lexsorts_performed
-        assert strings.lexsorts_performed < strings.cached_sequences()
-
-    def test_repeated_variable_atoms_use_uncached_path(self, pipeline_db):
-        query = parse_query("d(x,y) :- R(x,x), R(x,y)")
-        catalog = StatisticsCatalog(pipeline_db)
-        (stats,) = catalog.precompute([query], ps=PS)
-        direct = collect_statistics(query, pipeline_db, ps=PS)
-        got = sorted((str(s.conditional), s.p, s.log2_bound) for s in stats)
-        want = sorted((str(s.conditional), s.p, s.log2_bound) for s in direct)
-        assert got == want
-
-
-class TestPlanPrefixOrders:
-    def test_binary_family_needs_two_orders(self):
-        requests = [
-            ((), ("x", "y")),
-            ((), ("x",)),
-            ((), ("y",)),
-            (("x",), ("y",)),
-            (("y",), ("x",)),
-        ]
-        orders = plan_prefix_orders(requests)
-        assert len(orders) == 2
-        served = [req for _, assigned in orders for *_, req in assigned]
-        assert sorted(served) == sorted(requests)
-
-    def test_split_offsets_are_consistent(self):
-        requests = [(("a",), ("b", "c")), ((), ("a", "b", "c")), ((), ("a",))]
-        for cols, assigned in plan_prefix_orders(requests):
-            for u_len, uv_len, (u, v) in assigned:
-                assert set(cols[:u_len]) == set(u)
-                assert set(cols[u_len:uv_len]) == set(v)
+            want = oracle_statistics(query, db, ps=PS)
+            assert statistic_tuples(stats) == statistic_tuples(want)
+            counters.append(catalog.cache_stats())
+        ints, strings = counters
+        assert strings == ints
+        assert strings["lexsorts"] == strings["sequences"]
 
 
 class TestSolverAccounting:
@@ -302,6 +276,36 @@ class TestLpBoundMany:
         threaded = lp_bound_many(tasks, executor="thread", max_workers=4)
         for a, b in zip(serial, threaded):
             assert_results_identical(a, b)
+
+    def test_shared_structure_keeps_task_order(self):
+        # eight same-structure triangle LPs share one warm model, whose
+        # optimal vertex depends on the order of its solves: threads must
+        # not reorder them (a scrambled order changed the duals in about
+        # half of the runs)
+        query = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")
+        tasks = [
+            BoundTask(
+                collect_statistics(
+                    query,
+                    Database({"R": power_law_graph(50, 150, 0.8, seed)}),
+                    ps=PS,
+                ),
+                query=query,
+            )
+            for seed in range(11, 19)
+        ]
+        for _ in range(5):
+            serial = lp_bound_many(
+                tasks, BoundSolver(lp_mode="persistent"), executor="serial"
+            )
+            threaded = lp_bound_many(
+                tasks,
+                BoundSolver(lp_mode="persistent"),
+                max_workers=4,
+                executor="thread",
+            )
+            for a, b in zip(serial, threaded):
+                assert_results_identical(a, b)
 
     def test_unknown_executor_rejected(self, pipeline_db):
         with pytest.raises(ValueError, match="unknown executor"):

@@ -4,12 +4,12 @@ import math
 
 import pytest
 
+from repro.core import collect_statistics
 from repro.core.conditionals import (
     AbstractStatistic,
     ConcreteStatistic,
     Conditional,
     StatisticsSet,
-    collect_statistics,
 )
 from repro.query.query import Atom
 from repro.relational import Database, Relation

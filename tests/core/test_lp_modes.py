@@ -14,9 +14,15 @@ in whether a model is kept.  These tests pin down:
   with the one-shot oracle to 1e-9 on every cone and query shape, and
   on the pruned normal-cone LPs of JOB queries 1, 7, 19 and 33 under
   the six families, re-solved warm on a second database — and its
-  certificates verify.
+  certificates verify;
+* the warm-model determinism contract: on one kept model, a solve's
+  ``log2_bound`` does not depend on the solves before it beyond 1e-12
+  and its certificate verifies, whatever the order of the statistics
+  sets (``h_values``/``dual_weights`` are *an* optimum, not a
+  canonical one, so they are not compared).
 """
 
+import functools
 import importlib
 import math
 import os
@@ -25,6 +31,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles.scipy_lp import linprog_bound
 from repro import Database, collect_statistics, lp_bound, parse_query
@@ -356,3 +363,35 @@ class TestPersistentDifferential:
         agm = solver.solve_family(stats, (1.0,), query=query)
         assert agm.log2_bound >= full.log2_bound - 1e-9
         assert solver.persistent_resolves == 2
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle_statistics():
+    """Same-structure triangle statistics sets of eight power-law graphs
+    (the shape on which warm re-solves pick other optimal vertices)."""
+    query = parse_query("triangle(x,y,z) :- R(x,y), R(y,z), R(z,x)")
+    sets = [
+        collect_statistics(
+            query, Database({"R": power_law_graph(50, 150, 0.8, seed)}), ps=PS
+        )
+        for seed in range(11, 19)
+    ]
+    return query, sets
+
+
+class TestWarmDeterminismContract:
+    @settings(max_examples=15, deadline=None)
+    @given(st.permutations(range(8)))
+    def test_history_moves_no_bound(self, order):
+        query, sets = _triangle_statistics()
+        warm_solver = BoundSolver(lp_mode="persistent", memoize_results=False)
+        fresh_solver = BoundSolver(lp_mode="oneshot", memoize_results=False)
+        for i in order:
+            warm = warm_solver.solve(sets[i], query=query)
+            # a fresh _HighsModel per solve: no history at all
+            fresh = fresh_solver.solve(sets[i], query=query)
+            assert warm.status == fresh.status == "optimal"
+            assert abs(warm.log2_bound - fresh.log2_bound) <= 1e-12
+            assert verify_certificate(warm)
+        assert warm_solver.cached_models() == 1
+        assert warm_solver.persistent_resolves == len(order)

@@ -1,10 +1,12 @@
-"""Unit tests for the AGM bound (two routes must agree)."""
+"""Unit tests for the AGM bound: the library's ℓ1 bound LP must agree
+with the fractional edge cover LP of ``tests/oracles/edge_cover.py``."""
 
 import math
 
 import pytest
 
-from repro.estimators import agm_bound, agm_bound_lp
+from oracles.edge_cover import agm_log2
+from repro.estimators import agm_bound, agm_bound_lp, agm_statistics
 from repro.query import parse_query
 from repro.relational import Database, Relation
 
@@ -24,14 +26,23 @@ class TestAgm:
 
     def test_lp_route_agrees(self, product_db):
         q = parse_query("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)")
-        assert agm_bound_lp(q, product_db).log2_bound == pytest.approx(
-            agm_bound(q, product_db)
-        )
+        assert agm_bound(q, product_db) == agm_bound_lp(q, product_db).log2_bound
+        assert agm_bound(q, product_db) == pytest.approx(agm_log2(q, product_db))
 
     def test_lp_route_agrees_on_skewed_data(self, graph_db, triangle_query):
-        direct = agm_bound(triangle_query, graph_db)
-        via_lp = agm_bound_lp(triangle_query, graph_db).log2_bound
-        assert via_lp == pytest.approx(direct, abs=1e-6)
+        oracle = agm_log2(triangle_query, graph_db)
+        assert agm_bound(triangle_query, graph_db) == pytest.approx(
+            oracle, abs=1e-6
+        )
+
+    def test_statistics_are_the_atom_cardinalities(self, graph_db, triangle_query):
+        stats = agm_statistics(triangle_query, graph_db)
+        assert [s.guard for s in stats] == list(triangle_query.atoms)
+        for s in stats:
+            assert s.p == 1.0
+            assert not s.conditional.u
+            assert s.conditional.v == s.guard.variable_set
+            assert s.log2_bound == math.log2(len(graph_db["R"]))
 
     def test_single_join_is_product(self, two_table_db, one_join_query):
         expected = math.log2(len(two_table_db["R"])) + math.log2(
@@ -45,6 +56,7 @@ class TestAgm:
         )
         q = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
         assert agm_bound(q, db) == -math.inf
+        assert agm_log2(q, db) == -math.inf
 
     def test_agm_dominates_truth(self, graph_db, triangle_query):
         from repro.evaluation import count_query
@@ -57,3 +69,4 @@ class TestAgm:
         db = Database({"R": Relation(("a", "b"), [(1, 1), (2, 2), (1, 2)])})
         q = parse_query("Q(x) :- R(x,x)")
         assert agm_bound(q, db) == pytest.approx(1.0)  # 2 diagonal rows
+        assert agm_log2(q, db) == pytest.approx(1.0)

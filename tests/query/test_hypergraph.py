@@ -1,17 +1,24 @@
-"""Unit tests for hypergraph structure: acyclicity, girth, edge covers."""
+"""Unit tests for hypergraph structure: acyclicity, girth, edge covers.
+
+The fractional edge cover LP lives in ``tests/oracles/edge_cover.py``
+as the AGM cross-check; its weighted optimum must equal the library's
+AGM bound.
+"""
 
 import math
 
 import pytest
 
+from oracles.edge_cover import fractional_edge_cover
+from repro.estimators import agm_bound
 from repro.query import (
-    fractional_edge_cover,
     girth,
     is_alpha_acyclic,
     is_berge_acyclic,
     parse_query,
 )
 from repro.query.hypergraph import Hypergraph
+from repro.relational import Database, Relation
 
 
 class TestAlphaAcyclicity:
@@ -85,12 +92,15 @@ class TestFractionalEdgeCover:
 
     def test_weighted_cover_is_agm_exponent(self):
         # triangle with |R|=|S|=2^10, |T|=2^2: cover puts weight on cheap T
-        value, _ = fractional_edge_cover(
-            parse_query("R(x,y), S(y,z), T(z,x)"), weights=[10.0, 10.0, 2.0]
-        )
+        q = parse_query("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)")
+        value, _ = fractional_edge_cover(q, weights=[10.0, 10.0, 2.0])
         # optimum: x_R = x_S = ... LP decides; must be ≤ naive 11
         assert value <= 11.0 + 1e-9
         assert value >= 10.0  # must cover x and z through R, S at least
+        big = Relation(("a", "b"), [(i, j) for i in range(32) for j in range(32)])
+        small = Relation(("a", "b"), [(i, j) for i in range(2) for j in range(2)])
+        db = Database({"R": big, "S": big, "T": small})
+        assert agm_bound(q, db) == pytest.approx(value, abs=1e-9)
 
     def test_star_cover_uses_all_leaves(self):
         q = parse_query("R(m,a), S(m,b), T(m,c)")
@@ -98,7 +108,7 @@ class TestFractionalEdgeCover:
         assert value == pytest.approx(3.0)
 
     def test_empty_hypergraph(self):
-        value, x = Hypergraph([]).fractional_edge_cover()
+        value, x = fractional_edge_cover(Hypergraph([]))
         assert value == 0.0
         assert x.size == 0
 

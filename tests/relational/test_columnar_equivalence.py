@@ -99,24 +99,6 @@ class TestGroupingEquivalence:
             assert np.array_equal(got, expected)
 
     @SETTINGS
-    @given(rows3)
-    def test_prefix_run_counts_matches_per_conditional(self, rows):
-        """One lexsort must serve every prefix split with the exact
-        group-size multiset of the per-conditional kernel."""
-        r = Relation(("a", "b", "c"), rows)
-        order = ("b", "a", "c")
-        splits = [
-            (u, uv) for u in range(4) for uv in range(u, 4)
-        ]
-        got = r.prefix_group_size_counts(order, splits)
-        for (u_len, uv_len), counts in zip(splits, got):
-            expected = r.group_size_counts(
-                order[:u_len], order[u_len:uv_len]
-            )
-            assert counts.dtype == np.int64
-            assert sorted(counts.tolist()) == sorted(expected.tolist())
-
-    @SETTINGS
     @given(rows3 | fallback_rows3)
     def test_project_and_distinct_count_match_oracle(self, rows):
         r = Relation(("a", "b", "c"), rows)

@@ -16,6 +16,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from oracles.edge_cover import agm_log2
 from repro.core import collect_statistics, lp_bound
 from repro.core.degree import degree_sequence
 from repro.core.norms import log2_norm, lp_norm, sequence_from_norms
@@ -215,8 +216,9 @@ class TestConeAgreement:
             {"R": _rel(r_pairs), "S": _rel(s_pairs, attrs=("y", "z"))}
         )
         q = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
-        direct = agm_bound(q, db)
+        direct = agm_log2(q, db)
         via_lp = agm_bound_lp(q, db).log2_bound
+        assert agm_bound(q, db) == via_lp
         assert abs(direct - via_lp) < 1e-6
 
 
