@@ -177,7 +177,9 @@ def test_bench_lp_b_swap_persistent(benchmark):
         solver = BoundSolver(memoize_results=False)
         bounds = benchmark(_solve_swaps, solver, query, variants)
     assert len(bounds) == SWAPS
-    assert solver.cached_models() == 1
+    # one structure: one assembly entry carrying one warm model
+    assemblies = solver.cache_stats()["assemblies"]
+    assert assemblies["models"] == 1
     assert solver.persistent_resolves >= SWAPS
 
 

@@ -13,8 +13,9 @@ production invariants the stress tests pin in-process:
 * **bounded RSS growth** — the server process's resident set after the
   sweep stays within a generous factor of its post-warm-up size
   (unbounded caches fail this in seconds with this many distinct texts);
-* **budget adherence** — ``/metrics`` reports total cache bytes within
-  the configured ``--cache-budget`` and at least one eviction;
+* **budget adherence** — ``/metrics`` reports total cache bytes (warm
+  LP models included) within the configured ``--cache-budget`` and at
+  least one eviction;
 * **liveness** — ``/healthz`` still answers after the storm.
 
 Exit code 0 on success; any violated invariant raises.  Usable locally:
@@ -178,6 +179,10 @@ def main() -> int:
                           "solver_assemblies")
         )
         assert evictions > 0, "budget never bit despite distinct-text sweep"
+        # warm LP models live in their assemblies' entries, so the
+        # total above already prices them
+        assemblies = caches["solver_assemblies"]
+        assert assemblies["models"] <= assemblies["entries"], assemblies
         assert metrics["requests"]["bound"] >= total * 0.9
         assert metrics["errors"].get("internal", 0) == 0
 

@@ -15,6 +15,7 @@ Run:  python examples/cardinality_estimation_job.py
 
 import math
 
+from repro.core import active_lp_mode
 from repro.datasets import imdb_database, job_query
 from repro.estimators import textbook_estimate
 from repro.evaluation import acyclic_count
@@ -40,7 +41,7 @@ def main() -> None:
     service = BoundService(db, ps=PS)
     server = start_server(service)
     print(f"bound service at {server.url} "
-          f"(lp mode: {service.solver.resolved_lp_mode()})\n")
+          f"(lp mode: {active_lp_mode()})\n")
 
     with BoundClient(server.url) as client:
         for qid in QUERY_IDS:

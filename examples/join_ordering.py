@@ -23,6 +23,7 @@ import itertools
 import math
 
 from repro import Database
+from repro.core import active_lp_mode
 from repro.datasets import power_law_graph
 from repro.estimators import textbook_estimate_log2
 from repro.evaluation import acyclic_count
@@ -97,7 +98,7 @@ def main() -> None:
     service = BoundService(db, ps=ps)
     server = start_server(service)
     print(f"bound service at {server.url} "
-          f"(lp mode: {service.solver.resolved_lp_mode()})\n")
+          f"(lp mode: {active_lp_mode()})\n")
 
     connected_orders = []
     for perm in itertools.permutations(atoms):

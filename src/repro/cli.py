@@ -312,7 +312,7 @@ def _run_experiment_main(module, params, kwargs) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .core import set_lp_mode
+    from .core import active_lp_mode, set_lp_mode
     from .service import BoundService, BoundServiceServer, ServiceError
 
     if args.lp is not None:
@@ -350,9 +350,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         Database(relations),
         ps=tuple(args.norms),
         cache_bytes=cache_bytes,
-        max_cached_queries=args.max_cached_queries,
-        max_cached_statistics=args.max_cached_statistics,
-        max_cached_results=args.max_cached_results,
         max_concurrent_evaluations=args.max_concurrent_evaluations,
         max_evaluate_queue=args.evaluate_queue,
         evaluate_queue_timeout=args.evaluate_queue_timeout,
@@ -368,7 +365,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service, (args.host, args.port), log_requests=args.log_requests
     )
     print(f"serving on {server.url} (lp mode: "
-          f"{service.solver.resolved_lp_mode()}); Ctrl-C stops", file=sys.stderr)
+          f"{active_lp_mode()}); Ctrl-C stops", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -566,31 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SIZE",
         help="total byte budget for the service's caches (parsed "
-        "queries, statistics, solver results/assemblies) with K/M/G "
+        "queries, statistics, solver results/assemblies and their warm "
+        "LP models) with K/M/G "
         "suffixes, e.g. 64M; least-recently-used entries are evicted "
         "beyond it (evictions surface in /metrics); default: unbounded",
-    )
-    serve.add_argument(
-        "--max-cached-queries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="entry cap for the parsed-query cache (default: unbounded)",
-    )
-    serve.add_argument(
-        "--max-cached-statistics",
-        type=int,
-        default=None,
-        metavar="N",
-        help="entry cap for the per-query statistics cache "
-        "(default: unbounded)",
-    )
-    serve.add_argument(
-        "--max-cached-results",
-        type=int,
-        default=None,
-        metavar="N",
-        help="entry cap for the solver's result memo (default: unbounded)",
     )
     serve.add_argument(
         "--max-concurrent-evaluations",

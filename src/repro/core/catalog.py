@@ -5,7 +5,9 @@ The paper's standing assumption (Sec. 1, Sec. 2.1) is that ℓp-norms are
 sequence costs O(N log N) once, after which every norm is O(length).
 :class:`StatisticsCatalog` realises that split: it caches degree sequences
 per (relation, conditional, diagonal) and their norms, so a workload of
-many queries over one database pays each extraction once.
+many queries over one database pays each extraction once.  Relation
+names that share one encoded twin (the same rows registered twice) share
+their sequences.
 
 This module is the one place that knows the statistics family
 (:func:`_plan`).  :meth:`StatisticsCatalog.precompute` plans a whole
@@ -40,9 +42,10 @@ from .norms import log2_norms
 
 __all__ = ["StatisticsCatalog", "collect_statistics"]
 
-#: A degree sequence: relation name, counted columns V, grouping columns
-#: U (both sorted — the sequence does not depend on column order), and
-#: the guard's diagonal (:func:`repro.core.conditionals.atom_columns`).
+#: A degree sequence: the first relation name of its encoded twin,
+#: counted columns V, grouping columns U (both sorted — the sequence does
+#: not depend on column order), and the guard's diagonal
+#: (:func:`repro.core.conditionals.atom_columns`).
 _SeqKey = tuple[str, tuple[str, ...], tuple[str, ...], tuple[tuple[str, ...], ...]]
 
 #: One planned statistic: what it asserts, its guard, and the sequence
@@ -53,6 +56,7 @@ _Planned = tuple[AbstractStatistic, Atom, _SeqKey]
 def _plan(
     query: ConjunctiveQuery,
     db: Database,
+    twin_names: dict[str, str],
     ps: Sequence[float],
     join_variables_only: bool,
     max_u_size: int,
@@ -64,7 +68,8 @@ def _plan(
     at every p in ``ps``; with ``max_u_size=2``, also (Z − {A, B} | {A, B})
     at every p for each pair of join variables of the atom.  A variable is
     a join variable when ≥ 2 atoms share it, or always when
-    ``join_variables_only`` is false.
+    ``join_variables_only`` is false.  Sequence keys name each relation
+    by ``twin_names``.
     """
     if max_u_size not in (1, 2):
         raise ValueError(f"max_u_size must be 1 or 2, got {max_u_size}")
@@ -79,7 +84,7 @@ def _plan(
 
         def add(v: Collection[str], u: Collection[str], p_values) -> None:
             key = (
-                atom.relation,
+                twin_names[atom.relation],
                 tuple(sorted(mapping[x] for x in v)),
                 tuple(sorted(mapping[x] for x in u)),
                 diagonal,
@@ -115,6 +120,11 @@ class StatisticsCatalog:
 
     def __init__(self, db: Database) -> None:
         self._db = db
+        first: dict[int, str] = {}
+        self._twin_names = {
+            name: first.setdefault(id(db[name].columnar()), name)
+            for name in db
+        }
         self._sequences: dict[_SeqKey, np.ndarray] = {}
         self._norms: dict[tuple[_SeqKey, float], float] = {}
         self._lexsorts = 0
@@ -162,6 +172,16 @@ class StatisticsCatalog:
             for p, value in log2_norms(self._sequence(key), missing).items():
                 self._norms[key, p] = value
 
+    def _key(
+        self, relation_name: str, v_attrs: Sequence[str], u_attrs: Sequence[str]
+    ) -> _SeqKey:
+        return (
+            self._twin_names.get(relation_name, relation_name),
+            tuple(sorted(v_attrs)),
+            tuple(sorted(u_attrs)),
+            (),
+        )
+
     def sequence(
         self,
         relation_name: str,
@@ -174,9 +194,7 @@ class StatisticsCatalog:
         change the sequence), so self-join atoms binding the same columns
         under different variable names share one cache entry.
         """
-        return self._sequence(
-            (relation_name, tuple(sorted(v_attrs)), tuple(sorted(u_attrs)), ())
-        )
+        return self._sequence(self._key(relation_name, v_attrs, u_attrs))
 
     def log2_norm(
         self,
@@ -186,7 +204,7 @@ class StatisticsCatalog:
         p: float,
     ) -> float:
         """The cached log2 ℓp-norm of deg_relation(V | U)."""
-        key = (relation_name, tuple(sorted(v_attrs)), tuple(sorted(u_attrs)), ())
+        key = self._key(relation_name, v_attrs, u_attrs)
         self._log2_norms(key, (p,))
         return self._norms[key, p]
 
@@ -200,7 +218,14 @@ class StatisticsCatalog:
     ) -> list[StatisticsSet]:
         ps = tuple(ps)
         plans = [
-            _plan(query, self._db, ps, join_variables_only, max_u_size)
+            _plan(
+                query,
+                self._db,
+                self._twin_names,
+                ps,
+                join_variables_only,
+                max_u_size,
+            )
             for query in queries
         ]
         needed: dict[_SeqKey, set[float]] = {}

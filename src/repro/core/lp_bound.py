@@ -44,10 +44,10 @@ scipy ≥ 1.15).  A process-wide *LP mode* (``REPRO_LP``) decides only
 whether a model is kept:
 
 ``REPRO_LP=persistent`` (default)
-    :class:`BoundSolver` caches one model per (cone, order, structure)
-    next to its assemblies; a re-solve swaps only the statistic rows'
-    upper bounds, so HiGHS warm-starts from the previous basis instead
-    of re-presolving and solving cold.
+    :class:`BoundSolver` keeps one model per (cone, order, structure)
+    in that structure's assembly-cache entry; a re-solve swaps only the
+    statistic rows' upper bounds, so HiGHS warm-starts from the previous
+    basis instead of re-presolving and solving cold.
 ``REPRO_LP=oneshot``
     A fresh model per solve.  This is the oracle path — :func:`lp_bound`
     always uses it.  It sets the options scipy's own HiGHS LP wrapper
@@ -90,7 +90,7 @@ from ..entropy.shannon import elemental_inequalities
 from ..entropy.vectors import EntropyVector
 from ..query.query import ConjunctiveQuery
 from .conditionals import ConcreteStatistic, StatisticsSet
-from .lru import LruCache
+from .lru import LruCache, approx_bytes
 
 
 class HighsBindingError(ImportError):
@@ -607,6 +607,14 @@ class _HighsModel:
             matrix = sparse.vstack(blocks, format="csr")
         matrix = sparse.csc_array(matrix)
         num_rows = matrix.shape[0]
+        # the byte estimator's price for the model (repro.core.lru): the
+        # copy of the LP that HiGHS holds natively, invisible to Python
+        self.nbytes = (
+            matrix.data.nbytes
+            + matrix.indices.nbytes
+            + matrix.indptr.nbytes
+            + 8 * (3 * num_cols + 2 * num_rows)
+        )
         inf = _highs.kHighsInf
         lp = _highs.HighsLp()
         lp.num_col_ = num_cols
@@ -773,6 +781,24 @@ def _resolve_cone(
     return cone
 
 
+@dataclass
+class _Structure:
+    """One LP structure's assembly-cache entry: its skeleton and, under
+    ``persistent``, the warm model that re-solves it."""
+
+    assembly: _Assembly
+    model: _HighsModel | None = None
+
+
+def _entry_bytes(entry: _Structure | np.ndarray) -> int:
+    """An assembly-cache entry's price: its skeleton (or candidate set)
+    plus its warm model, if any — the wrapper itself is free."""
+    if not isinstance(entry, _Structure):
+        return approx_bytes(entry)
+    model = 0 if entry.model is None else approx_bytes(entry.model)
+    return approx_bytes(entry.assembly) + model
+
+
 class BoundSolver:
     """Structure-cached LP solving for repeated bound computations.
 
@@ -799,9 +825,10 @@ class BoundSolver:
     so results are numerically identical to the one-shot path; memo hits
     return the previously computed numbers re-bound to the caller's
     statistics set.  Under ``persistent`` (see the module docstring) the
-    solver additionally keeps one warm :class:`_HighsModel` per
-    assembly and re-solves swap only the statistic bounds — optima agree
-    with the oracle to solver tolerance, not bit-identically.
+    solver additionally keeps one warm :class:`_HighsModel` in each
+    assembly's cache entry and re-solves swap only the statistic bounds
+    — optima agree with the oracle to solver tolerance, not
+    bit-identically.
 
     **Warm-model determinism contract** (``persistent``): the bound LPs
     are degenerate, so a warm start may land on another optimal vertex
@@ -827,42 +854,30 @@ class BoundSolver:
     before/after a solve is racy under concurrency and must not be
     used for that purpose.
 
-    All three caches are LRU under optional budgets
-    (``max_cached_results`` / ``result_cache_bytes`` for the result
-    memo, ``max_cached_assemblies`` / ``assembly_cache_bytes`` for the
-    assembly cache — constraint skeletons *and* step-cone candidate
-    sets, which share its entries and bytes; persistent models share
-    the assemblies' entry cap — their real memory lives in native
-    HiGHS structures the byte estimator cannot see).  ``None`` (the default) leaves a
-    budget unbounded, the historical behaviour.  An evicted entry is
-    simply recomputed on the next request — results are unaffected.
+    Both caches are LRU under optional byte budgets
+    (``result_cache_bytes`` for the result memo, ``assembly_cache_bytes``
+    for the assembly cache); ``None`` (the default) leaves a budget
+    unbounded.  An assembly-cache entry (:class:`_Structure`) holds one
+    LP structure's skeleton and, under ``persistent``, its warm model,
+    so evicting the entry drops both; the step cones' candidate sets
+    share the cache's entries and bytes.  An evicted entry is simply
+    recomputed on the next request — results are unaffected.
 
-    ``lp_mode`` pins this solver to a mode; ``None`` (default) follows
-    the process-wide :func:`active_lp_mode` at each solve.
+    The LP mode is the process-wide :func:`active_lp_mode`, read at
+    each solve.
     """
 
     def __init__(
         self,
         memoize_results: bool = True,
-        lp_mode: str | None = None,
-        max_cached_results: int | None = None,
         result_cache_bytes: int | None = None,
-        max_cached_assemblies: int | None = None,
         assembly_cache_bytes: int | None = None,
     ) -> None:
-        if lp_mode is not None and lp_mode not in LP_MODES:
-            raise ValueError(
-                f"lp_mode {lp_mode!r} is not one of {', '.join(LP_MODES)}"
-            )
         self._assemblies: LruCache = LruCache(
-            max_cached_assemblies, assembly_cache_bytes
+            assembly_cache_bytes, sizer=_entry_bytes
         )
-        self._models: LruCache = LruCache(max_cached_assemblies)
-        self._results: LruCache = LruCache(
-            max_cached_results, result_cache_bytes
-        )
+        self._results: LruCache = LruCache(result_cache_bytes)
         self._memoize = memoize_results
-        self._lp_mode = lp_mode
         self._lock = threading.Lock()
         self._tls = threading.local()
         self.assembly_hits = 0
@@ -876,10 +891,6 @@ class BoundSolver:
     def cached_assemblies(self) -> int:
         """Entries in the assembly cache: skeletons plus candidate sets."""
         return len(self._assemblies)
-
-    def cached_models(self) -> int:
-        """Warm persistent HiGHS models held (0 under ``oneshot``)."""
-        return len(self._models)
 
     def cached_results(self) -> int:
         return len(self._results)
@@ -896,31 +907,31 @@ class BoundSolver:
         return getattr(self._tls, "last_cached", False)
 
     def cache_stats(self) -> dict[str, dict]:
-        """Entry/byte/eviction accounting for each cache layer."""
+        """Entry/byte/eviction accounting for each cache layer; the
+        assemblies' block also counts the warm ``models`` its entries
+        hold."""
         with self._lock:
-            return {
-                "results": self._results.stats(),
-                "assemblies": self._assemblies.stats(),
-                "models": self._models.stats(),
-            }
-
-    def resolved_lp_mode(self) -> str:
-        """The concrete mode this solver's next fresh solve will use."""
-        return self._lp_mode or active_lp_mode()
+            assemblies = self._assemblies.stats()
+            assemblies["models"] = sum(
+                1
+                for entry in self._assemblies.values()
+                if isinstance(entry, _Structure) and entry.model is not None
+            )
+            return {"results": self._results.stats(), "assemblies": assemblies}
 
     # ------------------------------------------------------------------
-    def _assembly_for(
+    def _structure_for(
         self,
         cone: str,
         order: tuple[str, ...],
         struct: tuple[tuple[int, int, float], ...],
-    ) -> _Assembly:
+    ) -> _Structure:
         key = (cone, order, struct)
         with self._lock:
-            assembly = self._assemblies.get(key)
-            if assembly is not None:
+            entry = self._assemblies.get(key)
+            if entry is not None:
                 self.assembly_hits += 1
-                return assembly
+                return entry
             self.assembly_misses += 1
         if cone == "polymatroid":
             assembly = _assemble_polymatroid(len(order), struct)
@@ -930,7 +941,7 @@ class BoundSolver:
             )
             assembly = _assemble_step_cone(cone, struct, candidates)
         with self._lock:
-            return self._assemblies.add(key, assembly)
+            return self._assemblies.add(key, _Structure(assembly))
 
     def _candidates_for(
         self, cone: str, n: int, pairs: tuple[tuple[int, int, bool], ...]
@@ -985,7 +996,7 @@ class BoundSolver:
         struct: tuple[tuple[int, int, float], ...],
         b_stats: np.ndarray,
         statistics: StatisticsSet,
-        assemble: Callable[[], _Assembly] | None = None,
+        structure: Callable[[], _Structure] | None = None,
     ) -> BoundResult:
         self._tls.last_cached = False
         memo_key = None
@@ -1006,15 +1017,17 @@ class BoundSolver:
         empty = _empty_result(cone, order, statistics, b_stats)
         if empty is not None:
             return empty
-        if assemble is None:
-            assembly = self._assembly_for(cone, order, struct)
+        if structure is None:
+            entry = self._structure_for(cone, order, struct)
         else:
-            assembly = assemble()
-        persistent = self.resolved_lp_mode() == "persistent"
+            entry = structure()
+        persistent = active_lp_mode() == "persistent"
         if persistent:
-            model = self._model_for(cone, order, struct, assembly, b_stats)
+            model = entry.model or self._warm_model(
+                (cone, order, struct), entry, b_stats
+            )
         else:
-            model = _HighsModel(assembly, b_stats)
+            model = _HighsModel(entry.assembly, b_stats)
         result = model.solve(b_stats, order, statistics)
         with self._lock:
             self.solves += 1
@@ -1023,22 +1036,19 @@ class BoundSolver:
                 self._results.add(memo_key, result)
         return result
 
-    def _model_for(
-        self,
-        cone: str,
-        order: tuple[str, ...],
-        struct: tuple[tuple[int, int, float], ...],
-        assembly: _Assembly,
-        b_stats: np.ndarray,
+    def _warm_model(
+        self, key: tuple, entry: _Structure, b_stats: np.ndarray
     ) -> _HighsModel:
-        key = (cone, order, struct)
+        """Build the entry's warm model; racing builders keep the first.
+        The cached entry is re-priced with its model, so the byte budget
+        bounds models and assemblies together."""
+        model = _HighsModel(entry.assembly, b_stats)
         with self._lock:
-            model = self._models.get(key)
-        if model is None:
-            model = _HighsModel(assembly, b_stats)
-            with self._lock:
-                model = self._models.add(key, model)
-        return model
+            if entry.model is None:
+                entry.model = model
+                if self._assemblies.peek(key) is entry:
+                    self._assemblies.put(key, entry)
+            return entry.model
 
     def solve_family(
         self,
@@ -1083,25 +1093,25 @@ class BoundSolver:
             struct,
             full_b[keep],
             restricted,
-            lambda: self._sliced_assembly(order, full_struct, keep, struct),
+            lambda: self._sliced_structure(order, full_struct, keep, struct),
         )
 
-    def _sliced_assembly(
+    def _sliced_structure(
         self,
         order: tuple[str, ...],
         full_struct: tuple[tuple[int, int, float], ...],
         keep: list[int],
         struct: tuple[tuple[int, int, float], ...],
-    ) -> _Assembly:
+    ) -> _Structure:
         """The polymatroid skeleton of ``struct``, sliced from the cached
         full-family skeleton's rows ``keep``."""
         key = ("polymatroid", order, struct)
         with self._lock:
-            assembly = self._assemblies.get(key)
-            if assembly is not None:
+            entry = self._assemblies.get(key)
+            if entry is not None:
                 self.assembly_hits += 1
-                return assembly
-        full = self._assembly_for("polymatroid", order, full_struct)
+                return entry
+        full = self._structure_for("polymatroid", order, full_struct).assembly
         if full.a_stats is not None and keep:
             neg_shannon, _ = _neg_shannon_block(len(order))
             a_stats = full.a_stats[keep]
@@ -1116,9 +1126,9 @@ class BoundSolver:
         else:
             assembly = _assemble_polymatroid(len(order), struct)
         with self._lock:
-            assembly = self._assemblies.add(key, assembly)
+            entry = self._assemblies.add(key, _Structure(assembly))
             self.family_slices += 1
-        return assembly
+        return entry
 
 
 @dataclass

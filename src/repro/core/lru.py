@@ -1,20 +1,19 @@
 """A budgeted LRU cache for the hot-path memoisation layers.
 
 Every long-lived cache in the serving stack — the service's parsed-query
-and statistics caches, the solver's assembly/model/result memos — used to
+and statistics caches, the solver's assembly and result memos — used to
 be a plain dict: correct, but unbounded, so a stream of *distinct* query
 texts (an adversary, or merely a diverse workload) grew the process
 without limit.  :class:`LruCache` is the shared replacement: an
 insertion-ordered map evicting least-recently-used entries whenever an
-**entry budget** or an approximate **byte budget** is exceeded, with an
-eviction counter the service surfaces in ``/metrics``.
+approximate **byte budget** is exceeded, with an eviction counter the
+service surfaces in ``/metrics``.
 
 Byte accounting uses :func:`approx_bytes` — a recursive
-``sys.getsizeof`` walk that prices NumPy arrays at ``nbytes`` and
-descends into containers and object ``__dict__``\\ s.  It is an
-*estimate* (native handles such as a HiGHS model report only their
-Python wrapper), which is why every cache also takes an entry cap; the
-point is that the total is monotone in what is stored, so a byte budget
+``sys.getsizeof`` walk that prices objects with an integer ``nbytes``
+(NumPy arrays, a warm HiGHS model) at that size and descends into
+containers and object ``__dict__``\\ s.  It is an *estimate*; the point
+is that the total is monotone in what is stored, so a byte budget
 genuinely bounds growth.
 
 Thread-safety: the cache does **not** lock internally.  Every owner
@@ -52,7 +51,7 @@ def approx_bytes(obj: Any, _seen: set[int] | None = None) -> int:
         return 0
     _seen.add(marker)
     nbytes = getattr(obj, "nbytes", None)
-    if isinstance(nbytes, int):  # numpy arrays and friends
+    if isinstance(nbytes, int):  # numpy arrays, HiGHS models
         return int(nbytes) + sys.getsizeof(obj, _DEFAULT_OBJECT_BYTES)
     total = sys.getsizeof(obj, _DEFAULT_OBJECT_BYTES)
     if isinstance(obj, dict):
@@ -72,10 +71,9 @@ def approx_bytes(obj: Any, _seen: set[int] | None = None) -> int:
 
 
 class LruCache:
-    """An insertion-ordered map with entry and byte budgets.
+    """An insertion-ordered map with a byte budget.
 
-    ``max_entries=None`` / ``max_bytes=None`` disable that budget (both
-    ``None`` is an unbounded cache, the previous behaviour).  ``sizer``
+    ``max_bytes=None`` is an unbounded cache.  ``sizer``
     prices a value for the byte budget (default :func:`approx_bytes`);
     prices are computed once at insertion and cached per key.
 
@@ -88,15 +86,11 @@ class LruCache:
 
     def __init__(
         self,
-        max_entries: int | None = None,
         max_bytes: int | None = None,
         sizer: Callable[[Any], int] = approx_bytes,
     ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be ≥ 1")
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be ≥ 1")
-        self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._sizer = sizer
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
@@ -113,6 +107,10 @@ class LruCache:
 
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._data)
+
+    def values(self) -> Iterator[Any]:
+        """The cached values, least recently used first."""
+        return iter(self._data.values())
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """A recency-neutral read — safe without the owner's lock."""
@@ -133,7 +131,8 @@ class LruCache:
             self._data.move_to_end(key)
 
     def put(self, key: Hashable, value: Any) -> Any:
-        """Insert/replace ``key`` and evict down to the budgets."""
+        """Insert/replace ``key`` (re-pricing it) and evict down to the
+        budget."""
         if key in self._data:
             self.current_bytes -= self._costs[key]
         cost = self._sizer(value) if self.max_bytes is not None else 0
@@ -145,7 +144,7 @@ class LruCache:
         return value
 
     def add(self, key: Hashable, value: Any) -> Any:
-        """``setdefault`` with budgets: keep the first value stored.
+        """``setdefault`` under the budget: keep the first value stored.
 
         Returns the incumbent when ``key`` is already present (marking
         it used), so racing computations of the same entry converge on
@@ -171,24 +170,18 @@ class LruCache:
 
     # ------------------------------------------------------------------
     def _evict(self) -> None:
-        while self._over_budget() and len(self._data) > 1:
+        if self.max_bytes is None:
+            return
+        while self.current_bytes > self.max_bytes and len(self._data) > 1:
             key, _ = self._data.popitem(last=False)
             self.current_bytes -= self._costs.pop(key)
             self.evictions += 1
-
-    def _over_budget(self) -> bool:
-        if self.max_entries is not None and len(self._data) > self.max_entries:
-            return True
-        return (
-            self.max_bytes is not None and self.current_bytes > self.max_bytes
-        )
 
     def stats(self) -> dict[str, int | None]:
         """The accounting block ``/metrics`` renders per cache layer."""
         return {
             "entries": len(self._data),
             "bytes": self.current_bytes if self.max_bytes is not None else None,
-            "max_entries": self.max_entries,
             "max_bytes": self.max_bytes,
             "evictions": self.evictions,
         }

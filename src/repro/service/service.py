@@ -20,10 +20,10 @@ front-end is one thread per connection):
   solver's *thread-local* :attr:`~repro.core.BoundSolver.last_solve_cached`
   flag (shared-counter before/after comparisons are racy);
 * every cache layer (parsed queries, per-query statistics, the
-  solver's result/assembly/model memos) is LRU under a configurable
-  byte/entry budget, so diverse or adversarial query-text traffic
-  cannot grow the process without bound — evictions are counted and
-  surfaced in :meth:`metrics`;
+  solver's result and assembly memos — an assembly entry carries its
+  warm model) is LRU under one configurable byte budget, so diverse or
+  adversarial query-text traffic cannot grow the process without bound
+  — evictions are counted and surfaced in :meth:`metrics`;
 * ``/evaluate`` — the expensive product — sits behind an
   :class:`~repro.service.admission.AdmissionController`: a concurrency
   cap, a bounded timed queue, and a typed ``overloaded`` refusal
@@ -45,7 +45,13 @@ import threading
 import time
 from collections import Counter, deque
 
-from ..core import BoundSolver, LruCache, StatisticsCatalog, product_form
+from ..core import (
+    BoundSolver,
+    LruCache,
+    StatisticsCatalog,
+    active_lp_mode,
+    product_form,
+)
 from ..evaluation import (
     CancellationToken,
     EvaluationCancelled,
@@ -116,23 +122,16 @@ class BoundService:
         front via :meth:`precompute`) and cached for the process's life.
     ps:
         The norm family collected per query (requests may narrow it via
-        ``family`` but every request is served from this superset's
-        statistics, so distinct families share one catalog pass).
-    lp_mode:
-        Pins the solver's LP mode; ``None`` follows ``REPRO_LP``.
+        ``ps`` or ``family`` but every request is served from this
+        superset's statistics, so distinct families share one catalog
+        pass; a request naming a norm outside it is a ``bad-request``).
     cache_bytes:
         Total byte budget across the query/statistics caches and the
         solver's result/assembly memos, apportioned by
-        :data:`_CACHE_SHARES`.  ``None`` (default) leaves the caches
-        unbounded by bytes.
-    max_cached_queries / max_cached_statistics / max_cached_results /
-    max_cached_assemblies:
-        Per-layer entry caps (each ``None`` = uncapped).  The
-        assemblies' layer also holds the normal cone's candidate sets
-        (one per query shape, next to its skeletons), so both count
-        against its cap.  Persistent HiGHS models share the
-        assemblies' cap — their memory is native and invisible to the
-        byte estimator.
+        :data:`_CACHE_SHARES`.  The assemblies' share also holds the
+        normal cone's candidate sets and, under ``REPRO_LP=persistent``,
+        each assembly's warm HiGHS model.  ``None`` (default) leaves the
+        caches unbounded.
     max_concurrent_evaluations:
         ``/evaluate`` concurrency cap (default: half the cores, ≥ 1).
     max_evaluate_queue:
@@ -145,13 +144,8 @@ class BoundService:
         self,
         db: Database,
         ps: tuple[float, ...] = (1.0, 2.0, float("inf")),
-        lp_mode: str | None = None,
         *,
         cache_bytes: int | None = None,
-        max_cached_queries: int | None = None,
-        max_cached_statistics: int | None = None,
-        max_cached_results: int | None = None,
-        max_cached_assemblies: int | None = None,
         max_concurrent_evaluations: int | None = None,
         max_evaluate_queue: int | None = None,
         evaluate_queue_timeout: float = 2.0,
@@ -168,18 +162,11 @@ class BoundService:
                 for layer, fraction in _CACHE_SHARES.items()
             }
         self._solver = BoundSolver(
-            lp_mode=lp_mode,
-            max_cached_results=max_cached_results,
             result_cache_bytes=share["results"],
-            max_cached_assemblies=max_cached_assemblies,
             assembly_cache_bytes=share["assemblies"],
         )
-        self._queries: LruCache = LruCache(
-            max_cached_queries, share["queries"]
-        )
-        self._statistics: LruCache = LruCache(
-            max_cached_statistics, share["statistics"]
-        )
+        self._queries: LruCache = LruCache(share["queries"])
+        self._statistics: LruCache = LruCache(share["statistics"])
         self._cache_bytes = cache_bytes
         if max_concurrent_evaluations is None:
             max_concurrent_evaluations = max(1, (os.cpu_count() or 2) // 2)
@@ -302,11 +289,8 @@ class BoundService:
             service_bytes = (
                 self._queries.current_bytes + self._statistics.current_bytes
             )
-        solver_stats = self._solver.cache_stats()
         return service_bytes + sum(
-            layer["bytes"] or 0
-            for name, layer in solver_stats.items()
-            if name != "models"
+            layer["bytes"] or 0 for layer in self._solver.cache_stats().values()
         )
 
     # ------------------------------------------------------------------
@@ -320,23 +304,27 @@ class BoundService:
                 raise ServiceError(
                     "bad-request", f"unknown cone {request.cone!r}"
                 )
+            family = tuple(
+                request.ps if request.family is None else request.family
+            )
+            unserved = set(family) - set(self._ps)
+            if unserved:
+                raise ServiceError(
+                    "bad-request",
+                    f"norms {sorted(unserved)} are not served; the service "
+                    f"collects {sorted(self._ps)}",
+                )
             try:
-                if request.family is not None:
+                if set(family) != set(self._ps):
+                    # a narrower norm family is a family restriction of
+                    # the cached statistics
                     result = self._solver.solve_family(
-                        stats, request.family, query=query, cone=request.cone
+                        stats, family, query=query, cone=request.cone
                     )
                 else:
-                    family = tuple(request.ps)
-                    if set(family) != set(self._ps):
-                        # a request for a narrower norm family is a
-                        # family restriction of the cached statistics
-                        result = self._solver.solve_family(
-                            stats, family, query=query, cone=request.cone
-                        )
-                    else:
-                        result = self._solver.solve(
-                            stats, query=query, cone=request.cone
-                        )
+                    result = self._solver.solve(
+                        stats, query=query, cone=request.cone
+                    )
             except ValueError as exc:
                 raise ServiceError("bad-request", str(exc)) from exc
             # thread-local, so concurrent requests cannot misattribute
@@ -456,17 +444,13 @@ class BoundService:
         total_bytes = (
             (query_cache["bytes"] or 0)
             + (statistics_cache["bytes"] or 0)
-            + sum(
-                layer["bytes"] or 0
-                for name, layer in solver_caches.items()
-                if name != "models"
-            )
+            + sum(layer["bytes"] or 0 for layer in solver_caches.values())
         )
         return {
             "uptime_seconds": uptime,
             "requests": requests,
             "errors": errors,
-            "lp_mode": solver.resolved_lp_mode(),
+            "lp_mode": active_lp_mode(),
             "solver": {
                 "assembly_hits": solver.assembly_hits,
                 "assembly_misses": solver.assembly_misses,
@@ -474,7 +458,6 @@ class BoundService:
                 "solves": solver.solves,
                 "persistent_resolves": solver.persistent_resolves,
                 "cached_assemblies": solver.cached_assemblies(),
-                "cached_models": solver.cached_models(),
                 "cached_results": solver.cached_results(),
             },
             "catalog": self._catalog.cache_stats(),
@@ -489,7 +472,12 @@ class BoundService:
                 "statistics": statistics_cache,
                 "solver_results": solver_caches["results"],
                 "solver_assemblies": solver_caches["assemblies"],
-                "solver_models": solver_caches["models"],
+                # warm models live in solver_assemblies entries (their
+                # bytes and evictions are counted there); this alias stays
+                # while perfbench/service_mix.py reads its evictions
+                "solver_models": {
+                    "entries": solver_caches["assemblies"]["models"]
+                },
             },
             "admission": self._admission.stats(),
             "latency": latency_summary,

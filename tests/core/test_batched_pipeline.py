@@ -295,15 +295,11 @@ class TestLpBoundMany:
             for seed in range(11, 19)
         ]
         for _ in range(5):
-            serial = lp_bound_many(
-                tasks, BoundSolver(lp_mode="persistent"), executor="serial"
-            )
-            threaded = lp_bound_many(
-                tasks,
-                BoundSolver(lp_mode="persistent"),
-                max_workers=4,
-                executor="thread",
-            )
+            with forced_lp_mode("persistent"):
+                serial = lp_bound_many(tasks, BoundSolver(), executor="serial")
+                threaded = lp_bound_many(
+                    tasks, BoundSolver(), max_workers=4, executor="thread"
+                )
             for a, b in zip(serial, threaded):
                 assert_results_identical(a, b)
 

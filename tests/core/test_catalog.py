@@ -15,7 +15,7 @@ from oracles.statistics import (
     statistic_tuples,
 )
 from repro.core import StatisticsCatalog, collect_statistics, lp_bound
-from repro.datasets import power_law_graph
+from repro.datasets import power_law_graph, star_database, star_query
 from repro.query import parse_query
 from repro.relational import Database, Relation
 
@@ -36,6 +36,21 @@ class TestCaching:
             catalog.log2_norm("R", ["x"], ["y"], p)
         assert catalog.cached_sequences() == 1
         assert catalog.cached_norms() == 5
+
+    def test_names_of_one_twin_share_sequences(self):
+        # star_database registers one relation as R1/R2 and another as
+        # T1/T2: ten distinct sequences, each extracted once
+        db = star_database(64)
+        query = star_query(2)
+        catalog = StatisticsCatalog(db)
+        (stats,) = catalog.precompute([query])
+        assert catalog.cache_stats()["sequences"] == 10
+        assert statistic_tuples(stats) == statistic_tuples(
+            oracle_statistics(query, db)
+        )
+        assert catalog.sequence("R2", ["v"], ["h"]) is catalog.sequence(
+            "R1", ["v"], ["h"]
+        )
 
     def test_norm_values_match_direct(self, graph_db):
         from repro.core.degree import degree_sequence

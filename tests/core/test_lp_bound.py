@@ -13,6 +13,7 @@ import pytest
 from repro.core import (
     BoundSolver,
     collect_statistics,
+    forced_lp_mode,
     lp_bound,
     verify_certificate,
 )
@@ -249,14 +250,16 @@ class TestEmptyRelations:
     @pytest.mark.parametrize("cone", ["polymatroid", "normal"])
     def test_solver_and_families_are_zero(self, stats, cone, lp_mode):
         # both LP modes answer before any LP exists
-        solver = BoundSolver(lp_mode=lp_mode)
-        result = solver.solve(stats, query=self.QUERY, cone=cone)
+        solver = BoundSolver()
+        with forced_lp_mode(lp_mode):
+            result = solver.solve(stats, query=self.QUERY, cone=cone)
         self.assert_empty_bound(result, stats, cone)
         for family in ((1.0,), (1.0, math.inf), (2.0,)):
             restricted = stats.restrict_ps(family)
-            result = solver.solve_family(
-                stats, family, query=self.QUERY, cone=cone
-            )
+            with forced_lp_mode(lp_mode):
+                result = solver.solve_family(
+                    stats, family, query=self.QUERY, cone=cone
+                )
             self.assert_empty_bound(result, result.statistics, cone)
             assert result.log2_bound == lp_bound(
                 restricted, query=self.QUERY, cone=cone

@@ -162,17 +162,19 @@ class TestModeConfiguration:
             assert active_lp_mode() == "oneshot"
         assert active_lp_mode() == before
 
-    def test_solver_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="lp_mode"):
-            BoundSolver(lp_mode="warp")
-
-    def test_pinned_solver_ignores_process_mode(self):
-        solver = BoundSolver(lp_mode="oneshot")
-        with forced_lp_mode("persistent"):
-            assert solver.resolved_lp_mode() == "oneshot"
-        unpinned = BoundSolver()
+    def test_solver_follows_the_process_mode(self, skew_db):
+        # no per-solver pin: each solve reads the active mode
+        query = parse_query("Q(x,y,z) :- R(x,y), R(y,z), R(z,x)")
+        stats = collect_statistics(query, skew_db, ps=PS)
+        solver = BoundSolver(memoize_results=False)
         with forced_lp_mode("oneshot"):
-            assert unpinned.resolved_lp_mode() == "oneshot"
+            solver.solve(stats, query=query)
+        assert solver.persistent_resolves == 0
+        assert solver.cache_stats()["assemblies"]["models"] == 0
+        with forced_lp_mode("persistent"):
+            solver.solve(stats, query=query)
+        assert solver.persistent_resolves == 1
+        assert solver.cache_stats()["assemblies"]["models"] == 1
 
 
 _WITHOUT_BINDING = """
@@ -235,7 +237,6 @@ class TestModeIsolation:
 
     def test_the_next_test_resolves_its_own_environment(self):
         assert active_lp_mode() == configured_lp_mode()
-        assert BoundSolver().resolved_lp_mode() == configured_lp_mode()
         if self.leaked:
             assert active_lp_mode() != self.leaked[-1]
 
@@ -323,20 +324,20 @@ class TestPersistentDifferential:
         # same LP structure, different statistics vectors: one model,
         # many warm re-solves
         query = parse_query("triangle(x,y,z) :- R(x,y), R(y,z), R(z,x)")
-        solver = BoundSolver(lp_mode="persistent", memoize_results=False)
+        solver = BoundSolver(memoize_results=False)
         for seed in (11, 12, 13, 14):
             db = Database({"R": power_law_graph(60, 250, 0.7, seed=seed)})
             stats = collect_statistics(query, db, ps=PS)
-            assert_agrees(
-                solver.solve(stats, query=query), lp_bound(stats, query=query)
-            )
-        assert solver.cached_models() == 1
+            with forced_lp_mode("persistent"):
+                warm = solver.solve(stats, query=query)
+            assert_agrees(warm, lp_bound(stats, query=query))
+        assert solver.cache_stats()["assemblies"]["models"] == 1
         assert solver.persistent_resolves == 4
 
     @pytest.mark.parametrize("qid", [1, 7, 19, 33])
     def test_job_families_agree_under_warm_resolves(self, job_dbs, qid):
         query = job_query(qid)
-        solver = BoundSolver(lp_mode="persistent", memoize_results=False)
+        solver = BoundSolver(memoize_results=False)
         structures = set()
         for db in job_dbs:
             stats = collect_statistics(query, db, ps=JOB_PS)
@@ -345,22 +346,24 @@ class TestPersistentDifferential:
                     query.variables, stats.restrict_ps(family)
                 )[0])
                 oracle = lp_bound(stats.restrict_ps(family), query=query)
-                warm = solver.solve_family(stats, family, query=query)
+                with forced_lp_mode("persistent"):
+                    warm = solver.solve_family(stats, family, query=query)
                 assert warm.status == oracle.status == "optimal"
                 assert warm.cone == oracle.cone == "normal"
                 assert_agrees(warm, oracle)
         # one model per distinct structure; every solve goes through one,
         # and a structure seen again (the next database) re-solves warm
-        assert solver.cached_models() == len(structures)
+        assert solver.cache_stats()["assemblies"]["models"] == len(structures)
         assert solver.persistent_resolves == len(job_dbs) * len(JOB_FAMILIES)
         assert len(structures) < solver.persistent_resolves
 
     def test_family_slices_use_persistent_path(self, skew_db):
         query = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
         stats = collect_statistics(query, skew_db, ps=PS)
-        solver = BoundSolver(lp_mode="persistent")
-        full = solver.solve(stats, query=query)
-        agm = solver.solve_family(stats, (1.0,), query=query)
+        solver = BoundSolver()
+        with forced_lp_mode("persistent"):
+            full = solver.solve(stats, query=query)
+            agm = solver.solve_family(stats, (1.0,), query=query)
         assert agm.log2_bound >= full.log2_bound - 1e-9
         assert solver.persistent_resolves == 2
 
@@ -384,14 +387,16 @@ class TestWarmDeterminismContract:
     @given(st.permutations(range(8)))
     def test_history_moves_no_bound(self, order):
         query, sets = _triangle_statistics()
-        warm_solver = BoundSolver(lp_mode="persistent", memoize_results=False)
-        fresh_solver = BoundSolver(lp_mode="oneshot", memoize_results=False)
+        warm_solver = BoundSolver(memoize_results=False)
+        fresh_solver = BoundSolver(memoize_results=False)
         for i in order:
-            warm = warm_solver.solve(sets[i], query=query)
-            # a fresh _HighsModel per solve: no history at all
-            fresh = fresh_solver.solve(sets[i], query=query)
+            with forced_lp_mode("persistent"):
+                warm = warm_solver.solve(sets[i], query=query)
+            with forced_lp_mode("oneshot"):
+                # a fresh _HighsModel per solve: no history at all
+                fresh = fresh_solver.solve(sets[i], query=query)
             assert warm.status == fresh.status == "optimal"
             assert abs(warm.log2_bound - fresh.log2_bound) <= 1e-12
             assert verify_certificate(warm)
-        assert warm_solver.cached_models() == 1
+        assert warm_solver.cache_stats()["assemblies"]["models"] == 1
         assert warm_solver.persistent_resolves == len(order)

@@ -4,8 +4,9 @@ The cache is the shared growth bound for every serving-stack memo
 (`core/lru.py`): these tests pin its eviction order, budget
 enforcement, byte accounting, and the solver-level behaviours built on
 it — bounded assembly/result memos that recompute evicted entries
-bit-identically, and the thread-local ``last_solve_cached`` flag that
-replaced the racy shared-counter comparison.
+bit-identically, a warm persistent model that leaves with its assembly,
+and the thread-local ``last_solve_cached`` flag that replaced the racy
+shared-counter comparison.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import Database, collect_statistics, lp_bound, parse_query
-from repro.core import BoundSolver, LruCache, approx_bytes
+from repro.core import BoundSolver, LruCache, approx_bytes, forced_lp_mode
 from repro.datasets import power_law_graph
 
 TRIANGLE = "Q(x,y,z) :- R(x,y), R(y,z), R(z,x)"
@@ -24,7 +25,7 @@ PS = (1.0, 2.0, math.inf)
 
 class TestLruCache:
     def test_entry_budget_evicts_least_recent(self):
-        cache = LruCache(max_entries=2)
+        cache = LruCache(max_bytes=2, sizer=lambda v: 1)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # refresh a: b is now least recent
@@ -34,7 +35,7 @@ class TestLruCache:
         assert cache.evictions == 1
 
     def test_peek_does_not_refresh(self):
-        cache = LruCache(max_entries=2)
+        cache = LruCache(max_bytes=2, sizer=lambda v: 1)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.peek("a")  # recency-neutral: a stays least recent
@@ -44,7 +45,7 @@ class TestLruCache:
         assert cache.peek("b") == 2
 
     def test_touch_refreshes_after_peek(self):
-        cache = LruCache(max_entries=2)
+        cache = LruCache(max_bytes=2, sizer=lambda v: 1)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.touch("a")
@@ -79,7 +80,7 @@ class TestLruCache:
         assert len(cache) == 1
 
     def test_add_keeps_incumbent(self):
-        cache = LruCache(max_entries=4)
+        cache = LruCache()
         first = object()
         second = object()
         assert cache.add("k", first) is first
@@ -96,18 +97,16 @@ class TestLruCache:
         assert len(cache) == 0
 
     def test_stats_shape(self):
-        cache = LruCache(max_entries=8, max_bytes=1 << 20)
+        cache = LruCache(max_bytes=1 << 20)
         cache.put("a", np.zeros(16))
         stats = cache.stats()
+        assert set(stats) == {"entries", "bytes", "max_bytes", "evictions"}
         assert stats["entries"] == 1
         assert stats["bytes"] > 0
-        assert stats["max_entries"] == 8
         assert stats["max_bytes"] == 1 << 20
         assert stats["evictions"] == 0
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            LruCache(max_entries=0)
         with pytest.raises(ValueError):
             LruCache(max_bytes=0)
 
@@ -149,7 +148,7 @@ def stats(db):
 class TestBoundedSolverCaches:
     def test_result_memo_evicts_and_recomputes_identically(self, stats):
         query, statistics = stats
-        solver = BoundSolver(max_cached_results=1)
+        solver = BoundSolver(result_cache_bytes=1)
         first = solver.solve(statistics, query=query)
         # a different variable order is a different memo entry
         other = solver.solve(
@@ -162,16 +161,56 @@ class TestBoundedSolverCaches:
         assert other.status == "optimal"
         assert solver.cache_stats()["results"]["evictions"] >= 2
 
-    def test_assembly_cache_entry_cap(self, stats):
+    def test_assembly_byte_budget_rebuilds_evicted(self, stats):
         query, statistics = stats
-        solver = BoundSolver(max_cached_assemblies=1)
+        solver = BoundSolver(assembly_cache_bytes=1)
         solver.solve(statistics, query=query)
         solver.solve(statistics, query=query, variables=("z", "y", "x"))
+        # a single (oversized) entry may remain; growth is bounded
         assert solver.cached_assemblies() == 1
         # evicted assemblies are rebuilt: same bound, bit-identical path
         result = solver.solve(statistics, query=query)
         oracle = lp_bound(statistics, query=query)
         assert result.log2_bound == oracle.log2_bound
+
+    def test_warm_model_leaves_with_its_assembly(self, stats):
+        # persistent models live in their assembly's entry: the byte
+        # budget that evicts an assembly drops its model too, and the
+        # entry's price includes the model
+        query, statistics = stats
+        orders = [("x", "y", "z"), ("z", "y", "x"), ("y", "z", "x")]
+        with forced_lp_mode("persistent"):
+            roomy = BoundSolver(
+                memoize_results=False, assembly_cache_bytes=1 << 30
+            )
+            roomy.solve(statistics, query=query)
+            (entry,) = [
+                e for e in roomy._assemblies.values() if hasattr(e, "model")
+            ]
+            assert entry.model is not None
+            entry_bytes = (
+                approx_bytes(entry.assembly) + approx_bytes(entry.model)
+            )
+            assert entry.model.nbytes > 0
+            others = sum(
+                approx_bytes(e) for e in roomy._assemblies.values()
+                if e is not entry
+            )
+            priced = roomy.cache_stats()["assemblies"]["bytes"]
+            assert priced == others + entry_bytes
+            budget = 2 * entry_bytes
+            solver = BoundSolver(
+                memoize_results=False, assembly_cache_bytes=budget
+            )
+            for order in orders * 2:
+                result = solver.solve(statistics, query=query, variables=order)
+                assert result.log2_bound == pytest.approx(
+                    lp_bound(statistics, query=query).log2_bound, abs=1e-9
+                )
+            assemblies = solver.cache_stats()["assemblies"]
+        assert assemblies["evictions"] > 0
+        assert assemblies["models"] <= assemblies["entries"]
+        assert assemblies["bytes"] <= budget
 
     def test_byte_budget_bounds_result_memo(self, stats):
         query, statistics = stats

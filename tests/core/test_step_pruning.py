@@ -24,7 +24,7 @@ from oracles.step_cone import (
     unpruned_lp_bound,
     unpruned_step_candidates,
 )
-from repro.core import BoundSolver, collect_statistics, lp_bound
+from repro.core import BoundSolver, collect_statistics, forced_lp_mode, lp_bound
 from repro.core.conditionals import (
     AbstractStatistic,
     ConcreteStatistic,
@@ -185,9 +185,10 @@ def test_candidates_computed_once_per_query(cases, monkeypatch):
 
     monkeypatch.setattr(lp_mod, "_step_candidates", counting)
     query, stats = cases["job19"]
-    solver = BoundSolver(lp_mode="oneshot")
-    for family in FAMILIES:
-        solver.solve_family(stats, family, query=query)
+    solver = BoundSolver()
+    with forced_lp_mode("oneshot"):
+        for family in FAMILIES:
+            solver.solve_family(stats, family, query=query)
     assert len(calls) == 1
     assert solver.assembly_misses == len(FAMILIES)
 

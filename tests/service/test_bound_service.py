@@ -216,6 +216,22 @@ class TestBoundService:
         assert err.value.code == "unknown-relation"
         assert "'R'" in err.value.message
 
+    @pytest.mark.parametrize(
+        "request_norms",
+        [{"ps": (5.0,)}, {"family": (3.0,)}, {"family": (1.0, 3.0)}],
+        ids=["ps", "family", "family-superset"],
+    )
+    def test_unserved_norm_is_bad_request(self, service, request_norms):
+        # the statistics hold only the served norms: a request naming
+        # another is refused, never answered from a silently dropped norm
+        with pytest.raises(ServiceError) as err:
+            service.bound(BoundRequest(query=TRIANGLE, **request_norms))
+        assert err.value.code == "bad-request"
+        assert err.value.http_status == 400
+        assert "3.0" in err.value.message or "5.0" in err.value.message
+        assert "[1.0, 2.0, inf]" in err.value.message
+        assert service.errors["bad-request"] == 1
+
     def test_unknown_cone_is_typed(self, service):
         with pytest.raises(ServiceError) as err:
             service.bound(BoundRequest(query=TRIANGLE, cone="conic"))
@@ -292,8 +308,7 @@ class TestBoundService:
         assert metrics["lp_mode"] in ("persistent", "oneshot")
         for key in (
             "assembly_hits", "assembly_misses", "result_hits", "solves",
-            "persistent_resolves", "cached_assemblies", "cached_models",
-            "cached_results",
+            "persistent_resolves", "cached_assemblies", "cached_results",
         ):
             assert key in metrics["solver"]
         latency = metrics["latency"]["bound"]
@@ -301,11 +316,13 @@ class TestBoundService:
         assert latency["p50_ms"] <= latency["p99_ms"] <= latency["max_ms"]
         for layer in (
             "queries", "statistics", "solver_results", "solver_assemblies",
-            "solver_models",
         ):
             cache = metrics["caches"][layer]
+            assert set(cache) >= {"entries", "bytes", "max_bytes", "evictions"}
             assert cache["entries"] >= 0
             assert cache["evictions"] >= 0
+        assemblies = metrics["caches"]["solver_assemblies"]
+        assert 0 <= assemblies["models"] <= assemblies["entries"]
         admission = metrics["admission"]
         assert admission["max_concurrent"] >= 1
         assert admission["active"] == 0
@@ -388,6 +405,20 @@ class TestHttpFrontend:
         assert err.value.code == 400
         payload = json.loads(err.value.read())
         assert payload["error"]["code"] == "bad-request"
+
+    def test_unserved_norm_is_bad_request(self, served):
+        server, _ = served
+        with BoundClient(server.url) as client:
+            for norms in ({"ps": (5.0,)}, {"family": (1.0, 3.0)}):
+                with pytest.raises(ServiceError) as err:
+                    client.bound(query=TRIANGLE, **norms)
+                assert err.value.code == "bad-request"
+                assert err.value.http_status == 400
+                assert "[1.0, 2.0, inf]" in err.value.message
+            # the connection still serves a request inside the family
+            assert client.bound(query=TRIANGLE, family=(1.0,)).status == (
+                "optimal"
+            )
 
     def test_budget_verdict_is_422_and_server_survives(self, served):
         server, _ = served

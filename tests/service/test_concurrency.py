@@ -7,7 +7,7 @@ Four layers of hardening, each with its own stress:
   every answer matches the one-shot oracle;
 * **bounded caches** — a workload with more distinct query texts than
   the byte budget admits stays within the budget (evictions counted)
-  while answers remain correct;
+  while answers remain correct, warm persistent models included;
 * **admission control** — ``/evaluate`` beyond the concurrency cap
   queues, beyond the queue (or past the timeout) yields the typed
   ``overloaded`` 429 with the documented payload, and in-flight work
@@ -16,15 +16,20 @@ Four layers of hardening, each with its own stress:
   ``round()`` rank got wrong.
 """
 
+import gc
+import importlib
 import json
 import math
+import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import Database, collect_statistics, lp_bound, parse_query
+from repro.core import forced_lp_mode
 from repro.datasets import power_law_graph
 from repro.service import (
     AdmissionController,
@@ -36,6 +41,8 @@ from repro.service import (
     start_server,
 )
 from repro.service.service import _percentile
+
+lp_mod = importlib.import_module("repro.core.lp_bound")
 
 TRIANGLE = "Q(x,y,z) :- R(x,y), R(y,z), R(z,x)"
 CHAIN = "Q(a,b,c) :- R(a,b), S(b,c)"
@@ -181,27 +188,67 @@ class TestCacheBudgets:
         )
         assert evictions > 0  # the budget actually bit
 
-    def test_entry_caps_bound_each_layer(self, db):
-        service = BoundService(
-            db,
-            ps=PS,
-            max_cached_queries=4,
-            max_cached_statistics=4,
-            max_cached_results=4,
-        )
+    def test_byte_budget_bounds_each_layer(self, db):
+        # each layer's share holds a few chain entries (a parsed chain
+        # is ~1.2 kB, its statistics and its result ~9-11 kB each)
+        service = BoundService(db, ps=PS, cache_bytes=80 * 1024)
         for i in range(12):
             service.bound(BoundRequest(query=_chain_text(i), ps=PS))
-        metrics = service.metrics()
-        assert metrics["caches"]["queries"]["entries"] <= 4
-        assert metrics["caches"]["statistics"]["entries"] <= 4
-        assert metrics["caches"]["solver_results"]["entries"] <= 4
-        assert metrics["caches"]["queries"]["evictions"] >= 8
+        caches = service.metrics()["caches"]
+        assert caches["queries"]["entries"] <= 4
+        assert caches["statistics"]["entries"] <= 4
+        assert caches["solver_results"]["entries"] <= 4
+        assert caches["queries"]["evictions"] >= 8
+        for layer in ("queries", "statistics", "solver_results",
+                      "solver_assemblies"):
+            assert caches[layer]["bytes"] <= caches[layer]["max_bytes"]
+
+    def test_warm_models_stay_inside_the_byte_budget(self, monkeypatch):
+        # a warm persistent model lives in its assembly's cache entry:
+        # evicting the assembly drops the model, and the models' bytes
+        # are part of the budget
+        created = []
+        build = lp_mod._HighsModel.__init__
+
+        def tracked(model, *args, **kwargs):
+            build(model, *args, **kwargs)
+            created.append(weakref.ref(model))
+
+        monkeypatch.setattr(lp_mod._HighsModel, "__init__", tracked)
+        graph = Database({"R": power_law_graph(200, 1000, 0.9, seed=3)})
+        texts = [
+            f"Q(x{i},y{i},z{i}) :- R(x{i},y{i}), R(y{i},z{i}), R(z{i},x{i})"
+            for i in range(60)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the model builders
+        try:
+            with forced_lp_mode("persistent"):
+                service = BoundService(graph, ps=PS, cache_bytes=200_000)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    responses = list(pool.map(
+                        lambda text: service.bound(BoundRequest(query=text)),
+                        texts + texts[::-1],
+                    ))
+        finally:
+            sys.setswitchinterval(interval)
+        first = responses[0].log2_bound
+        assert all(
+            r.log2_bound == pytest.approx(first, abs=1e-9) for r in responses
+        )
+        gc.collect()
+        warm = sum(ref() is not None for ref in created)
+        caches = service.metrics()["caches"]
+        assemblies = caches["solver_assemblies"]
+        assert assemblies["evictions"] > 0
+        assert 0 < warm <= assemblies["entries"]
+        assert caches["total_bytes"] <= caches["budget_bytes"]
+        assert assemblies["models"] == warm
 
     def test_evicted_entries_recompute_correctly(self, db):
         unbounded = BoundService(db, ps=PS)
-        tight = BoundService(
-            db, ps=PS, max_cached_statistics=2, max_cached_results=2
-        )
+        # the statistics and result shares hold two chain entries each
+        tight = BoundService(db, ps=PS, cache_bytes=64 * 1024)
         texts = [_chain_text(i) for i in range(8)] + [TRIANGLE]
         for text in texts:  # cold pass
             tight.bound(BoundRequest(query=text, ps=PS))
