@@ -49,8 +49,10 @@ def test_bench_evaluation_runtime(once):
 def test_bench_parallel_triangle(benchmark, db):
     """The triangle through the supervised parallel evaluator.
 
-    Every round pays a fresh process-pool fork plus the part fan-out and
-    the deterministic merge — the supervision overhead this entry tracks.
+    Every round starts a fresh worker pool (its processes forked from
+    the process-wide forkserver, which the first round starts) plus the
+    part fan-out and the deterministic merge — the supervision overhead
+    this entry tracks.
     Pool startup is host-load-dependent, so the trajectory grants the
     entry extra tolerance (``trajectory.TOLERANCES``).
     """

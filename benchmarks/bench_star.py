@@ -134,7 +134,7 @@ def test_bench_star_spill_sink(benchmark, traced_peak, star_db, tmp_path):
 def test_bench_star_parallel(benchmark, star_db):
     """Blocked frontier + counting sinks under parallel supervision.
 
-    Every round forks a fresh worker pool over the Lemma 2.5 parts and
+    Every round starts a fresh worker pool over the Lemma 2.5 parts and
     merges through a final ``CountSink`` — pool startup is host-load
     noise, so the entry gets extra trajectory tolerance
     (``trajectory.TOLERANCES``).

@@ -52,7 +52,7 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_baseline.json"
 #: runners, so it gets more slack than the default before failing the job.
 TOLERANCES = {
     "benchmarks/bench_lp_solver.py::test_bench_lp_resolve_b_swap": 2.0,
-    # the supervised-parallel entries fork a fresh process pool every
+    # the supervised-parallel entries start a fresh process pool every
     # round; pool startup cost is host-load-dependent noise layered on
     # top of the measured work, so they get extra slack before gating.
     "benchmarks/bench_evaluation.py::test_bench_parallel_triangle": 2.5,

@@ -80,7 +80,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy
@@ -297,21 +297,20 @@ def _stat_structure(
 
 
 @lru_cache(maxsize=None)
-def _neg_shannon_block(n: int) -> tuple[sparse.csr_matrix, int]:
-    """The memoised −A block of the elemental inequalities plus its row
-    count — rebuilt-per-call negation was the dominant setup cost of
-    repeated polymatroid bounds.  Read-only (``sparse.vstack`` copies)."""
-    shannon = elemental_inequalities(n)
-    return (-shannon).tocsr(), shannon.shape[0]
+def _neg_shannon_block(n: int) -> sparse.csr_matrix:
+    """The memoised −A block of the elemental inequalities — rebuilt-per-
+    call negation was the dominant setup cost of repeated polymatroid
+    bounds.  Read-only (``sparse.vstack`` copies)."""
+    return (-elemental_inequalities(n)).tocsr()
 
 
 @dataclass
 class _Assembly:
     """A cached constraint skeleton: everything but the b vector.
 
-    For the polymatroid cone ``a_stats`` holds the statistic rows (≤2
-    nonzeros each, assembled as COO — never through dense 2^n rows) and
-    ``a_ub`` the full stat+Shannon matrix; for the step cones ``a_ub`` is
+    For the polymatroid cone ``a_ub`` is the statistic rows (≤2 nonzeros
+    each, assembled as COO — never through dense 2^n rows) stacked on the
+    Shannon block; for the step cones ``a_ub`` is
     the dense statistic-row matrix over the step-function ``candidates``
     of :func:`_step_candidates` (``None`` when there are no statistics).
     Every column's lower bound is 0; ``col_upper`` holds the upper ones.
@@ -322,7 +321,6 @@ class _Assembly:
     a_ub: "sparse.csr_matrix | np.ndarray | None"
     c: np.ndarray
     col_upper: np.ndarray
-    a_stats: "sparse.csr_matrix | None" = None
     candidates: np.ndarray | None = None
 
 
@@ -359,17 +357,18 @@ def _assemble_polymatroid(
             f"(got {n}); use cone='normal' for simple statistics"
         )
     size = 1 << n
-    neg_shannon, _ = _neg_shannon_block(n)  # −A from A·h ≥ 0
-    a_stats = _stat_block(struct, size) if struct else None
-    if a_stats is not None:
-        a_ub = sparse.vstack([a_stats, neg_shannon], format="csr")
+    neg_shannon = _neg_shannon_block(n)  # −A from A·h ≥ 0
+    if struct:
+        a_ub = sparse.vstack(
+            [_stat_block(struct, size), neg_shannon], format="csr"
+        )
     else:
         a_ub = sparse.vstack([neg_shannon], format="csr")
     c = np.zeros(size)
     c[size - 1] = -1.0
     col_upper = np.full(size, math.inf)
     col_upper[0] = 0.0  # h(∅) = 0
-    return _Assembly("polymatroid", len(struct), a_ub, c, col_upper, a_stats)
+    return _Assembly("polymatroid", len(struct), a_ub, c, col_upper)
 
 
 #: candidates per dominance block, and the booleans one block may hold:
@@ -509,7 +508,7 @@ def _assemble_step_cone(
     # every non-empty W intersects X, so h(X) = Σ_W α_W
     c = -np.ones(m)
     col_upper = np.full(m, math.inf)
-    return _Assembly(cone, len(struct), a_ub, c, col_upper, None, candidates)
+    return _Assembly(cone, len(struct), a_ub, c, col_upper, candidates)
 
 
 def _optimal_result(
@@ -885,6 +884,9 @@ class BoundSolver:
         self.result_hits = 0
         self.solves = 0
         self.persistent_resolves = 0
+        #: Always 0: a family is solved as its restricted set, never by
+        #: slicing another assembly's rows.  Kept for ``perfbench/``,
+        #: which records it.
         self.family_slices = 0
 
     # ------------------------------------------------------------------
@@ -996,7 +998,6 @@ class BoundSolver:
         struct: tuple[tuple[int, int, float], ...],
         b_stats: np.ndarray,
         statistics: StatisticsSet,
-        structure: Callable[[], _Structure] | None = None,
     ) -> BoundResult:
         self._tls.last_cached = False
         memo_key = None
@@ -1017,10 +1018,7 @@ class BoundSolver:
         empty = _empty_result(cone, order, statistics, b_stats)
         if empty is not None:
             return empty
-        if structure is None:
-            entry = self._structure_for(cone, order, struct)
-        else:
-            entry = structure()
+        entry = self._structure_for(cone, order, struct)
         persistent = active_lp_mode() == "persistent"
         if persistent:
             model = entry.model or self._warm_model(
@@ -1058,77 +1056,22 @@ class BoundSolver:
         cone: str = "auto",
         variables: Sequence[str] | None = None,
     ) -> BoundResult:
-        """Bound from the sub-family of ``statistics`` with p ∈ ``ps``.
+        """Bound from the sub-family of ``statistics`` with p ∈ ``ps``:
+        ``solve(statistics.restrict_ps(ps), ...)``.
 
-        Equivalent to ``solve(statistics.restrict_ps(ps), ...)`` — but on
-        the polymatroid cone the restricted constraint matrix is obtained
-        by *slicing rows* of the cached full-family assembly (statistic
-        rows are independent, so the slice is bit-identical to assembling
-        the restricted set from scratch).  Step cones go through
-        :meth:`solve`: their columns depend only on the ``(U, UV)`` pairs,
-        which nested families share, so the cached candidates are reused
-        and only the statistic rows are rebuilt for the family.
+        A family bound is the same LP over the restricted Σ.  On the step
+        cones the cached candidate columns depend only on the ``(U, UV)``
+        pairs, which nested families share, so a query's families reuse
+        one candidate set and rebuild only their statistic rows.
         """
         if not isinstance(statistics, StatisticsSet):
             statistics = StatisticsSet(statistics)
-        allowed = set(ps)
-        restricted = statistics.restrict_ps(allowed)
-        order = _variable_order(query, restricted, variables)
-        cone = _resolve_cone(cone, order, restricted, False)
-        known = set(order)
-        if cone != "polymatroid" or any(
-            not (s.conditional.variables <= known) for s in statistics
-        ):
-            # step cones reuse candidates by pairs; a full set mentioning
-            # variables outside the restricted order cannot share masks.
-            return self.solve(
-                restricted, query=query, cone=cone, variables=variables
-            )
-        full_struct, full_b = _stat_structure(order, statistics)
-        keep = [i for i, s in enumerate(statistics) if s.p in allowed]
-        struct = tuple(full_struct[i] for i in keep)
-        return self._solve_structured(
-            "polymatroid",
-            order,
-            struct,
-            full_b[keep],
-            restricted,
-            lambda: self._sliced_structure(order, full_struct, keep, struct),
+        return self.solve(
+            statistics.restrict_ps(ps),
+            query=query,
+            cone=cone,
+            variables=variables,
         )
-
-    def _sliced_structure(
-        self,
-        order: tuple[str, ...],
-        full_struct: tuple[tuple[int, int, float], ...],
-        keep: list[int],
-        struct: tuple[tuple[int, int, float], ...],
-    ) -> _Structure:
-        """The polymatroid skeleton of ``struct``, sliced from the cached
-        full-family skeleton's rows ``keep``."""
-        key = ("polymatroid", order, struct)
-        with self._lock:
-            entry = self._assemblies.get(key)
-            if entry is not None:
-                self.assembly_hits += 1
-                return entry
-        full = self._structure_for("polymatroid", order, full_struct).assembly
-        if full.a_stats is not None and keep:
-            neg_shannon, _ = _neg_shannon_block(len(order))
-            a_stats = full.a_stats[keep]
-            assembly = _Assembly(
-                "polymatroid",
-                len(struct),
-                sparse.vstack([a_stats, neg_shannon], format="csr"),
-                full.c,
-                full.col_upper,
-                a_stats,
-            )
-        else:
-            assembly = _assemble_polymatroid(len(order), struct)
-        with self._lock:
-            entry = self._assemblies.add(key, _Structure(assembly))
-            self.family_slices += 1
-        return entry
 
 
 @dataclass

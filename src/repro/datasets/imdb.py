@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..relational import Database, Relation
-from .cache import cached_database
 from .generators import zipf_values
 
 __all__ = ["imdb_database", "IMDB_RELATIONS"]
@@ -70,17 +69,7 @@ def imdb_database(scale: float = 1.0, seed: int = 7) -> Database:
     dimension-table sizes grow with sqrt(scale).  The default produces
     ~45k tuples total — large enough for meaningful skew, small enough
     that all 33 JOB-like counts run in seconds via ``acyclic_count``.
-    Generation round-trips through the on-disk fixture cache when
-    ``REPRO_DATASET_CACHE`` is set (see :mod:`repro.datasets.cache`).
     """
-    return cached_database(
-        "imdb",
-        {"scale": scale, "seed": seed},
-        lambda: _build_imdb_database(scale, seed),
-    )
-
-
-def _build_imdb_database(scale: float, seed: int) -> Database:
     rng = np.random.default_rng(seed)
     movies = max(50, int(1200 * scale))
     companies = max(20, int(250 * np.sqrt(scale)))

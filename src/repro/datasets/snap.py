@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..relational import Database, Relation
-from .cache import cached_database
 from .generators import power_law_graph
 
 __all__ = ["SnapSpec", "SNAP_SPECS", "load_snap_graph", "snap_database"]
@@ -66,15 +65,5 @@ def load_snap_graph(name: str) -> Relation:
 
 
 def snap_database(name: str) -> Database:
-    """A single-relation database {R: edges} for the graph queries.
-
-    Generation round-trips through the on-disk fixture cache when
-    ``REPRO_DATASET_CACHE`` is set (see :mod:`repro.datasets.cache`).
-    """
-    if name not in _SPEC_BY_NAME:  # fail fast on unknown names, cached or not
-        raise KeyError(
-            f"unknown dataset {name!r}; have {sorted(_SPEC_BY_NAME)}"
-        )
-    return cached_database(
-        "snap", {"name": name}, lambda: Database({"R": load_snap_graph(name)})
-    )
+    """A single-relation database {R: edges} for the graph queries."""
+    return Database({"R": load_snap_graph(name)})

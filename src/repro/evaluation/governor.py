@@ -47,7 +47,7 @@ import tracemalloc
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from ..relational.columnar import ChunkedColumns, OutputSink, SpillSink
+from ..relational.columnar import MaterializeSink, OutputSink, SpillSink
 
 __all__ = [
     "EvaluationBudget",
@@ -517,10 +517,11 @@ class EvaluationGovernor:
 class EscalatingSink(OutputSink):
     """Materialize in RAM until told to spill; bit-identical either way.
 
-    Ladder rung 2's mechanism: the sink starts as an in-memory
-    accumulator (same :class:`ChunkedColumns` the default path uses);
+    Ladder rung 2's mechanism: the sink starts as a
+    :class:`~repro.relational.columnar.MaterializeSink` (the default
+    materializing path of the Theorem 2.6 evaluators);
     :meth:`escalate` opens a :class:`SpillSink` over ``directory``,
-    replays the accumulated chunks into it — they become the first
+    replays the materialized chunks into it — they become the first
     spilled segments, in emission order — and routes every later batch
     to disk.  Rows, order, and ``n_rows`` are identical whether
     escalation happens never, immediately, or anywhere in between.
@@ -535,7 +536,7 @@ class EscalatingSink(OutputSink):
         super().__init__()
         self._directory = directory
         self._chunk_rows = int(chunk_rows)
-        self._acc: ChunkedColumns | None = None
+        self._memory: MaterializeSink | None = None
         self._spill: SpillSink | None = None
         self._pending_escalate = False
 
@@ -544,7 +545,8 @@ class EscalatingSink(OutputSink):
             raise ValueError(
                 "a zero-variable output has nothing to spill; use CountSink"
             )
-        self._acc = ChunkedColumns(len(variables))
+        self._memory = MaterializeSink()
+        self._memory.open(variables)
         if self._pending_escalate:
             self.escalate()
 
@@ -563,25 +565,25 @@ class EscalatingSink(OutputSink):
             return
         spill = SpillSink(self._directory, chunk_rows=self._chunk_rows)
         spill.open(self.variables)
-        for chunk in self._acc.iter_chunks():
+        for chunk in self._memory.iter_chunks():
             spill.append(chunk)
         spill.flush()
-        self._acc = None
+        self._memory = None
         self._spill = spill
 
     def _consume_columns(self, columns, n: int) -> None:
         if self._spill is not None:
             self._spill.append(columns)
         else:
-            self._acc.append(columns)
+            self._memory.append(columns)
 
     # -- accessors (emission order, either backing store) -----------------
 
     def iter_chunks(self):
         if self._spill is not None:
             yield from self._spill.iter_chunks()
-        elif self._acc is not None:
-            yield from self._acc.iter_chunks()
+        elif self._memory is not None:
+            yield from self._memory.iter_chunks()
 
     def iter_rows(self):
         for chunk in self.iter_chunks():
@@ -591,26 +593,20 @@ class EscalatingSink(OutputSink):
         return list(self.iter_rows())
 
     def relation(self, name: str = ""):
-        """The collected output as a Relation (test/report convenience)."""
-        import numpy as np
-
-        from ..relational import Relation
-
-        variables = self.variables
-        chunks = list(self.iter_chunks())
-        if not chunks:
-            return Relation(variables, [], name=name)
-        columns = [
-            np.concatenate([chunk[i] for chunk in chunks])
-            for i in range(len(variables))
-        ]
-        return Relation.from_columns(variables, columns, name=name)
+        """The collected output as a Relation, built by a
+        :class:`~repro.relational.columnar.MaterializeSink` from the
+        chunks of either backing store (rows in emission order)."""
+        memory = MaterializeSink()
+        memory.open(self.variables)
+        for chunk in self.iter_chunks():
+            memory.append(chunk)
+        return memory.relation(name)
 
     def close(self) -> None:
         """Delete any spilled segments (idempotent)."""
         if self._spill is not None:
             self._spill.close()
-        self._acc = None
+        self._memory = None
 
     def __enter__(self) -> "EscalatingSink":
         return self

@@ -11,6 +11,9 @@ witness inequality (the dual of the bound LP), the algorithm:
    relation — correctly enumerate cross-part pairs);
 3. evaluates each combination with the PANDA stand-in
    (:mod:`repro.evaluation.panda_algorithm`) and unions the outputs.
+   Each part list is a row partition of its atom's relation, so the
+   union is disjoint: every combination streams into one output sink,
+   in combination order, and no union pass runs.
 
 The run is metered: total search nodes across parts, number of part
 combinations, and the Theorem 2.6 budget c · Π B_i^{w_i} for comparison.
@@ -18,15 +21,13 @@ combinations, and the Theorem 2.6 budget c · Π B_i^{w_i} for comparison.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from ..core.conditionals import ConcreteStatistic
 from ..core.lp_bound import BoundResult
 from ..query.query import Atom, ConjunctiveQuery
-from ..relational import Database, OutputSink, Relation
-from ..relational.columnar import ChunkedColumns
+from ..relational import Database, MaterializeSink, OutputSink, Relation
 from .panda_algorithm import evaluate_part, theorem26_log2_budget
 from .partitioning import partition_for_statistic
 
@@ -42,10 +43,9 @@ __all__ = [
 class PartitionedRun:
     """Metered outcome of the Theorem 2.6 evaluation.
 
-    ``output`` is the deduplicated union relation on the default
-    materializing path, and ``None`` when the run streamed into an
-    explicit :class:`~repro.relational.columnar.OutputSink` (held in
-    ``sink``).
+    ``output`` is the union relation on the default materializing path
+    (``sink=None``), and ``None`` when the run streamed into an explicit
+    :class:`~repro.relational.columnar.OutputSink` (held in ``sink``).
     """
 
     output: Relation | None
@@ -71,31 +71,6 @@ class PartitionedRun:
         )
 
 
-def _union_outputs(
-    query: ConjunctiveQuery, outputs: list[Relation]
-) -> Relation:
-    """Deduplicated union of the per-combination outputs.
-
-    Column-wise: each output's decoded value arrays stream into one
-    :class:`~repro.relational.columnar.ChunkedColumns` accumulator (one
-    concatenation pass per column at finalize, regardless of how many
-    part outputs there are) and :meth:`Relation.from_columns`
-    deduplicates through composite keys — no per-row Python loop.
-    """
-    acc = ChunkedColumns(len(query.variables))
-    for output in outputs:
-        if len(output):
-            twin = output.columnar()
-            acc.append(
-                [twin.dictionary(v)[twin.codes(v)] for v in query.variables]
-            )
-    if not acc.n_rows:
-        return Relation(query.variables, [], name=query.name)
-    return Relation.from_columns(
-        query.variables, acc.finalize(), name=query.name
-    )
-
-
 @dataclass
 class PartitionPlan:
     """The Lemma 2.5 part structure of one Theorem 2.6 evaluation.
@@ -103,11 +78,11 @@ class PartitionPlan:
     ``rewritten`` gives every atom a private relation name (atom-level
     parts, correct for self-joins); ``part_lists[i]`` holds atom *i*'s
     Lemma 2.5 parts (the whole relation when no statistic guards it).
-    Part combinations are indexed ``0 .. n_combinations-1`` in exactly
-    the order ``itertools.product(*part_lists)`` enumerates them (the
-    last atom's parts vary fastest), so a fixed-index merge reproduces
-    the serial evaluation order bit for bit — the contract the parallel
-    evaluator's deterministic merge relies on.
+    Part combinations are indexed ``0 .. n_combinations-1``, the last
+    atom's parts varying fastest; :meth:`combinations` visits them by
+    index through :meth:`combination_relations`, so the serial run and
+    the parallel evaluator's fixed-index merge see one order by
+    construction.
     """
 
     query: ConjunctiveQuery
@@ -118,16 +93,14 @@ class PartitionPlan:
 
     @property
     def n_combinations(self) -> int:
-        count = 1
-        for parts in self.part_lists:
-            count *= max(1, len(parts))
-        return count
+        """Π of the part-list sizes: 0 when an atom has no parts (its
+        relation is empty, so no combination can produce output)."""
+        return math.prod(len(parts) for parts in self.part_lists)
 
     def combination_relations(self, index: int) -> dict[str, Relation]:
         """The relation map of part combination ``index``.
 
-        Mixed-radix decode over the part-list sizes, last atom fastest —
-        identical to position ``index`` of ``itertools.product``.
+        Mixed-radix decode over the part-list sizes, last atom fastest.
         """
         if not 0 <= index < self.n_combinations:
             raise IndexError(
@@ -139,19 +112,14 @@ class PartitionPlan:
         for atom, parts in zip(
             reversed(self.rewritten.atoms), reversed(self.part_lists)
         ):
-            size = max(1, len(parts))
-            remainder, digit = divmod(remainder, size)
-            if parts:
-                relations[atom.relation] = parts[digit]
+            remainder, digit = divmod(remainder, len(parts))
+            relations[atom.relation] = parts[digit]
         return relations
 
     def combinations(self):
         """``(index, relations)`` for every combination, in merge order."""
-        for index, combo in enumerate(itertools.product(*self.part_lists)):
-            relations = dict(self.base)
-            for atom, part in zip(self.rewritten.atoms, combo):
-                relations[atom.relation] = part
-            yield index, relations
+        for index in range(self.n_combinations):
+            yield index, self.combination_relations(index)
 
 
 def plan_partitioned_evaluation(
@@ -249,26 +217,25 @@ def evaluate_with_partitioning(
     index, so budget diagnostics and partial-progress meters name the
     combination that was running.
 
-    An explicit ``sink`` absorbs every part combination's output
-    directly, in combination order, and ``PartitionedRun.output`` is
-    ``None``: counts add across parts and spill segments concatenate
-    lazily with no union pass.  This is exact because each Lemma 2.5
-    part list is a row partition of its atom's relation, so every output
-    binding — which pins, per atom, the single row it uses — survives in
-    exactly one combination: the union the materializing path
-    deduplicates is already disjoint.
+    Every part combination's output streams into one sink, in
+    combination order, with no union pass: counts add across parts and
+    spill segments concatenate lazily.  This is exact because each
+    Lemma 2.5 part list is a row partition of its atom's relation, so
+    every output binding — which pins, per atom, the single row it uses
+    — survives in exactly one combination.  With an explicit ``sink``,
+    ``PartitionedRun.output`` is ``None``; with ``sink=None`` a
+    :class:`~repro.relational.columnar.MaterializeSink` collects the
+    rows and ``output`` is its relation.
 
     Raises ``ValueError`` if the combination count would exceed
     ``max_parts`` — the part count is exponential in Σ p_i (that is the
     constant c of Theorem 2.6).
     """
     plan = plan_partitioned_evaluation(query, db, bound, max_parts, weight_tol)
-    if sink is not None:
-        # the rewritten query's variables are the original's (same atoms,
-        # first-appearance order), so the sink sees the same schema the
-        # materializing union would produce.
-        sink.open(plan.rewritten.variables)
-    outputs: list[Relation] = []
+    target = MaterializeSink() if sink is None else sink
+    # the rewritten query's variables are the original's (same atoms,
+    # first-appearance order), so the sink sees the query's schema.
+    target.open(plan.rewritten.variables)
     nodes_total = 0
     parts_evaluated = 0
     for index, relations in plan.combinations():
@@ -278,18 +245,16 @@ def evaluate_with_partitioning(
             plan.rewritten,
             Database(relations),
             frontier_block=frontier_block,
-            sink=sink,
+            sink=target,
             governor=governor,
         )
         parts_evaluated += 1
         nodes_total += run.nodes_visited
         if governor is not None:
             governor.commit_nodes(run.nodes_visited)
-        if sink is None:
-            outputs.append(run.output)
     if governor is not None:
         governor.set_part(None)
-    output = _union_outputs(query, outputs) if sink is None else None
+    output = target.relation(query.name) if sink is None else None
     return PartitionedRun(
         output=output,
         parts_evaluated=parts_evaluated,

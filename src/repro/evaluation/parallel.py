@@ -11,11 +11,19 @@ with a shared-nothing fan-out: each part combination is shipped to a
 :class:`~repro.relational.columnar.SpillSink` (or an in-process
 :class:`~repro.relational.columnar.CountSink` when the final sink never
 needs values), and the supervisor merges the per-part results through
-the final sink **in ascending part index** — exactly the order the
-serial ``itertools.product`` loop visits them — so rows, row order,
-counts, and meters are identical to :func:`~repro.evaluation.lp_join.\
+the final sink (a :class:`~repro.relational.columnar.MaterializeSink`
+when the caller passes none) **in ascending part index** — the order
+:meth:`~repro.evaluation.lp_join.PartitionPlan.combinations` visits
+them in the serial run — so rows, row order, counts, and meters are
+identical to :func:`~repro.evaluation.lp_join.\
 evaluate_with_partitioning` for every sink, frontier block, and worker
 count.
+
+Workers start from a ``forkserver``: the supervisor may already run
+threads (a service, a test runner), and a child forked from such a
+process can inherit a lock some other thread held.  The server is a
+fresh interpreter that preloads this module, so each worker forks from
+a single-threaded process and imports nothing per task.
 
 Supervision policy (:class:`SupervisionPolicy`):
 
@@ -62,6 +70,7 @@ command into the worker.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import shutil
 import tempfile
@@ -85,7 +94,7 @@ from ..relational.chunkstore import (
     SegmentStore,
     atomic_write_json,
 )
-from ..relational.columnar import ChunkedColumns, CountSink, SpillSink
+from ..relational.columnar import CountSink, MaterializeSink, SpillSink
 from .faults import FaultCommand, FaultInjector
 from .governor import (
     CancellationToken,
@@ -256,46 +265,31 @@ def _run_part_task(task: _PartTask) -> _PartResult:
         else:
             governor.bias(*task.fault.governor_bias())
         task.fault.trigger_before_evaluation()
-    db = Database(task.relations)
-    if task.needs_values:
-        spill = SpillSink(task.part_dir, chunk_rows=task.chunk_rows)
-        spill.open(task.query.variables)
-        run = evaluate_part(
-            task.query,
-            db,
-            frontier_block=task.frontier_block,
-            sink=spill,
-            governor=governor,
-        )
-        spill.flush()
-        paths = spill.store.segments()
-        if task.fault is not None:
-            task.fault.trigger_after_spill([str(p) for p in paths])
-        return _PartResult(
-            index=task.index,
-            attempt=task.attempt,
-            n_rows=spill.n_rows,
-            nodes_visited=run.nodes_visited,
-            segments=[p.name for p in paths],
-            ladder=list(governor.ladder) if governor is not None else [],
-        )
-    counter = CountSink()
-    counter.open(task.query.variables)
+    sink = (
+        SpillSink(task.part_dir, chunk_rows=task.chunk_rows)
+        if task.needs_values
+        else CountSink()
+    )
+    sink.open(task.query.variables)
     run = evaluate_part(
         task.query,
-        db,
+        Database(task.relations),
         frontier_block=task.frontier_block,
-        sink=counter,
+        sink=sink,
         governor=governor,
     )
+    paths = []
+    if task.needs_values:
+        sink.flush()
+        paths = sink.store.segments()
     if task.fault is not None:
-        task.fault.trigger_after_spill([])
+        task.fault.trigger_after_spill([str(p) for p in paths])
     return _PartResult(
         index=task.index,
         attempt=task.attempt,
-        n_rows=counter.n_rows,
+        n_rows=sink.n_rows,
         nodes_visited=run.nodes_visited,
-        segments=[],
+        segments=[p.name for p in paths],
         ladder=list(governor.ladder) if governor is not None else [],
     )
 
@@ -324,6 +318,13 @@ class _PartState:
             "errors": list(self.errors),
             "ladder": list(self.ladder),
         }
+
+
+def _new_pool(max_workers: int) -> ProcessPoolExecutor:
+    """A worker pool whose processes fork from the ``forkserver``."""
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__name__])
+    return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -404,13 +405,18 @@ def evaluate_parallel(
 
     Results are identical to the serial
     :func:`~repro.evaluation.lp_join.evaluate_with_partitioning` — the
-    merge feeds the final ``sink`` (or the materializing union) in
-    ascending part index, the serial visit order.  ``run_dir`` hosts
-    the per-part spill directories and the checkpoint manifest; omit it
-    for an ephemeral scratch directory (removed after success), provide
-    it (with ``resume=True`` on re-invocation) to survive interruption.
+    merge feeds the final ``sink`` (a
+    :class:`~repro.relational.columnar.MaterializeSink` when ``sink`` is
+    ``None``) in ascending part index, the serial visit order.
+    ``run_dir`` hosts the per-part spill directories and the checkpoint
+    manifest; omit it for an ephemeral scratch directory (removed after
+    success), provide it (with ``resume=True`` on re-invocation) to
+    survive interruption.
     ``injector`` threads a deterministic fault plan into the workers
-    (tests and the CLI's chaos mode).
+    (tests and the CLI's chaos mode).  Workers start from the
+    ``forkserver`` and, as under ``spawn``, re-import a script's
+    ``__main__`` module: a script that calls this must keep its entry
+    point under ``if __name__ == "__main__":``.
 
     ``budget`` governs resources: memory watermarks ship into every
     worker unchanged (one part per process), while a global deadline is
@@ -724,7 +730,7 @@ def _supervise(
             if not pending and not in_flight:
                 break
             if pool is None:
-                pool = ProcessPoolExecutor(max_workers=max_workers)
+                pool = _new_pool(max_workers)
             needs_new_pool = False
             now = time.monotonic()
             pending.sort()
@@ -868,50 +874,32 @@ def _merge(
 ):
     """Feed per-part results through the final sink in part order.
 
-    Ascending part index is exactly the serial ``itertools.product``
-    visit order, so the final sink observes the same row stream as the
-    serial evaluator; the materializing path rebuilds the union through
-    the same :class:`ChunkedColumns` + ``Relation.from_columns``
-    construction the serial ``_union_outputs`` uses.  A governor is
-    checkpointed between parts — with an escalatable final sink
-    registered, a merge that crosses the soft watermark switches it to
-    disk mid-merge instead of materializing past the budget.
+    Ascending part index is the serial visit order, so the final sink
+    observes the same row stream as the serial evaluator; with no sink,
+    a :class:`MaterializeSink` collects the rows and its relation is
+    returned.  A governor is checkpointed between parts — with an
+    escalatable final sink registered, a merge that crosses the soft
+    watermark switches it to disk mid-merge instead of materializing
+    past the budget.
     """
-    if sink is not None:
-        sink.open(plan.rewritten.variables)
-        if governor is not None:
-            governor.register_sink(sink)
-        for state in states:
-            if governor is not None:
-                governor.set_part(state.index)
-                governor.checkpoint()
-            if needs_values:
-                if not state.segments:
-                    continue
-                store = SegmentStore.attach(
-                    run_path / f"part-{state.index:05d}",
-                    n_vars,
-                    state.segments,
-                )
-                for chunk in store.iter_chunks():
-                    sink.append(chunk)
-            elif state.n_rows:
-                sink.append_size(state.n_rows)
-        return None
-    acc = ChunkedColumns(n_vars)
+    target = MaterializeSink() if sink is None else sink
+    target.open(plan.rewritten.variables)
+    if governor is not None:
+        governor.register_sink(target)
     for state in states:
         if governor is not None:
             governor.set_part(state.index)
             governor.checkpoint()
-        if not state.segments:
-            continue
-        store = SegmentStore.attach(
-            run_path / f"part-{state.index:05d}", n_vars, state.segments
-        )
-        for chunk in store.iter_chunks():
-            acc.append(chunk)
-    if acc.n_rows:
-        return Relation.from_columns(
-            plan.query.variables, acc.finalize(), name=plan.query.name
-        )
-    return Relation(plan.query.variables, set(), name=plan.query.name)
+        if needs_values:
+            if not state.segments:
+                continue
+            store = SegmentStore.attach(
+                run_path / f"part-{state.index:05d}",
+                n_vars,
+                state.segments,
+            )
+            for chunk in store.iter_chunks():
+                target.append(chunk)
+        elif state.n_rows:
+            target.append_size(state.n_rows)
+    return target.relation(plan.query.name) if sink is None else None

@@ -299,7 +299,7 @@ class ChunkedColumns:
     """Streaming accumulator for column-chunked results.
 
     Producers that emit output in chunks (the blocked WCOJ frontier, the
-    Theorem 2.6 output union) append one equal-length array per column;
+    output sinks) append one equal-length array per column;
     the chunks are held as-is and concatenated exactly once at
     :meth:`finalize` — appending chunk ``k`` costs O(1), not O(rows so
     far), so accumulating ``K`` chunks copies each row once instead of
@@ -458,14 +458,16 @@ class OutputSink:
 
 
 class MaterializeSink(OutputSink):
-    """Today's behaviour as a sink: accumulate, then build a Relation.
+    """Accumulate the output, then build a Relation.
 
     Wraps a :class:`ChunkedColumns` accumulator (append O(1) per chunk,
     one concatenation pass per column); :meth:`relation` materializes the
-    collected rows in emission order.  This is the explicit spelling of
-    the default path — evaluators short-circuit ``sink=None`` to an
-    internal code-space accumulator, and this sink exists so the
-    streamed interface itself is testable against that fast path.
+    collected rows in emission order.  The Theorem 2.6 evaluators (serial
+    and parallel) materialize ``sink=None`` runs through it, and
+    :class:`~repro.evaluation.governor.EscalatingSink` holds its
+    in-memory rows in one.  :func:`~repro.evaluation.wcoj.generic_join`
+    keeps its own code-space accumulator for ``sink=None``: it decodes
+    once at the end instead of per batch.
     """
 
     def __init__(self) -> None:
@@ -477,6 +479,11 @@ class MaterializeSink(OutputSink):
 
     def _consume_columns(self, columns: list[np.ndarray], n: int) -> None:
         self._acc.append(columns)
+
+    def iter_chunks(self) -> Iterator[list[np.ndarray]]:
+        """The collected column chunks, in emission order."""
+        if self._acc is not None:
+            yield from self._acc.iter_chunks()
 
     def relation(self, name: str = ""):
         """The collected output as a Relation (rows in emission order)."""

@@ -4,8 +4,7 @@ The paper works with relations under set semantics: a relation is a finite
 set of tuples over a fixed list of named attributes.  This module provides
 an immutable :class:`Relation` that deduplicates on construction and offers
 the handful of relational-algebra operations the rest of the library needs
-(projection, selection, renaming) together with cached hash indexes used by
-the join algorithms and the degree-sequence computations.
+(projection, selection, renaming).
 
 Values may be any hashable Python objects.  Integer-only relations are the
 common case (graphs, synthetic benchmarks), but domain products
@@ -23,7 +22,6 @@ kernels over the twin.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -36,11 +34,6 @@ from .columnar import (
 )
 
 __all__ = ["Relation"]
-
-#: Tags :meth:`Relation.distinct_count` memo keys in ``_indexes``, whose
-#: other keys are plain attribute tuples.
-_DISTINCT_COUNT = object()
-
 
 class Relation:
     """An immutable relation: a set of tuples over named attributes.
@@ -63,7 +56,8 @@ class Relation:
     """
 
     __slots__ = (
-        "_attributes", "_rows", "_row_set", "_indexes", "_name", "_columnar",
+        "_attributes", "_rows", "_row_set", "_distinct_counts", "_name",
+        "_columnar",
     )
 
     def __init__(
@@ -90,7 +84,7 @@ class Relation:
                 materialized.append(t)
         self._rows = tuple(materialized)
         self._row_set = seen
-        self._indexes: dict = {}
+        self._distinct_counts: dict = {}
         self._name = name
         self._columnar: ColumnarRelation | None = None
 
@@ -156,7 +150,7 @@ class Relation:
     def __setstate__(self, state):
         self._attributes, self._name, self._rows, self._columnar = state
         self._row_set = None
-        self._indexes = {}
+        self._distinct_counts = {}
 
     # ------------------------------------------------------------------
     # constructors
@@ -234,7 +228,7 @@ class Relation:
         out._attributes = attributes
         out._rows = None
         out._row_set = None
-        out._indexes = {}
+        out._distinct_counts = {}
         out._name = name
         out._columnar = columnar
         return out
@@ -262,7 +256,7 @@ class Relation:
             raise ValueError(f"rename produced duplicates: {new_attrs!r}")
         out._rows = self._rows
         out._row_set = self._row_set
-        out._indexes = {}
+        out._distinct_counts = {}
         out._name = self._name
         cached = self._columnar
         out._columnar = None if cached is None else cached.renamed(mapping)
@@ -282,7 +276,7 @@ class Relation:
         out._attributes = self._attributes
         out._rows = self._rows
         out._row_set = self._row_set
-        out._indexes = self._indexes
+        out._distinct_counts = self._distinct_counts
         out._name = name
         out._columnar = columnar
         return out
@@ -317,17 +311,6 @@ class Relation:
             name=self._name,
         )
 
-    def select_eq(self, attr: str, value) -> "Relation":
-        """Keep rows where column ``attr`` equals ``value`` (uses index)."""
-        index = self.index_on((attr,))
-        return Relation(
-            self._attributes, index.get((value,), ()), name=self._name
-        )
-
-    def restrict_rows(self, rows: Iterable[tuple]) -> "Relation":
-        """Build a relation over the same attributes from given rows."""
-        return Relation(self._attributes, rows, name=self._name)
-
     def _take_rows(self, indices) -> "Relation":
         """Row subset by positional indices (rows stay distinct).
 
@@ -353,26 +336,8 @@ class Relation:
         return self._columnar
 
     # ------------------------------------------------------------------
-    # indexes and statistics helpers
+    # statistics helpers
     # ------------------------------------------------------------------
-    def index_on(self, attrs: Sequence[str]) -> Mapping[tuple, list]:
-        """Hash index: key tuple over ``attrs`` -> list of full rows.
-
-        The index is cached on the relation; relations are immutable so the
-        cache never invalidates.
-        """
-        key = tuple(attrs)
-        cached = self._indexes.get(key)
-        if cached is not None:
-            return cached
-        pos = self.positions(key)
-        index: dict[tuple, list] = defaultdict(list)
-        for row in self._materialized_rows():
-            index[tuple(row[i] for i in pos)].append(row)
-        index = dict(index)
-        self._indexes[key] = index
-        return index
-
     def group_sizes(
         self, group_attrs: Sequence[str], value_attrs: Sequence[str]
     ) -> dict[tuple, int]:
@@ -405,24 +370,19 @@ class Relation:
     def distinct_count(self, attrs: Sequence[str]) -> int:
         """Number of distinct values in the projection onto ``attrs``.
 
-        Memoized in the relation's cache next to the hash indexes (under
-        a sentinel-tagged key no attribute tuple can equal); relations
-        are immutable, so the count never invalidates.
+        Memoized per attribute tuple; relations are immutable, so the
+        count never invalidates.
         """
-        key = (_DISTINCT_COUNT, tuple(attrs))
-        cached = self._indexes.get(key)
+        key = tuple(attrs)
+        cached = self._distinct_counts.get(key)
         if cached is not None:
             return cached
-        self.positions(attrs)  # validate attribute names
-        count = self.columnar().distinct_count(tuple(attrs))
-        self._indexes[key] = count
+        self.positions(key)  # validate attribute names
+        count = self.columnar().distinct_count(key)
+        self._distinct_counts[key] = count
         return count
 
     def active_domain(self) -> set:
         """All values appearing in any column."""
         return self.columnar().active_domain()
 
-    def column(self, attr: str) -> list:
-        """All values (with repetitions removed row-wise) of one column."""
-        (pos,) = self.positions((attr,))
-        return [row[pos] for row in self._materialized_rows()]

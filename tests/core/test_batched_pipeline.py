@@ -147,6 +147,25 @@ class TestEquivalence:
             )
             assert_results_identical(one_shot, sliced)
 
+    def test_polymatroid_family_is_the_restricted_solve(self, job_db):
+        """Non-simple (|U| = 2) statistics force the polymatroid cone;
+        each family's result is the restricted set's, bit for bit."""
+        query = parse_query(
+            "q(m,p,r,g,k) :- cast_info(m,p,r), name(p,g), title(m,k)"
+        )
+        stats = collect_statistics(query, job_db, ps=PS, max_u_size=2)
+        assert not stats.is_simple
+        with forced_lp_mode("oneshot"):
+            solver = BoundSolver()
+            solver.solve(stats, query=query)  # warm full family
+            for family in [(1.0,), (1.0, math.inf), (1.0, 2.0), PS]:
+                restricted = BoundSolver().solve(
+                    stats.restrict_ps(family), query=query
+                )
+                family_result = solver.solve_family(stats, family, query=query)
+                assert family_result.cone == "polymatroid"
+                assert_results_identical(restricted, family_result)
+
     def test_job_queries_match(self, job_db):
         db = job_db
         queries = [job_query(qid) for qid in (1, 7, 19, 33)]
@@ -223,11 +242,15 @@ class TestSolverAccounting:
         assert solver.solves == 2
 
     def test_family_slice_counter(self, pipeline_db):
+        """Families solve as their restricted sets: the counter perfbench
+        records stays 0, and the family assembles its own structure."""
         query = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")
         stats = collect_statistics(query, pipeline_db, ps=PS)
         solver = BoundSolver()
+        solver.solve(stats, query=query, cone="polymatroid")
         solver.solve_family(stats, (1.0, 2.0), query=query, cone="polymatroid")
-        assert solver.family_slices == 1
+        assert solver.family_slices == 0
+        assert solver.assembly_misses == 2
 
     def test_extra_inequalities_bypass_cache(self, pipeline_db):
         query = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")

@@ -357,15 +357,20 @@ class TestPersistentDifferential:
         assert solver.persistent_resolves == len(job_dbs) * len(JOB_FAMILIES)
         assert len(structures) < solver.persistent_resolves
 
-    def test_family_slices_use_persistent_path(self, skew_db):
+    def test_family_solves_use_persistent_path(self, skew_db):
         query = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
         stats = collect_statistics(query, skew_db, ps=PS)
         solver = BoundSolver()
         with forced_lp_mode("persistent"):
             full = solver.solve(stats, query=query)
             agm = solver.solve_family(stats, (1.0,), query=query)
+            polymatroid = solver.solve_family(
+                stats, (1.0,), query=query, cone="polymatroid"
+            )
         assert agm.log2_bound >= full.log2_bound - 1e-9
-        assert solver.persistent_resolves == 2
+        # simple statistics: the normal cone is exact (Theorem 6.1)
+        assert abs(polymatroid.log2_bound - agm.log2_bound) <= 1e-9
+        assert solver.persistent_resolves == 3
 
 
 @functools.lru_cache(maxsize=None)

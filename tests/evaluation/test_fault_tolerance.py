@@ -136,6 +136,32 @@ class TestSerialEquivalence:
                 assert parallel_sink.rows() == serial_sink.rows()
 
 
+class TestWorkerStart:
+    def test_workers_do_not_inherit_supervisor_state(
+        self, setup, monkeypatch
+    ):
+        """Workers fork from a clean forkserver, never from the
+        supervisor (which may run threads): a patch made in the
+        supervisor does not reach them."""
+        query, db, bound, serial = setup
+        import repro.evaluation.parallel as parallel
+
+        def poisoned(*args, **kwargs):
+            raise RuntimeError("supervisor state reached a worker")
+
+        monkeypatch.setattr(parallel, "evaluate_part", poisoned)
+        run = evaluate_parallel(
+            query,
+            db,
+            bound,
+            workers=2,
+            policy=SupervisionPolicy(max_retries=0, serial_fallback=False),
+        )
+        assert list(run.output) == list(serial.output)
+        assert run.nodes_visited == serial.nodes_visited
+        assert all(o.status == "done" for o in run.outcomes)
+
+
 class TestFaultRecovery:
     def test_raise_and_exit_faults_retry_to_success(self, setup):
         query, db, bound, serial = setup

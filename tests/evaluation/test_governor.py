@@ -46,7 +46,13 @@ from repro.evaluation import (
 )
 from repro.evaluation.faults import GOVERNOR_KINDS, FaultCommand, InjectedFault
 from repro.query import parse_query
-from repro.relational import CountSink, Database, Relation, SpillSink
+from repro.relational import (
+    CountSink,
+    Database,
+    MaterializeSink,
+    Relation,
+    SpillSink,
+)
 
 SETTINGS = settings(max_examples=10, deadline=None)
 
@@ -358,6 +364,36 @@ class TestEscalatingSink:
             assert sink.escalated == (escalate_after is not None)
             relation = sink.relation("out")
             assert list(relation) == self.ROWS
+
+    @pytest.mark.parametrize("escalate_after", [-1, 3000, None])
+    def test_relation_equals_materialize_sink(self, tmp_path, escalate_after):
+        """Escalated before the first batch, mid-run, or never: the
+        relation is the one a MaterializeSink builds from the batches."""
+        names = np.array([f"v{i}" for i in range(len(self.ROWS))], dtype=object)
+        reference = MaterializeSink()
+        reference.open(("x", "y"))
+        with EscalatingSink(tmp_path / "esc", chunk_rows=512) as sink:
+            sink.open(("x", "y"))
+            if escalate_after == -1:
+                sink.escalate()
+            for start in range(0, len(self.ROWS), 1000):
+                batch = [
+                    np.arange(start, start + 1000) + 2**62,
+                    names[start:start + 1000],
+                ]
+                sink.append(batch)
+                reference.append(batch)
+                if escalate_after is not None and start >= escalate_after:
+                    sink.escalate()
+            assert sink.escalated == (escalate_after is not None)
+            got, want = sink.relation("out"), reference.relation("out")
+        assert list(got) == list(want)
+        assert (got.attributes, got.name) == (want.attributes, want.name)
+        for attr in ("x", "y"):
+            assert np.array_equal(
+                got.columnar().dictionary(attr),
+                want.columnar().dictionary(attr),
+            )
 
     def test_escalate_before_open_is_deferred(self, tmp_path):
         with EscalatingSink(tmp_path / "esc") as sink:

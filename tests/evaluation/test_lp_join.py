@@ -1,5 +1,6 @@
 """Unit tests for the Theorem 2.6 evaluation algorithm."""
 
+import itertools
 import math
 
 import pytest
@@ -14,6 +15,8 @@ from repro.evaluation import (
     generic_join,
     theorem26_log2_budget,
 )
+from repro.evaluation.lp_join import plan_partitioned_evaluation
+from repro.evaluation.panda_algorithm import evaluate_part
 from repro.query import parse_query
 from repro.relational import CountSink, Database, Relation, SpillSink
 
@@ -139,3 +142,89 @@ class TestMixedTypeColumns:
                 )
                 assert parallel_sink.rows() == serial_sink.rows()
                 assert len(serial_sink.rows()) == serial.count
+
+
+def _union_of_part_outputs(query, db, bound):
+    """The materialized Theorem 2.6 output built the long way: every part
+    combination of ``itertools.product`` over the part lists evaluated
+    on its own into a relation, the rows concatenated in that order."""
+    plan = plan_partitioned_evaluation(query, db, bound)
+    names = [atom.relation for atom in plan.rewritten.atoms]
+    rows = []
+    for combo in itertools.product(*plan.part_lists):
+        relations = {**plan.base, **dict(zip(names, combo))}
+        rows.extend(evaluate_part(plan.rewritten, Database(relations)).output)
+    return rows
+
+
+class TestMaterializedRowOrder:
+    """``sink=None`` runs materialize through one sink in combination
+    order: the rows, and their order, are those of the per-combination
+    union, for every value encoding and for an empty relation."""
+
+    TRIANGLE = parse_query("Q(x,y,z) :- R(x,y), R(y,z), R(z,x)")
+    FAST = SupervisionPolicy(backoff_base=0.0, backoff_jitter=0.0)
+    GRAPH = power_law_graph(120, 600, 0.6, seed=9)
+
+    @pytest.fixture(
+        scope="class",
+        params=["int", "string", "beyond-int64", "empty"],
+    )
+    def case(self, request):
+        relabel = {
+            "int": lambda v: v,
+            "string": lambda v: f"v{v}",
+            "beyond-int64": lambda v: v + 2**63,
+        }
+        if request.param == "empty":
+            relation = Relation(("x", "y"), [])
+        else:
+            label = relabel[request.param]
+            relation = Relation(
+                ("x", "y"), [(label(a), label(b)) for a, b in self.GRAPH]
+            )
+        db = Database({"R": relation})
+        stats = collect_statistics(self.TRIANGLE, db, ps=[1.0, 2.0, math.inf])
+        return request.param, db, lp_bound(stats, query=self.TRIANGLE)
+
+    def test_serial_rows_and_order(self, case):
+        kind, db, bound = case
+        run = evaluate_with_partitioning(self.TRIANGLE, db, bound)
+        expected = _union_of_part_outputs(self.TRIANGLE, db, bound)
+        assert list(run.output) == expected
+        assert run.output.attributes == self.TRIANGLE.variables
+        assert run.output.name == self.TRIANGLE.name
+        assert set(run.output) == set(generic_join(self.TRIANGLE, db).output)
+        if kind != "empty":
+            assert run.parts_evaluated > 1
+            assert expected
+
+    def test_parallel_rows_and_order(self, case):
+        _, db, bound = case
+        serial = evaluate_with_partitioning(self.TRIANGLE, db, bound)
+        run = evaluate_parallel(
+            self.TRIANGLE, db, bound, workers=2, policy=self.FAST
+        )
+        assert list(run.output) == list(serial.output)
+        assert run.parts_evaluated == serial.parts_evaluated
+        assert run.nodes_visited == serial.nodes_visited
+
+    def test_relation_without_parts_has_no_combinations(self):
+        """A certificate measured on another database can guard a
+        relation that is empty here: its atom has no Lemma 2.5 parts, so
+        no combination exists, serially or in parallel."""
+        full = Database({"R": self.GRAPH})
+        stats = collect_statistics(
+            self.TRIANGLE, full, ps=[1.0, 2.0, math.inf]
+        )
+        bound = lp_bound(stats, query=self.TRIANGLE)
+        empty = Database({"R": Relation(("x", "y"), [])})
+        plan = plan_partitioned_evaluation(self.TRIANGLE, empty, bound)
+        assert [] in plan.part_lists
+        assert plan.n_combinations == 0 == len(list(plan.combinations()))
+        serial = evaluate_with_partitioning(self.TRIANGLE, empty, bound)
+        run = evaluate_parallel(
+            self.TRIANGLE, empty, bound, workers=2, policy=self.FAST
+        )
+        assert serial.parts_evaluated == run.parts_evaluated == 0
+        assert len(serial.output) == len(run.output) == 0

@@ -57,7 +57,6 @@ def unpruned_lp_bound(statistics, query=None, variables=None):
         step_rows(struct, candidates) if struct else None,
         -np.ones(m),
         np.full(m, np.inf),
-        None,
         candidates,
     )
     return _HighsModel(assembly, b_stats).solve(b_stats, order, statistics)

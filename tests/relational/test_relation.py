@@ -89,14 +89,6 @@ class TestAlgebra:
         s = tiny_relation.select(lambda row: row[0] <= 2)
         assert len(s) == 2
 
-    def test_select_eq_uses_values(self, tiny_relation):
-        s = tiny_relation.select_eq("y", 10)
-        assert len(s) == 3
-        assert all(row[1] == 10 for row in s)
-
-    def test_select_eq_missing_value(self, tiny_relation):
-        assert len(tiny_relation.select_eq("y", 999)) == 0
-
     def test_rename(self, tiny_relation):
         renamed = tiny_relation.rename({"x": "a"})
         assert renamed.attributes == ("a", "y")
@@ -106,11 +98,6 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             tiny_relation.rename({"x": "y"})
 
-    def test_restrict_rows(self, tiny_relation):
-        r = tiny_relation.restrict_rows([(1, 10)])
-        assert len(r) == 1
-        assert r.attributes == tiny_relation.attributes
-
     def test_with_name(self, tiny_relation):
         named = tiny_relation.with_name("other")
         assert named.name == "other"
@@ -118,16 +105,6 @@ class TestAlgebra:
 
 
 class TestIndexesAndStats:
-    def test_index_on_groups_rows(self, tiny_relation):
-        index = tiny_relation.index_on(("y",))
-        assert len(index[(10,)]) == 3
-        assert len(index[(20,)]) == 1
-
-    def test_index_is_cached(self, tiny_relation):
-        first = tiny_relation.index_on(("y",))
-        second = tiny_relation.index_on(("y",))
-        assert first is second
-
     def test_group_sizes_counts_distinct(self):
         r = Relation(("x", "y"), [(1, 1), (1, 2), (2, 1)])
         sizes = r.group_sizes(("x",), ("y",))
@@ -156,12 +133,6 @@ class TestIndexesAndStats:
             assert r.distinct_count(attrs) == fresh
             assert r.distinct_count(list(attrs)) == fresh  # memo hit
 
-    def test_distinct_count_memo_keeps_index_cache(self, tiny_relation):
-        index = tiny_relation.index_on(("y",))
-        assert tiny_relation.distinct_count(("y",)) == 2
-        assert tiny_relation.index_on(("y",)) is index
-        assert tiny_relation.distinct_count(("y",)) == 2
-
     def test_distinct_count_memo_empty_relation(self):
         empty = Relation(("x", "y"), [])
         assert empty.distinct_count(("x",)) == 0
@@ -185,5 +156,3 @@ class TestIndexesAndStats:
     def test_active_domain(self, tiny_relation):
         assert tiny_relation.active_domain() == {1, 2, 3, 4, 10, 20}
 
-    def test_column(self, tiny_relation):
-        assert sorted(tiny_relation.column("y")) == [10, 10, 10, 20]
