@@ -6,7 +6,7 @@ Three workloads enter the CI trajectory:
   optimizer's plan search lives on (statistics cache + result memo hit,
   no LP touched);
 * ``test_bench_service_http_round_trip`` — the same request through the
-  stdlib HTTP front-end over one keep-alive connection;
+  HTTP/1.1 front-end over one keep-alive connection;
 * ``test_bench_service_http_contended`` — warm throughput (requests/s)
   at 8 concurrent keep-alive clients, the locking-discipline canary;
 * the ``b_swap`` pair — the persistent warm-started HiGHS model vs a

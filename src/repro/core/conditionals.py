@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from ..relational import Database, Relation
 from ..query.query import Atom
@@ -185,10 +186,18 @@ class ConcreteStatistic:
 
 
 class StatisticsSet:
-    """A set of concrete statistics (Σ, B) guarded by a query."""
+    """A set of concrete statistics (Σ, B) guarded by a query.
+
+    A set never changes after it is built (:meth:`add`, :meth:`merged`
+    and the restrictions return new sets), so what is derived from it
+    alone is computed once per set: :attr:`is_simple`, and whatever a
+    consumer keeps through :meth:`derived` (the LP's structure per
+    variable order, say).  A cache that keeps the set keeps these too.
+    """
 
     def __init__(self, statistics: Iterable[ConcreteStatistic]) -> None:
         self._stats = list(statistics)
+        self._derived: dict[Hashable, Any] = {}
 
     def __iter__(self) -> Iterator[ConcreteStatistic]:
         return iter(self._stats)
@@ -199,10 +208,22 @@ class StatisticsSet:
     def __getitem__(self, idx: int) -> ConcreteStatistic:
         return self._stats[idx]
 
-    @property
+    @cached_property
     def is_simple(self) -> bool:
         """Whether every statistic is simple (Theorem 6.1 regime)."""
         return all(s.is_simple for s in self._stats)
+
+    def derived(self, key: Hashable, build: Callable[..., Any], *args) -> Any:
+        """``build(*args)``, computed once per ``key`` for this set.
+
+        Racing threads may both build; every caller gets the first value
+        stored, so a derived value is one shared object per set.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            pass
+        return self._derived.setdefault(key, build(*args))
 
     @property
     def norms_used(self) -> set[float]:

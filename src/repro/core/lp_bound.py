@@ -278,7 +278,20 @@ def _stat_structure(
     constraint matrix's identity: two statistics sets with equal structure
     differ only in ``b``, which is exactly what :class:`BoundSolver`'s
     re-solve path swaps.
+
+    Computed once per (set, variable order) and kept on the set
+    (:meth:`~repro.core.conditionals.StatisticsSet.derived`), so a memo
+    hit on a kept set does no pass over its statistics; ``b`` is
+    read-only because every solve of the set shares it.
     """
+    return statistics.derived(
+        ("lp-structure", variables), _build_structure, variables, statistics
+    )
+
+
+def _build_structure(
+    variables: tuple[str, ...], statistics: StatisticsSet
+) -> tuple[tuple[tuple[int, int, float], ...], np.ndarray]:
     index = {v: i for i, v in enumerate(variables)}
     struct = []
     b = np.empty(len(statistics))
@@ -293,6 +306,7 @@ def _stat_structure(
         inv_p = 0.0 if stat.p == math.inf else 1.0 / stat.p
         struct.append((mask_u, mask_uv, inv_p))
         b[i] = stat.log2_bound
+    b.flags.writeable = False
     return tuple(struct), b
 
 

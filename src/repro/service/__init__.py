@@ -7,8 +7,8 @@ package serves both from one long-lived process:
 :class:`~repro.core.StatisticsCatalog` and the warm
 :class:`~repro.core.BoundSolver` caches (persistent HiGHS models under
 ``REPRO_LP=persistent``), :mod:`~repro.service.server` exposes them over
-stdlib HTTP, and every dispatched evaluation carries a per-request
-:class:`~repro.evaluation.EvaluationBudget` so one oversized query
+a minimal HTTP/1.1 front-end, and every dispatched evaluation carries a
+per-request :class:`~repro.evaluation.EvaluationBudget` so one oversized query
 degrades or stops with a typed verdict instead of taking the process
 down.  Under real concurrency the service is hardened three ways:
 every cache layer is LRU under a byte/entry budget, an
