@@ -128,6 +128,26 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The optional ``experiment`` flags, as (flag, ``main`` keyword) pairs in
+#: the order they are checked: an experiment whose ``main`` lacks the
+#: keyword refuses the flag.
+_EXPERIMENT_FLAGS = (
+    ("--frontier-block", "frontier_block"),
+    ("--sink", "sink"),
+    ("--spill-dir", "spill_dir"),
+    ("--memory-budget", "memory_budget"),
+    ("--deadline", "deadline"),
+    ("--parallel-workers", "parallel_workers"),
+    ("--part-timeout", "part_timeout"),
+    ("--retries", "retries"),
+    ("--resume", "resume"),
+    ("--inject-faults", "inject_faults"),
+)
+
+#: The keywords of the flags that supervise ``--parallel-workers``.
+_SUPERVISED = frozenset({"part_timeout", "retries", "resume", "inject_faults"})
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     key = args.id.upper()
     module_name = EXPERIMENTS.get(key, args.id)
@@ -139,48 +159,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     module = importlib.import_module(f"repro.experiments.{module_name}")
     params = inspect.signature(module.main).parameters
-    kwargs = {}
-    if args.frontier_block is not None:
-        if args.frontier_block < 1:
-            print(
-                f"--frontier-block must be ≥ 1, got {args.frontier_block}",
-                file=sys.stderr,
-            )
-            return 2
-        # only the drivers that evaluate queries expose the knob
-        if "frontier_block" not in params:
-            print(
-                f"experiment {key} does not take --frontier-block",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["frontier_block"] = args.frontier_block
+    if args.frontier_block is not None and args.frontier_block < 1:
+        print(
+            f"--frontier-block must be ≥ 1, got {args.frontier_block}",
+            file=sys.stderr,
+        )
+        return 2
     if args.spill_dir is not None and args.sink != "spill":
         print("--spill-dir requires --sink spill", file=sys.stderr)
         return 2
-    if args.sink is not None:
-        if "sink" not in params:
-            print(
-                f"experiment {key} does not take --sink", file=sys.stderr
-            )
-            return 2
-        kwargs["sink"] = args.sink
-        if args.spill_dir is not None:
-            if "spill_dir" not in params:
-                print(
-                    f"experiment {key} does not take --spill-dir",
-                    file=sys.stderr,
-                )
-                return 2
-            kwargs["spill_dir"] = args.spill_dir
-    governance = {
-        "memory_budget": args.memory_budget,
-        "deadline": args.deadline,
-    }
-    governance_given = {
-        k: v for k, v in governance.items() if v is not None
-    }
-    if governance_given:
+    if args.memory_budget is not None or args.deadline is not None:
         # fail fast on a malformed budget spec, before any evaluation
         from .evaluation import budget_from_spec
 
@@ -191,64 +179,43 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"--memory-budget/--deadline: {exc}", file=sys.stderr)
             return 2
-        for name, value in governance_given.items():
-            if name not in params:
-                flag = "--" + name.replace("_", "-")
-                print(
-                    f"experiment {key} does not take {flag}",
-                    file=sys.stderr,
-                )
-                return 2
-            kwargs[name] = value
-    supervised = {
-        "part_timeout": args.part_timeout,
-        "retries": args.retries,
-        "resume": args.resume,
-        "inject_faults": args.inject_faults,
-    }
-    given = {k: v for k, v in supervised.items() if v is not None}
+    supervised = [
+        flag
+        for flag, name in _EXPERIMENT_FLAGS
+        if name in _SUPERVISED and getattr(args, name) is not None
+    ]
     if args.parallel_workers is None:
-        if given:
-            flags = ", ".join(
-                "--" + k.replace("_", "-") for k in given
-            )
+        if supervised:
             print(
-                f"{flags} require(s) --parallel-workers", file=sys.stderr
-            )
-            return 2
-    else:
-        if args.parallel_workers < 1:
-            print(
-                f"--parallel-workers must be ≥ 1, got "
-                f"{args.parallel_workers}",
+                f"{', '.join(supervised)} require(s) --parallel-workers",
                 file=sys.stderr,
             )
             return 2
-        if "parallel_workers" not in params:
-            print(
-                f"experiment {key} does not take --parallel-workers",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["parallel_workers"] = args.parallel_workers
-        if args.inject_faults is not None:
-            # fail fast on a malformed spec, before any evaluation runs
-            from .evaluation import parse_fault_spec
+    elif args.parallel_workers < 1:
+        print(
+            f"--parallel-workers must be ≥ 1, got {args.parallel_workers}",
+            file=sys.stderr,
+        )
+        return 2
+    elif args.inject_faults is not None:
+        # fail fast on a malformed spec, before any evaluation runs
+        from .evaluation import parse_fault_spec
 
-            try:
-                parse_fault_spec(args.inject_faults)
-            except ValueError as exc:
-                print(f"--inject-faults: {exc}", file=sys.stderr)
-                return 2
-        for name, value in given.items():
-            if name not in params:
-                flag = "--" + name.replace("_", "-")
-                print(
-                    f"experiment {key} does not take {flag}",
-                    file=sys.stderr,
-                )
-                return 2
-            kwargs[name] = value
+        try:
+            parse_fault_spec(args.inject_faults)
+        except ValueError as exc:
+            print(f"--inject-faults: {exc}", file=sys.stderr)
+            return 2
+    kwargs = {}
+    for flag, name in _EXPERIMENT_FLAGS:
+        value = getattr(args, name)
+        if value is None:
+            continue
+        # only the drivers that evaluate queries take these
+        if name not in params:
+            print(f"experiment {key} does not take {flag}", file=sys.stderr)
+            return 2
+        kwargs[name] = value
     return _run_experiment_main(module, params, kwargs)
 
 

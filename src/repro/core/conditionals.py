@@ -20,7 +20,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from ..relational import Database, Relation
+from ..relational.columnar import unify_domain
 from ..query.query import Atom
 from .degree import degree_sequence
 from .norms import log2_norm
@@ -31,6 +34,7 @@ __all__ = [
     "ConcreteStatistic",
     "StatisticsSet",
     "atom_columns",
+    "diagonal_rows",
     "select_diagonal",
 ]
 
@@ -47,12 +51,37 @@ def atom_columns(
     the atom ranges over the rows whose ``a`` and ``c`` agree (see
     :func:`select_diagonal`).  An atom without repeats has ``()``.
     """
-    columns: dict[str, list[str]] = {}
+    mapping: dict[str, str] = {}
+    repeats: dict[str, list[str]] = {}
     for position, var in enumerate(atom.variables):
-        columns.setdefault(var, []).append(attributes[position])
-    mapping = {var: cols[0] for var, cols in columns.items()}
-    diagonal = tuple(tuple(cols) for cols in columns.values() if len(cols) > 1)
-    return mapping, diagonal
+        column = attributes[position]
+        if var in mapping:
+            repeats.setdefault(var, [mapping[var]]).append(column)
+        else:
+            mapping[var] = column
+    return mapping, tuple(map(tuple, repeats.values()))
+
+
+def diagonal_rows(
+    relation: Relation, diagonal: tuple[tuple[str, ...], ...]
+) -> np.ndarray:
+    """Indices, in row order, of the rows of ``relation`` on which each
+    column group of ``diagonal`` (from :func:`atom_columns`) holds one
+    value.
+
+    Compares codes, after :func:`~repro.relational.columnar.unify_domain`
+    puts the relation's columns over one dictionary: inside a
+    :class:`~repro.relational.Database` they already share one, and on
+    a bare relation whose columns carry different dictionaries it makes
+    equal codes mean equal values.
+    """
+    (twin,) = unify_domain([relation.columnar()])
+    keep = np.ones(twin.n_rows, dtype=bool)
+    for columns in diagonal:
+        base = twin.codes(columns[0])
+        for column in columns[1:]:
+            keep &= twin.codes(column) == base
+    return np.flatnonzero(keep)
 
 
 def select_diagonal(
@@ -62,10 +91,7 @@ def select_diagonal(
     (from :func:`atom_columns`) holds one value."""
     if not diagonal:
         return relation
-    groups = [relation.positions(cols) for cols in diagonal]
-    return relation.select(
-        lambda row: all(len({row[i] for i in group}) == 1 for group in groups)
-    )
+    return relation._take_rows(diagonal_rows(relation, diagonal))
 
 
 def _format_vars(vs: frozenset[str]) -> str:

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.conditionals import atom_columns
 from ..core.degree import degree_sequence
 from ..query.hypergraph import is_berge_acyclic
 from ..query.query import ConjunctiveQuery
@@ -66,9 +67,7 @@ def dsb_single_join(
     sequences = []
     for atom in (left, right):
         relation = db[atom.relation]
-        mapping: dict[str, str] = {}
-        for position, var in enumerate(atom.variables):
-            mapping.setdefault(var, relation.attributes[position])
+        mapping, _ = atom_columns(atom, relation.attributes)
         others = sorted(atom.variable_set - {join_var})
         if others:
             seq = degree_sequence(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 
+from ..core.conditionals import atom_columns
 from ..query.query import Atom, ConjunctiveQuery
 from ..relational import Database
 
@@ -31,13 +32,11 @@ __all__ = ["textbook_estimate", "textbook_estimate_log2"]
 
 def _base_ndv(atom: Atom, db: Database) -> dict[str, int]:
     relation = db[atom.relation]
-    ndv: dict[str, int] = {}
-    for position, var in enumerate(atom.variables):
-        if var not in ndv:
-            ndv[var] = relation.distinct_count(
-                (relation.attributes[position],)
-            )
-    return ndv
+    mapping, _ = atom_columns(atom, relation.attributes)
+    return {
+        var: relation.distinct_count((column,))
+        for var, column in mapping.items()
+    }
 
 
 def _greedy_order(query: ConjunctiveQuery) -> list[Atom]:

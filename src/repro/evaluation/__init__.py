@@ -1,4 +1,5 @@
-"""Query evaluation: hash joins, WCOJ, and the Theorem 2.6 algorithm."""
+"""Query evaluation: Generic Join, Yannakakis counting, and the Theorem 2.6
+algorithm."""
 
 from .acyclic_count import acyclic_count, join_tree
 from .faults import FaultCommand, FaultInjector, InjectedFault, parse_fault_spec
@@ -15,7 +16,6 @@ from .governor import (
     budget_from_spec,
     parse_memory_size,
 )
-from .joins import evaluate_left_deep, hash_join
 from .lp_join import (
     PartitionedRun,
     PartitionPlan,
@@ -41,8 +41,6 @@ from .yannakakis import semijoin_reduce
 __all__ = [
     "acyclic_count",
     "join_tree",
-    "hash_join",
-    "evaluate_left_deep",
     "generic_join",
     "count_query",
     "JoinRun",

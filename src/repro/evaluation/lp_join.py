@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.conditionals import ConcreteStatistic
+from ..core.conditionals import ConcreteStatistic, atom_columns
 from ..core.lp_bound import BoundResult
 from ..query.query import Atom, ConjunctiveQuery
 from ..relational import Database, MaterializeSink, OutputSink, Relation
@@ -157,10 +157,13 @@ def plan_partitioned_evaluation(
         relation = db[atom.relation]
         base[private] = relation
         parts = [relation]
+        mapping, _ = atom_columns(atom, relation.attributes)
         for stat in atom_stats.get(atom, ()):
+            cond = stat.conditional
+            v_attrs = [mapping[v] for v in sorted(cond.v)]
+            u_attrs = [mapping[u] for u in sorted(cond.u)]
             refined: list[Relation] = []
             for part in parts:
-                v_attrs, u_attrs = _attrs_for(stat, part)
                 refined.extend(
                     partition_for_statistic(
                         part, v_attrs, u_attrs, stat.p, stat.log2_bound
@@ -181,16 +184,6 @@ def plan_partitioned_evaluation(
             f"max_parts={max_parts}"
         )
     return plan
-
-
-def _attrs_for(stat: ConcreteStatistic, relation: Relation) -> tuple[list, list]:
-    mapping: dict[str, str] = {}
-    for position, var in enumerate(stat.guard.variables):
-        mapping.setdefault(var, relation.attributes[position])
-    cond = stat.conditional
-    v_attrs = [mapping[v] for v in sorted(cond.v)]
-    u_attrs = [mapping[u] for u in sorted(cond.u)]
-    return v_attrs, u_attrs
 
 
 def evaluate_with_partitioning(

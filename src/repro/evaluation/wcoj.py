@@ -61,6 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.conditionals import atom_columns
 from ..query.query import ConjunctiveQuery
 from ..relational import Database, Relation
 from ..relational import kernels
@@ -284,11 +285,11 @@ def _blocked_search(
     for atom, table in zip(query.atoms, tables):
         position = {v: i for i, v in enumerate(table.vars)}
         ordered = tuple(sorted(table.vars, key=lambda v: order_index[v]))
-        if len(set(atom.variables)) == len(atom.variables):
+        relation = db[atom.relation]
+        mapping, diagonal = atom_columns(atom, relation.attributes)
+        if not diagonal:
             # table columns alias the relation twin: use its trie cache
-            relation = db[atom.relation]
-            attr_of = dict(zip(atom.variables, relation.attributes))
-            trie = relation.columnar().trie(tuple(attr_of[v] for v in ordered))
+            trie = relation.columnar().trie(tuple(mapping[v] for v in ordered))
         else:
             trie = CodeTrie(
                 [table.codes[position[v]] for v in ordered],

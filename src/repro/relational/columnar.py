@@ -21,7 +21,8 @@ Key design points:
 * Relations that meet share one code space: :func:`unify_domain`
   re-expresses a set of encoded twins over one dictionary built by the
   same rule (:class:`~repro.relational.database.Database` applies it to
-  every relation it holds, the bare-input joins to their two inputs).
+  every relation it holds, a diagonal selection to one relation's
+  columns).
   It is the one place where values of two relations meet — a
   vectorized ``searchsorted`` between ``int64`` dictionaries, a hash
   lookup (:func:`dict_mapping`) as soon as either side is ``object``, so
@@ -66,9 +67,6 @@ __all__ = [
     "composite_codes",
     "unify_domain",
 ]
-
-#: Radix products stay below this to keep composite keys overflow-free.
-_MAX_RADIX = 1 << 62
 
 _EMPTY_CODES = np.zeros(0, dtype=np.int64)
 
@@ -253,11 +251,12 @@ def composite_codes(
     radix = max(1, int(cardinalities[0]))
     for codes, card in zip(code_arrays[1:], cardinalities[1:]):
         card = max(1, int(card))
-        if radix * card >= _MAX_RADIX:
+        if radix * card >= kernels._MAX_RADIX:
             uniq, keys = np.unique(keys, return_inverse=True)
             keys = keys.astype(np.int64, copy=False)
             radix = max(1, len(uniq))
-            if radix * card >= _MAX_RADIX:  # pragma: no cover - rows×domain ≥ 2^62
+            # still past the cap only when rows × domain ≥ 2^62
+            if radix * card >= kernels._MAX_RADIX:  # pragma: no cover
                 raise OverflowError("composite key radix exceeds int64")
         keys = keys * card + codes
         radix *= card
@@ -271,8 +270,8 @@ def align_composite_keys(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Comparable ``int64`` keys for two relations' key columns.
 
-    The shared kernel behind cross-relation key matching (semijoins, the
-    counting fold, the hash join).  Both sides' columns live in one code
+    The shared kernel behind cross-relation key matching (semijoins and
+    the counting fold).  Both sides' columns live in one code
     space (:func:`unify_domain`) of ``domain_size`` values, and flatten
     to mixed-radix keys over it
     (:func:`repro.relational.kernels.composite_keys`).  When that radix
@@ -697,7 +696,7 @@ class CodeTrie:
         new = np.empty(self.n_rows, dtype=bool)
         new[0] = True
         for column, card in zip(columns, self.cards):
-            if n_nodes * card >= _MAX_RADIX:  # pragma: no cover - huge
+            if n_nodes * card >= kernels._MAX_RADIX:  # pragma: no cover - huge
                 raise OverflowError("trie level key radix exceeds int64")
             # rows are lexsorted, so `pair` is non-decreasing: run starts
             # give the distinct prefixes *and* the next level's node ids.
@@ -970,7 +969,7 @@ class ColumnarRelation:
         vkeys, vradix = self.key_codes(tuple(value_attrs))
         if self.n_rows == 0:
             return _EMPTY_CODES, _EMPTY_CODES, gkeys
-        if gradix * vradix >= _MAX_RADIX:
+        if gradix * vradix >= kernels._MAX_RADIX:
             _, gkeys_d = np.unique(gkeys, return_inverse=True)
             uniq_v, vkeys = np.unique(vkeys, return_inverse=True)
             vradix = max(1, len(uniq_v))
@@ -1024,8 +1023,8 @@ class ColumnarRelation:
         """Per column, the values actually occurring in some row.
 
         Works from the code arrays, not the dictionaries: tables produced
-        by selections or joins share (superset) dictionaries with their
-        inputs, so only codes witness which values actually occur.
+        by row subsets (diagonals, Lemma 2.5 parts, semijoin survivors)
+        share (superset) dictionaries with their inputs, so only codes witness which values actually occur.
         """
         if not self.attributes or self.n_rows == 0:
             return []

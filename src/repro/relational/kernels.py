@@ -29,8 +29,8 @@ __all__ = [
     "slice_parents",
 ]
 
-#: Radix products stay below this to keep composite keys overflow-free.
-#: Mirrors ``columnar._MAX_RADIX``.
+#: Radix products stay below this to keep composite keys overflow-free
+#: (here and in :mod:`repro.relational.columnar`).
 _MAX_RADIX = 1 << 62
 
 _EMPTY_CODES = np.zeros(0, dtype=np.int64)

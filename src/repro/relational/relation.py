@@ -4,7 +4,8 @@ The paper works with relations under set semantics: a relation is a finite
 set of tuples over a fixed list of named attributes.  This module provides
 an immutable :class:`Relation` that deduplicates on construction and offers
 the handful of relational-algebra operations the rest of the library needs
-(projection, selection, renaming).
+(projection and renaming, plus the positional row subsets that the
+diagonal, partitioning and semijoin kernels take).
 
 Values may be any hashable Python objects.  Integer-only relations are the
 common case (graphs, synthetic benchmarks), but domain products
@@ -22,7 +23,7 @@ kernels over the twin.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -301,14 +302,6 @@ class Relation:
         self.positions(attrs)  # validate attribute names
         return Relation._from_columnar(
             self.columnar().project(attrs), name=self._name
-        )
-
-    def select(self, predicate: Callable[[tuple], bool]) -> "Relation":
-        """Keep rows on which ``predicate`` returns true."""
-        return Relation(
-            self._attributes,
-            (row for row in self._materialized_rows() if predicate(row)),
-            name=self._name,
         )
 
     def _take_rows(self, indices) -> "Relation":

@@ -46,6 +46,7 @@ import time
 from collections import Counter, deque
 
 from ..core import (
+    CONES,
     BoundSolver,
     LruCache,
     StatisticsCatalog,
@@ -299,8 +300,9 @@ class BoundService:
         start = time.perf_counter()
         try:
             query = self._parse(request.query)
-            stats = self._statistics_for(query)
-            if request.cone not in ("auto", "polymatroid", "normal", "modular"):
+            # a request refused for its cone or norms extracts no
+            # statistics for its query
+            if request.cone not in CONES:
                 raise ServiceError(
                     "bad-request", f"unknown cone {request.cone!r}"
                 )
@@ -314,6 +316,7 @@ class BoundService:
                     f"norms {sorted(unserved)} are not served; the service "
                     f"collects {sorted(self._ps)}",
                 )
+            stats = self._statistics_for(query)
             try:
                 if set(family) != set(self._ps):
                     # a narrower norm family is a family restriction of

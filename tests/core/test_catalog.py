@@ -14,6 +14,7 @@ from oracles.statistics import (
     collect_statistics as oracle_statistics,
     statistic_tuples,
 )
+from oracles.strategies import VALUE_KINDS
 from repro.core import StatisticsCatalog, collect_statistics, lp_bound
 from repro.datasets import power_law_graph, star_database, star_query
 from repro.query import parse_query
@@ -173,6 +174,34 @@ class TestOracle:
         )
         assert statistic_tuples(again) == want
         assert catalog.cache_stats() == stored
+
+    @pytest.mark.parametrize("kind", [*VALUE_KINDS, "empty"])
+    def test_diagonals_over_value_kinds(self, kind):
+        # repeated-variable atoms over int, string, mixed int/str and
+        # ≥ 2^63 columns, and over empty relations
+        value = VALUE_KINDS.get(kind, VALUE_KINDS["int"])
+        base = _oracle_db()
+        db = Database(
+            {
+                name: Relation(
+                    base[name].attributes,
+                    [tuple(map(value, row)) for row in base[name]]
+                    if kind != "empty"
+                    else [],
+                )
+                for name in ("R", "L", "T")
+            }
+        )
+        for label, text in ORACLE_CASES:
+            if "x,x" not in label and "x,y,x" not in label:
+                continue
+            query = parse_query(text)
+            want = statistic_tuples(oracle_statistics(query, db, ps=PS))
+            got = collect_statistics(query, db, ps=PS)
+            assert statistic_tuples(got) == want, label
+            catalog = StatisticsCatalog(db)
+            got = catalog.statistics_for(query, ps=PS)
+            assert statistic_tuples(got) == want, label
 
     def test_diagonal_is_its_own_sequence(self, db):
         catalog = StatisticsCatalog(db)

@@ -10,6 +10,9 @@ from repro.core.conditionals import (
     ConcreteStatistic,
     Conditional,
     StatisticsSet,
+    atom_columns,
+    diagonal_rows,
+    select_diagonal,
 )
 from repro.query.query import Atom
 from repro.relational import Database, Relation
@@ -82,6 +85,46 @@ class TestConcreteStatistic:
             Atom("R", ("x",)),
         )
         assert stat.bound == pytest.approx(8.0)
+
+
+class TestDiagonal:
+    def test_atom_columns(self):
+        atom = Atom("R", ("x", "y", "x"))
+        assert atom_columns(atom, ("a", "b", "c")) == (
+            {"x": "a", "y": "b"},
+            (("a", "c"),),
+        )
+        assert atom_columns(Atom("R", ("y", "x")), ("a", "b")) == (
+            {"y": "a", "x": "b"},
+            (),
+        )
+
+    def test_bare_relation_selects_by_value(self):
+        # each column of a bare relation has its own dictionary: 0..4 in
+        # a, 2..6 in b, so equal codes ((0, 2), say) hold unequal values
+        rows = [(i, i + 2) for i in range(5)] + [(3, 3), (4, 4), (0, 5)]
+        r = Relation(("a", "b"), rows)
+        twin = r.columnar()
+        assert twin.dictionary("a").tolist() == [0, 1, 2, 3, 4]
+        assert twin.dictionary("b").tolist() == [2, 3, 4, 5, 6]
+        out = select_diagonal(r, (("a", "b"),))
+        assert list(out) == [(3, 3), (4, 4)]
+        assert diagonal_rows(r, (("a", "b"),)).tolist() == [5, 6]
+
+    def test_bare_relation_mixed_kinds(self):
+        # an int column beside an object one: values compare under Python
+        # equality, so 2 and 2.0 agree and 1 and "1" do not
+        rows = [(1, "1"), (2, 2.0), (3, "x"), (4, 4), (2**63, 2**63)]
+        r = Relation(("a", "b"), rows)
+        out = select_diagonal(r, (("a", "b"),))
+        assert list(out) == [(2, 2.0), (4, 4), (2**63, 2**63)]
+
+    def test_three_columns_and_no_diagonal(self):
+        r = Relation(("a", "b", "c"), [(1, 2, 1), (1, 1, 2), (5, 0, 5)])
+        assert list(select_diagonal(r, (("a", "c"),))) == [(1, 2, 1), (5, 0, 5)]
+        assert select_diagonal(r, ()) is r
+        empty = Relation(("a", "b"), [])
+        assert len(select_diagonal(empty, (("a", "b"),))) == 0
 
 
 class TestStatisticsSet:

@@ -18,7 +18,6 @@ from oracles.strategies import fallback_value
 from oracles.tuple_engine import (
     acyclic_count_tuples,
     generic_join_tuples,
-    hash_join_tuples,
     semijoin_reduce_tuples,
 )
 from repro.evaluation import (
@@ -27,7 +26,6 @@ from repro.evaluation import (
     generic_join,
     semijoin_reduce,
 )
-from repro.evaluation.joins import hash_join, join_relations
 from repro.query import parse_query
 from repro.relational import Database, Relation, columnar, kernels
 
@@ -239,8 +237,7 @@ class TestRadixOverflow:
         # cap, but b follows a, so a re-factorized (a, b) prefix holds
         # ≤ 5 keys and 5 × 53 = 265 stays under it; S holds an a-value
         # R lacks, so the semijoin drops rows on one side
-        for module in (columnar, kernels):
-            monkeypatch.setattr(module, "_MAX_RADIX", 1024)
+        monkeypatch.setattr(kernels, "_MAX_RADIX", 1024)
         r_rows = [(i % 4, 10 + i % 4, (i // 4) % 4, i) for i in range(24)]
         s_rows = [(i % 5, 10 + i % 5, (i // 3) % 4, -i) for i in range(30)]
         db = Database(
@@ -279,15 +276,3 @@ class TestRadixOverflow:
         count = acyclic_count(self.QUERY, db)
         assert refactorized
         assert count == acyclic_count_tuples(self.QUERY, db) > 0
-
-    def test_hash_join_matches_oracle(self, db, refactorized):
-        left, right = list(db["R"]), list(db["S"])
-        lv, rv = ("a", "b", "c", "d"), ("a", "b", "c", "e")
-        assert hash_join(lv, left, rv, right) == hash_join_tuples(
-            lv, left, rv, right
-        )
-        assert refactorized
-        refactorized.clear()
-        joined = join_relations(db["R"], db["S"])
-        assert refactorized
-        assert list(joined) == hash_join_tuples(lv, left, rv, right)[1]

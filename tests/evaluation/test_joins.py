@@ -1,72 +1,105 @@
-"""Unit tests for hash joins and left-deep evaluation."""
+"""The atom view (``repro.evaluation.joins``) and repeated-variable atoms.
+
+Every evaluator reads an atom through one rule: ``atom_columns`` names
+the column each variable reads and ``diagonal_rows`` the rows a repeated
+variable keeps.  Atoms such as ``R(x,x)`` and ``T(x,y,x)`` must evaluate
+exactly as the tuple oracle does, for integer, string, mixed int/str
+and ≥ 2^63 columns, and on empty relations.
+"""
 
 import pytest
 
-from repro.evaluation.joins import evaluate_left_deep, hash_join
+from oracles.strategies import VALUE_KINDS
+from oracles.tuple_engine import (
+    acyclic_count_tuples,
+    atom_rows,
+    generic_join_tuples,
+    semijoin_reduce_tuples,
+)
+from repro.evaluation import acyclic_count, generic_join, semijoin_reduce
+from repro.evaluation.joins import _atom_table_indexed
 from repro.query import parse_query
+from repro.query.query import Atom
 from repro.relational import Database, Relation
 
-
-class TestHashJoin:
-    def test_basic_join(self):
-        out_vars, rows = hash_join(
-            ("x", "y"), [(1, 2), (3, 4)], ("y", "z"), [(2, 7), (2, 8)]
-        )
-        assert out_vars == ("x", "y", "z")
-        assert sorted(rows) == [(1, 2, 7), (1, 2, 8)]
-
-    def test_no_shared_is_cartesian(self):
-        _, rows = hash_join(("x",), [(1,), (2,)], ("y",), [(7,), (8,)])
-        assert len(rows) == 4
-
-    def test_multi_shared(self):
-        _, rows = hash_join(
-            ("x", "y"), [(1, 2), (1, 3)], ("x", "y"), [(1, 2)]
-        )
-        assert rows == [(1, 2)]
-
-    def test_empty_side(self):
-        _, rows = hash_join(("x",), [], ("x",), [(1,)])
-        assert rows == []
-
-    def test_repeated_variable_is_rejected(self):
-        with pytest.raises(ValueError, match="duplicate variables"):
-            hash_join(("x", "x"), [(1, 1)], ("x",), [(1,)])
+ACYCLIC = [
+    parse_query("s(x) :- R(x,x)"),
+    parse_query("d(x,y) :- R(x,x), R(x,y)"),
+    parse_query("t(x,y,z) :- T(x,y,x), R(y,z), T(z,z,y)"),
+]
+CYCLIC = [parse_query("c(x,y,z) :- T(x,y,x), R(y,z), R(z,x)")]
 
 
-class TestEvaluateLeftDeep:
-    def test_one_join(self, two_table_db, one_join_query):
-        out = evaluate_left_deep(one_join_query, two_table_db)
-        assert out.attributes == ("x", "y", "z")
-        for x, y, z in out:
-            assert (x, y) in two_table_db["R"]
-            assert (y, z) in two_table_db["S"]
+def _database(value, empty=False):
+    pairs = [(i, i) for i in range(5)] + [(i, (3 * i + 1) % 7) for i in range(12)]
+    triples = [
+        (a, b, a if (a + b) % 2 else b)
+        for a in range(6)
+        for b in range(5)
+    ]
+    if empty:
+        pairs, triples = [], []
+    return Database(
+        {
+            "R": Relation(("a", "b"), [tuple(map(value, p)) for p in pairs]),
+            "T": Relation(("a", "b", "c"), [tuple(map(value, t)) for t in triples]),
+        }
+    )
 
-    def test_triangle(self, graph_db, triangle_query):
-        out = evaluate_left_deep(triangle_query, graph_db)
-        edge_set = set(graph_db["R"])
-        for x, y, z in out:
-            assert (x, y) in edge_set
-            assert (y, z) in edge_set
-            assert (z, x) in edge_set
 
-    def test_explicit_order_same_result(self, graph_db, triangle_query):
-        default = evaluate_left_deep(triangle_query, graph_db)
-        reordered = evaluate_left_deep(triangle_query, graph_db, order=[2, 0, 1])
-        assert default == reordered
+@pytest.fixture(params=[*VALUE_KINDS, "empty"])
+def db(request):
+    if request.param == "empty":
+        return _database(VALUE_KINDS["int"], empty=True)
+    return _database(VALUE_KINDS[request.param])
 
-    def test_repeated_variable_atom(self):
-        db = Database({"R": Relation(("a", "b"), [(1, 1), (1, 2), (3, 3)])})
-        q = parse_query("Q(x,y) :- R(x,x), R(x,y)")
-        out = evaluate_left_deep(q, db)
-        assert set(out) == {(1, 1), (1, 2), (3, 3)}
 
-    def test_disconnected_query_is_product(self):
-        db = Database(
-            {
-                "R": Relation(("a",), [(1,), (2,)]),
-                "S": Relation(("a",), [(7,), (8,)]),
-            }
-        )
-        q = parse_query("Q(x,y) :- R(x), S(y)")
-        assert len(evaluate_left_deep(q, db)) == 4
+class TestRepeatedVariableAtoms:
+    def test_generic_join_matches_oracle(self, db):
+        for query in ACYCLIC + CYCLIC:
+            run = generic_join(query, db)
+            oracle = generic_join_tuples(query, db)
+            assert run.output == oracle.output, query.name
+            assert run.nodes_visited == oracle.nodes_visited, query.name
+
+    def test_acyclic_count_matches_oracle(self, db):
+        for query in ACYCLIC:
+            assert acyclic_count(query, db) == acyclic_count_tuples(query, db)
+
+    def test_semijoin_reduce_matches_oracle(self, db):
+        for query in ACYCLIC:
+            reduced = semijoin_reduce(query, db)
+            oracle = semijoin_reduce_tuples(query, db)
+            for name in db:
+                assert set(reduced[name]) == set(oracle[name]), query.name
+
+    def test_instances_hit_the_diagonal(self):
+        # the non-empty instances keep some diagonal rows and drop others
+        db = _database(VALUE_KINDS["mixed"])
+        for query in ACYCLIC + CYCLIC:
+            assert 0 < len(generic_join_tuples(query, db).output), query.name
+        kept = len(atom_rows(Atom("T", ("x", "y", "x")), db)[1])
+        assert 0 < kept < len(db["T"])
+
+
+class TestAtomTable:
+    def test_diagonal_keeps_row_indices(self, db):
+        atom = Atom("T", ("x", "y", "x"))
+        table, keep = _atom_table_indexed(atom, db)
+        assert table.vars == ("x", "y")
+        rows = list(db["T"])
+        assert keep.tolist() == [i for i, r in enumerate(rows) if r[0] == r[2]]
+        decoded = [
+            tuple(table.domain[c[i]] for c in table.codes)
+            for i in range(table.n_rows)
+        ]
+        assert decoded == atom_rows(atom, db)[1]
+
+    def test_atom_without_repeats_keeps_every_row(self, db):
+        table, keep = _atom_table_indexed(Atom("T", ("z", "x", "y")), db)
+        assert keep is None
+        assert table.vars == ("z", "x", "y")
+        assert table.n_rows == len(db["T"])
+        twin = db["T"].columnar()
+        for codes, column in zip(table.codes, ("a", "b", "c")):
+            assert codes is twin.codes(column)

@@ -3,7 +3,8 @@
 
 import pytest
 
-from repro.evaluation import count_query, evaluate_left_deep, generic_join
+from oracles.tuple_engine import hash_join_chain_tuples
+from repro.evaluation import count_query, generic_join
 from repro.query import parse_query
 from repro.relational import Database, Relation
 
@@ -11,12 +12,12 @@ from repro.relational import Database, Relation
 class TestCorrectness:
     def test_matches_hash_join_on_one_join(self, two_table_db, one_join_query):
         wcoj = generic_join(one_join_query, two_table_db).output
-        reference = evaluate_left_deep(one_join_query, two_table_db)
+        reference = hash_join_chain_tuples(one_join_query, two_table_db)
         assert wcoj == reference
 
     def test_matches_hash_join_on_triangle(self, graph_db, triangle_query):
         wcoj = generic_join(triangle_query, graph_db).output
-        reference = evaluate_left_deep(triangle_query, graph_db)
+        reference = hash_join_chain_tuples(triangle_query, graph_db)
         assert wcoj == reference
 
     def test_all_orders_agree(self, graph_db, triangle_query):

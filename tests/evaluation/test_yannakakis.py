@@ -25,10 +25,10 @@ class TestSemijoinReduce:
         )
 
     def test_every_surviving_tuple_participates(self, two_table_db, one_join_query):
-        from repro.evaluation import evaluate_left_deep
+        from oracles.tuple_engine import generic_join_tuples
 
         reduced = semijoin_reduce(one_join_query, two_table_db)
-        output = evaluate_left_deep(one_join_query, two_table_db)
+        output = generic_join_tuples(one_join_query, two_table_db).output
         r_used = {(x, y) for x, y, _ in output}
         s_used = {(y, z) for _, y, z in output}
         assert set(reduced["R"]) == r_used

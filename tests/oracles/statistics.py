@@ -80,8 +80,14 @@ def _atom_statistics(
         for position, var in enumerate(atom.variables):
             groups.setdefault(var, []).append(position)
         repeated = [ps_ for ps_ in groups.values() if len(ps_) > 1]
-        relation = relation.select(
-            lambda row: all(len({row[i] for i in ps_}) == 1 for ps_ in repeated)
+        relation = Relation(
+            relation.attributes,
+            (
+                row
+                for row in relation
+                if all(len({row[i] for i in ps_}) == 1 for ps_ in repeated)
+            ),
+            name=relation.name,
         )
     mapping: dict[str, str] = {}
     for position, var in enumerate(atom.variables):

@@ -1,4 +1,4 @@
-"""Hypothesis value domains shared by the differential suites."""
+"""Value domains shared by the differential suites."""
 
 from hypothesis import strategies as st
 
@@ -31,3 +31,13 @@ column_kinds = st.sampled_from(
         fallback_value,
     ]
 )
+
+#: Fixed value kinds for hand-built instances: how an integer label
+#: becomes a column value — plain ints, strings, ints mixed with strings
+#: (first-occurrence dictionaries), and ints ≥ 2^63.
+VALUE_KINDS = {
+    "int": lambda i: i,
+    "str": lambda i: f"v{i}",
+    "mixed": lambda i: i if i % 2 else f"v{i}",
+    "big": lambda i: 2**63 + i,
+}

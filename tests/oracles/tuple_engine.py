@@ -185,6 +185,21 @@ def hash_join_tuples(left_vars, left_rows, right_vars, right_rows):
     return left_vars + tuple(right_only), out_rows
 
 
+def hash_join_chain_tuples(query, db):
+    """The query's output by a left-deep chain of :func:`hash_join_tuples`
+    over the atoms in query order, as a relation over the query's
+    variables: a binary-join reference for the Generic Join."""
+    out_vars, rows = atom_rows(query.atoms[0], db)
+    for atom in query.atoms[1:]:
+        out_vars, rows = hash_join_tuples(out_vars, rows, *atom_rows(atom, db))
+    positions = [out_vars.index(v) for v in query.variables]
+    return Relation(
+        query.variables,
+        (tuple(row[i] for i in positions) for row in rows),
+        name=query.name,
+    )
+
+
 # ----------------------------------------------------------------------
 # Yannakakis reduction and the acyclic counting fold
 # ----------------------------------------------------------------------

@@ -2,11 +2,10 @@
 
 Every vectorized kernel must match the original tuple-at-a-time
 implementation bit-for-bit — same values (Python ints, not np.int64),
-same dict contents, same relations, and for joins the same output rows in
-the same order.  Randomized relations cover empty relations, ``U = ∅`` /
-``V = ∅`` conditionals, repeated/overlapping attribute sets, and values
-outside ``int64`` (strings, tuples, floats, ints ≥ 2^63), which encode
-through ``object`` dictionaries.  The oracle is
+same dict contents, same relations.  Randomized relations cover empty
+relations, ``U = ∅`` / ``V = ∅`` conditionals, repeated/overlapping
+attribute sets, and values outside ``int64`` (strings, tuples, floats,
+ints ≥ 2^63), which encode through ``object`` dictionaries.  The oracle is
 ``tests/oracles/tuple_engine.py``.
 """
 
@@ -19,15 +18,15 @@ from hypothesis import given, settings, strategies as st
 from oracles.strategies import fallback_value
 from oracles.tuple_engine import (
     group_sizes_tuples,
-    hash_join_tuples,
     partition_by_degree_tuples,
     project_tuples,
 )
 from repro.core.degree import degree_sequence
 from repro.core.norms import log2_norm, log2_norms, lp_norm, norms_of_sequence
-from repro.evaluation.joins import hash_join, join_relations
+from repro.evaluation import generic_join
 from repro.evaluation.partitioning import partition_by_degree
-from repro.relational import Relation
+from repro.query import parse_query
+from repro.relational import Database, Relation
 from repro.relational.columnar import dict_mapping, encode_column
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -213,48 +212,18 @@ class TestEdgeCases:
 join_rows = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=25
 )
+JOIN = parse_query("j(x,y,z) :- R(x,y), S(y,z)")
 
 
 class TestJoinEquivalence:
     @SETTINGS
-    @given(join_rows | fallback_rows, join_rows | fallback_rows)
-    def test_hash_join_matches_tuple_oracle(self, left, right):
-        for lv, rv in [
-            (("x", "y"), ("y", "z")),
-            (("x", "y"), ("x", "y")),
-            (("x", "y"), ("z", "w")),  # cartesian
-            (("x", "y"), ("y", "x")),
-        ]:
-            got = hash_join(lv, left, rv, right)
-            expected = hash_join_tuples(lv, left, rv, right)
-            assert got == expected  # same vars, same rows, same order
-
-    @SETTINGS
-    @given(join_rows | fallback_rows, join_rows | fallback_rows)
-    def test_join_relations_matches_tuple_oracle(self, left, right):
-        r = Relation(("x", "y"), left)
-        s = Relation(("y", "z"), right)
-        out = join_relations(r, s)
-        out_vars, out_rows = hash_join_tuples(
-            r.attributes, list(r), s.attributes, list(s)
-        )
-        assert out.attributes == out_vars
-        assert list(out) == out_rows  # lazily decoded, identical order
-        assert len(out) == len(out_rows)
-
-    def test_join_relations_fallback_values(self):
-        r = Relation(("x", "y"), [(("t",), 2)])
-        s = Relation(("y", "z"), [(2, "s")])
-        out = join_relations(r, s)
-        assert list(out) == [(("t",), 2, "s")]
-
-    @SETTINGS
     @given(join_rows)
     def test_joined_relation_statistics_match(self, rows):
         """A lazily-backed join result must behave like a plain Relation."""
-        r = Relation(("x", "y"), rows)
-        s = Relation(("y", "z"), rows)
-        out = join_relations(r, s)
+        db = Database(
+            {"R": Relation(("x", "y"), rows), "S": Relation(("y", "z"), rows)}
+        )
+        out = generic_join(JOIN, db).output
         plain = Relation(out.attributes, list(out))
         assert out == plain
         assert out.group_sizes(("x",), ("z",)) == oracle_group_sizes(

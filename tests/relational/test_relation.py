@@ -85,10 +85,6 @@ class TestAlgebra:
         with pytest.raises(KeyError):
             tiny_relation.project(("nope",))
 
-    def test_select(self, tiny_relation):
-        s = tiny_relation.select(lambda row: row[0] <= 2)
-        assert len(s) == 2
-
     def test_rename(self, tiny_relation):
         renamed = tiny_relation.rename({"x": "a"})
         assert renamed.attributes == ("a", "y")

@@ -31,15 +31,6 @@ class TestAlgebraProperties:
 
     @SETTINGS
     @given(rows3)
-    def test_select_partition(self, rows):
-        r = Relation(("a", "b", "c"), rows)
-        yes = r.select(lambda row: row[0] <= 2)
-        no = r.select(lambda row: row[0] > 2)
-        assert len(yes) + len(no) == len(r)
-        assert set(yes) | set(no) == set(r)
-
-    @SETTINGS
-    @given(rows3)
     def test_rename_roundtrip(self, rows):
         r = Relation(("a", "b", "c"), rows)
         there = r.rename({"a": "x"})

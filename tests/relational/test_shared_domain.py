@@ -18,20 +18,16 @@ from oracles.strategies import column_kinds
 from oracles.tuple_engine import (
     acyclic_count_tuples,
     generic_join_tuples,
-    hash_join_tuples,
     semijoin_reduce_tuples,
 )
 from repro.core import collect_statistics, lp_bound
 from repro.datasets import power_law_graph, star_database, star_query
 from repro.evaluation import (
     acyclic_count,
-    evaluate_left_deep,
     evaluate_with_partitioning,
     generic_join,
-    hash_join,
     plan_partitioned_evaluation,
 )
-from repro.evaluation.joins import join_relations
 from repro.evaluation.yannakakis import semijoin_reduce
 from repro.query import parse_query
 from repro.relational import CountSink, Database, Relation, SpillSink
@@ -212,31 +208,6 @@ class TestMatchesTupleOracle:
             for name in db:
                 assert set(reduced[name]) == set(oracle[name]), name
             assert acyclic_count(query, db) == acyclic_count_tuples(query, db)
-            assert set(evaluate_left_deep(query, db)) == set(
-                generic_join_tuples(query, db).output
-            )
-
-    @SETTINGS
-    @given(rows_of(2), rows_of(2))
-    def test_hash_join_keeps_duplicate_rows(self, left, right):
-        left = left + left[:2]  # duplicates are part of the input
-        for lv, rv in [
-            (("x", "y"), ("y", "z")),
-            (("x", "y"), ("x", "y")),
-            (("x", "y"), ("z", "w")),
-        ]:
-            assert hash_join(lv, left, rv, right) == hash_join_tuples(
-                lv, left, rv, right
-            )
-
-    @SETTINGS
-    @given(rows_of(2), rows_of(2))
-    def test_join_relations(self, left, right):
-        r = Relation(("x", "y"), left)
-        s = Relation(("y", "z"), right)
-        out = join_relations(r, s)
-        expected = hash_join_tuples(r.attributes, list(r), s.attributes, list(s))
-        assert (out.attributes, list(out)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +246,6 @@ def test_evaluating_against_a_database_translates_nothing(translations):
     for query in ACYCLIC:
         semijoin_reduce(query, mixed)
         acyclic_count(query, mixed)
-        evaluate_left_deep(query, mixed)
     triangle = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")
     stats = collect_statistics(triangle, graph, ps=[1.0, 2.0, math.inf])
     run = evaluate_with_partitioning(

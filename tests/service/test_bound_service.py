@@ -233,9 +233,14 @@ class TestBoundService:
         assert service.errors["bad-request"] == 1
 
     def test_unknown_cone_is_typed(self, service):
+        misses = service.statistics_misses
+        entries = service.metrics()["caches"]["statistics"]["entries"]
         with pytest.raises(ServiceError) as err:
             service.bound(BoundRequest(query=TRIANGLE, cone="conic"))
         assert err.value.code == "bad-request"
+        # refused before its query's statistics are extracted or cached
+        assert service.statistics_misses == misses
+        assert service.metrics()["caches"]["statistics"]["entries"] == entries
 
     def test_evaluate_counts_exactly(self, service, db):
         from repro.evaluation import generic_join

@@ -91,6 +91,25 @@ class TestCommands:
         # subdirectory (and its segments) is gone again
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--frontier-block", "64"),
+            ("--sink", "count"),
+            ("--spill-dir", "x"),
+            ("--memory-budget", "256M"),
+            ("--deadline", "5"),
+            ("--parallel-workers", "2"),
+            ("--part-timeout", "5"),
+            ("--retries", "3"),
+            ("--resume", "x"),
+            ("--inject-faults", "part=1:exit"),
+        ],
+    )
+    def test_experiment_flag_refused_by_e1(self, flag, value, capsys):
+        assert main(["experiment", "E1", flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_parallel_workers_rejected_where_unsupported(self, capsys):
         assert main(["experiment", "E7", "--parallel-workers", "2"]) == 2
         assert "--parallel-workers" in capsys.readouterr().err

@@ -5,7 +5,8 @@ The paper's theorems become executable properties on random instances:
 * Theorem 1.1 soundness: every LP bound dominates the true output size;
 * Lemma 4.1: (1/p)·h(U) + h(V|U) ≤ log2 ‖deg(V|U)‖_p on empirical entropies;
 * Theorem 6.1: normal cone = polymatroid cone for simple statistics;
-* evaluator agreement: WCOJ = hash join = join-tree counting;
+* evaluator agreement: WCOJ = the oracle hash-join chain = join-tree
+  counting;
 * Lemma 2.5: partitions are disjoint covers whose parts strongly satisfy;
 * Lemma A.1: norms determine the degree sequence;
 * Eq. 38: domain-product entropies add.
@@ -17,12 +18,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oracles.edge_cover import agm_log2
+from oracles.tuple_engine import hash_join_chain_tuples
 from repro.core import collect_statistics, lp_bound
 from repro.core.degree import degree_sequence
 from repro.core.norms import log2_norm, lp_norm, sequence_from_norms
 from repro.entropy import entropy_of_relation, zhang_yeung_coefficients
 from repro.estimators import agm_bound, agm_bound_lp, dsb_single_join
-from repro.evaluation import acyclic_count, count_query, evaluate_left_deep
+from repro.evaluation import acyclic_count, count_query
 from repro.evaluation.partitioning import (
     partition_for_statistic,
     strongly_satisfies,
@@ -235,7 +237,7 @@ class TestEvaluatorAgreement:
         q = parse_query("Q(x,y,z) :- R(x,y), S(y,z)")
         wcoj = count_query(q, db)
         dp = acyclic_count(q, db)
-        materialised = len(evaluate_left_deep(q, db))
+        materialised = len(hash_join_chain_tuples(q, db))
         assert wcoj == dp == materialised
 
     @SETTINGS
@@ -243,7 +245,7 @@ class TestEvaluatorAgreement:
     def test_wcoj_matches_hash_join_on_triangle(self, pairs):
         db = Database({"R": _rel(pairs)})
         q = parse_query("Q(x,y,z) :- R(x,y), R(y,z), R(z,x)")
-        assert count_query(q, db) == len(evaluate_left_deep(q, db))
+        assert count_query(q, db) == len(hash_join_chain_tuples(q, db))
 
     @SETTINGS
     @given(small_pairs, small_pairs)
