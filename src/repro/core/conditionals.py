@@ -50,7 +50,14 @@ def atom_columns(
     columns ``(a, b, c)`` gives ``{x: a, y: b}`` and ``(("a", "c"),)``:
     the atom ranges over the rows whose ``a`` and ``c`` agree (see
     :func:`select_diagonal`).  An atom without repeats has ``()``.
+    Raises ``ValueError`` when the atom's arity is not the relation's.
     """
+    if len(atom.variables) != len(attributes):
+        raise ValueError(
+            f"atom {atom} has {len(atom.variables)} variable(s) but "
+            f"relation {atom.relation!r} has {len(attributes)} column(s) "
+            f"{tuple(attributes)}"
+        )
     mapping: dict[str, str] = {}
     repeats: dict[str, list[str]] = {}
     for position, var in enumerate(atom.variables):
@@ -256,9 +263,17 @@ class StatisticsSet:
         return {s.p for s in self._stats}
 
     def restrict_ps(self, ps: Iterable[float]) -> "StatisticsSet":
-        """Keep only statistics with p in ``ps`` (e.g. {1}, {1, ∞})."""
-        allowed = set(ps)
-        return StatisticsSet(s for s in self._stats if s.p in allowed)
+        """Keep only statistics with p in ``ps`` (e.g. {1}, {1, ∞}).
+
+        Memoized through :meth:`derived`: restricting a kept set to one
+        family twice returns one set, whose own memo (the LP structure)
+        then serves every solve of that family.
+        """
+        allowed = frozenset(ps)
+        return self.derived(
+            ("restrict-ps", allowed),
+            lambda: StatisticsSet(s for s in self._stats if s.p in allowed),
+        )
 
     def add(self, stat: ConcreteStatistic) -> "StatisticsSet":
         return StatisticsSet([*self._stats, stat])

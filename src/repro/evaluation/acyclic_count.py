@@ -31,7 +31,7 @@ import numpy as np
 
 from ..query.query import ConjunctiveQuery
 from ..relational import Database
-from ..relational.columnar import align_composite_keys
+from ..relational.columnar import align_composite_keys, sorted_lookup
 from .joins import _atom_table
 
 __all__ = ["acyclic_count", "join_tree"]
@@ -133,10 +133,7 @@ def acyclic_count(query: ConjunctiveQuery, db: Database) -> int:
         starts = np.nonzero(run_start)[0]
         unique_keys = sorted_keys[starts]
         sums = np.add.reduceat(w[order], starts)
-        positions = np.minimum(
-            np.searchsorted(unique_keys, p_keys), len(unique_keys) - 1
-        )
-        found = unique_keys[positions] == p_keys
+        found, positions = sorted_lookup(unique_keys, p_keys)
         gathered = np.where(found, sums[positions], 0)
         parent_w = weights[parent_idx]
         if gathered.dtype == object and parent_w.dtype != object:

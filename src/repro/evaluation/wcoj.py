@@ -64,7 +64,6 @@ import numpy as np
 from ..core.conditionals import atom_columns
 from ..query.query import ConjunctiveQuery
 from ..relational import Database, Relation
-from ..relational import kernels
 from ..relational.columnar import (
     ChunkedColumns,
     CodeTrie,
@@ -471,9 +470,9 @@ def _blocked_search(
                         seed_counts
                     )
                 else:
-                    parents, offsets = kernels.slice_parents(
-                        ends, flat_starts, lo, hi
-                    )
+                    flat = np.arange(lo, hi)
+                    parents = ends.searchsorted(flat, side="right")
+                    offsets = flat - flat_starts[parents]
                 s = seed
                 if s is None and run_id[parents[0]] == run_id[parents[-1]]:
                     s = int(seed_choice[parents[0]])

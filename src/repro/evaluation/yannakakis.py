@@ -11,7 +11,7 @@ The engine keeps one boolean liveness mask per atom and runs every
 semijoin as a composite-key membership test: the shared variables' code
 columns (one code space per database) are flattened to one ``int64`` key
 per row by :func:`~repro.relational.columnar.align_composite_keys` and
-matched with a single ``searchsorted`` — no
+matched with one :func:`~repro.relational.columnar.sorted_lookup` — no
 tuple is ever materialized; the reduced relations are columnar
 row-gathers.  A semijoin against a source with no shared variables keeps
 the target exactly when the source still has rows (no cross product is
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..query.query import ConjunctiveQuery
 from ..relational import Database, Relation
-from ..relational.columnar import align_composite_keys
+from ..relational.columnar import align_composite_keys, sorted_lookup
 from .acyclic_count import join_tree
 from .joins import _atom_table_indexed
 
@@ -66,23 +66,14 @@ def semijoin_reduce(
                 alive[target_i][:] = False
             return
         live = np.nonzero(alive[source_i])[0]
-        if len(live) == 0:
-            alive[target_i][:] = False
-            return
         s_pos = {v: i for i, v in enumerate(source.vars)}
         t_keys, s_keys = align_composite_keys(
             [target.codes[t_pos[v]] for v in shared],
             [source.codes[s_pos[v]][live] for v in shared],
             len(target.domain),
         )
-        if len(s_keys) == 0:
-            alive[target_i][:] = False
-            return
-        s_keys = np.unique(s_keys)
-        positions = np.minimum(
-            np.searchsorted(s_keys, t_keys), len(s_keys) - 1
-        )
-        alive[target_i] &= s_keys[positions] == t_keys
+        found, _ = sorted_lookup(np.unique(s_keys), t_keys)
+        alive[target_i] &= found
 
     children: dict[int, list[int]] = {i: [] for i, _ in tree}
     # upward sweep: parents lose rows with no partner in each child

@@ -4,7 +4,6 @@ Every relation is backed by the dictionary-encoded columnar engine in
 :mod:`repro.relational.columnar`, whatever hashable values it holds.
 """
 
-from . import kernels
 from .columnar import (
     ColumnarRelation,
     CountSink,
@@ -25,5 +24,4 @@ __all__ = [
     "CountSink",
     "GroupCountSink",
     "SpillSink",
-    "kernels",
 ]

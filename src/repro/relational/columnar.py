@@ -24,16 +24,21 @@ Key design points:
   every relation it holds, a diagonal selection to one relation's
   columns).
   It is the one place where values of two relations meet — a
-  vectorized ``searchsorted`` between ``int64`` dictionaries, a hash
-  lookup (:func:`dict_mapping`) as soon as either side is ``object``, so
+  :func:`sorted_lookup` between ``int64`` dictionaries, a hash lookup
+  (:func:`dict_mapping`) as soon as either side is ``object``, so
   ``1``, ``np.int64(1)`` and ``1.0`` match exactly as under Python
   equality.  Every operator downstream compares codes directly.
 * Multi-column keys are flattened to a single ``int64`` per row by
-  :func:`composite_codes` (mixed-radix over dictionary cardinalities,
-  re-factorized through ``np.unique`` whenever the radix product would
-  approach 2^63).  Keys matched *across* relations come from
-  :func:`align_composite_keys`, which re-factorizes both sides jointly
-  when their shared radix product would overflow.
+  :func:`composite_codes`, the one mixed-radix key builder (radix over
+  dictionary cardinalities, re-factorized through ``np.unique``
+  whenever the radix product would reach 2^62).  Keys matched *across*
+  relations come from :func:`align_composite_keys`, which builds each
+  side through it and re-factorizes both sides jointly when their
+  shared radix product would overflow.
+* Membership of a batch of keys in a sorted key array is one
+  :func:`sorted_lookup` (``searchsorted``, clip, compare): the trie
+  probes of :class:`CodeTrie`, the dictionary translation, the
+  semijoin and the counting fold all run through it.
 * Grouping/deduplication is ``np.unique`` on composite keys; distinct
   counts per group come from ``np.bincount`` — no Python-level loop ever
   touches a row.
@@ -49,8 +54,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import kernels
-
 __all__ = [
     "ColumnarRelation",
     "CodeTrie",
@@ -65,10 +68,15 @@ __all__ = [
     "encode_column",
     "encode_rows",
     "composite_codes",
+    "sorted_lookup",
     "unify_domain",
 ]
 
 _EMPTY_CODES = np.zeros(0, dtype=np.int64)
+
+#: Radix products stay below this to keep composite keys and trie level
+#: keys overflow-free.
+_MAX_RADIX = 1 << 62
 
 
 def encode_column(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +157,25 @@ def encode_rows(
     return ColumnarRelation(attrs, codes, dicts, len(rows))
 
 
+def sorted_lookup(
+    keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched membership in a sorted array: ``(found, positions)``.
+
+    ``found[i]`` says whether ``values[i]`` occurs in ``keys``, and then
+    ``keys[positions[i]] == values[i]``; elsewhere ``positions[i]`` is an
+    arbitrary in-range index (0 when ``keys`` is empty).  One
+    ``searchsorted`` over the whole batch.
+    """
+    if len(keys) == 0:
+        return (
+            np.zeros(len(values), dtype=bool),
+            np.zeros(len(values), dtype=np.int64),
+        )
+    positions = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return keys[positions] == values, positions
+
+
 def dict_mapping(
     source_dict: np.ndarray, target_dict: np.ndarray
 ) -> np.ndarray:
@@ -156,19 +183,15 @@ def dict_mapping(
 
     ``mapping[source_code]`` is the target code of the same value, or −1
     when the value is absent from ``target_dict``.  Between two ``int64``
-    dictionaries (both sorted) this is one ``searchsorted``; when either
+    dictionaries (both sorted) this is one :func:`sorted_lookup`; when either
     side is an ``object`` dictionary it is a value→code hash lookup under
     Python equality, so ``1``, ``np.int64(1)`` and ``1.0`` match exactly
     as they do in a Python set.  :func:`unify_domain` builds one table
     per dictionary it re-expresses.
     """
-    if len(target_dict) == 0:
-        return np.full(len(source_dict), -1, dtype=np.int64)
     if source_dict.dtype != object and target_dict.dtype != object:
-        pos = np.searchsorted(target_dict, source_dict)
-        pos_clipped = np.minimum(pos, len(target_dict) - 1)
-        valid = target_dict[pos_clipped] == source_dict
-        return np.where(valid, pos_clipped, np.int64(-1))
+        found, positions = sorted_lookup(target_dict, source_dict)
+        return np.where(found, positions, np.int64(-1))
     code_of = dict(zip(target_dict.tolist(), range(len(target_dict))))
     return np.fromiter(
         map(code_of.get, source_dict.tolist(), repeat(-1)),
@@ -251,12 +274,12 @@ def composite_codes(
     radix = max(1, int(cardinalities[0]))
     for codes, card in zip(code_arrays[1:], cardinalities[1:]):
         card = max(1, int(card))
-        if radix * card >= kernels._MAX_RADIX:
+        if radix * card >= _MAX_RADIX:
             uniq, keys = np.unique(keys, return_inverse=True)
             keys = keys.astype(np.int64, copy=False)
             radix = max(1, len(uniq))
             # still past the cap only when rows × domain ≥ 2^62
-            if radix * card >= kernels._MAX_RADIX:  # pragma: no cover
+            if radix * card >= _MAX_RADIX:  # pragma: no cover
                 raise OverflowError("composite key radix exceeds int64")
         keys = keys * card + codes
         radix *= card
@@ -271,25 +294,27 @@ def align_composite_keys(
     """Comparable ``int64`` keys for two relations' key columns.
 
     The shared kernel behind cross-relation key matching (semijoins and
-    the counting fold).  Both sides' columns live in one code
-    space (:func:`unify_domain`) of ``domain_size`` values, and flatten
-    to mixed-radix keys over it
-    (:func:`repro.relational.kernels.composite_keys`).  When that radix
-    product would reach 2^62, both sides' columns are stacked and
-    re-factorized jointly through :func:`composite_codes`, so the keys
-    still share one key space.
+    the counting fold).  Both sides' one or more columns live in one
+    code space (:func:`unify_domain`) of ``domain_size`` values.  While
+    ``domain_size ** k`` for ``k`` columns stays below 2^62, each side
+    flattens on its own through :func:`composite_codes` to the same
+    mixed-radix keys, which order rows lexicographically; at or above
+    it, both sides' columns are stacked and re-factorized jointly, so
+    the keys still share one key space.
 
     Returns ``(target_keys, source_keys)``.
     """
     cards = [domain_size] * len(target_codes)
-    target_keys = kernels.composite_keys(target_codes, cards)
-    if target_keys is not None:
-        return target_keys, kernels.composite_keys(source_codes, cards)
-    n_target = len(target_codes[0])
+    n_target, n_source = len(target_codes[0]), len(source_codes[0])
+    if max(1, int(domain_size)) ** len(cards) < _MAX_RADIX:
+        return (
+            composite_codes(target_codes, cards, n_target)[0],
+            composite_codes(source_codes, cards, n_source)[0],
+        )
     keys, _ = composite_codes(
         [np.concatenate(pair) for pair in zip(target_codes, source_codes)],
         cards,
-        n_target + len(source_codes[0]),
+        n_target + n_source,
     )
     return keys[:n_target], keys[n_target:]
 
@@ -696,7 +721,7 @@ class CodeTrie:
         new = np.empty(self.n_rows, dtype=bool)
         new[0] = True
         for column, card in zip(columns, self.cards):
-            if n_nodes * card >= kernels._MAX_RADIX:  # pragma: no cover - huge
+            if n_nodes * card >= _MAX_RADIX:  # pragma: no cover - huge
                 raise OverflowError("trie level key radix exceeds int64")
             # rows are lexsorted, so `pair` is non-decreasing: run starts
             # give the distinct prefixes *and* the next level's node ids.
@@ -730,37 +755,9 @@ class CodeTrie:
         if len(self.level_keys[depth]) == 0:
             zeros = np.zeros(len(nodes), dtype=np.int64)
             return zeros, zeros
-        return kernels.gather_ranges(self._child_starts(depth), nodes)
-
-    def expand_children(
-        self,
-        depth: int,
-        nodes: np.ndarray,
-        ranges: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Enumerate every child of every node in the batch.
-
-        Returns ``(parent_index, child_node_ids, child_codes)`` where
-        ``parent_index[i]`` points into ``nodes`` — the batch-expansion
-        primitive of the vectorized Generic Join.  ``ranges`` may pass a
-        precomputed :meth:`children_ranges` result.
-        """
-        first, counts = (
-            ranges if ranges is not None else self.children_ranges(depth, nodes)
-        )
-        total = int(counts.sum())
-        parent = np.repeat(np.arange(len(nodes)), counts)
-        offsets = np.cumsum(counts) - counts
-        positions = (
-            np.arange(total)
-            - np.repeat(offsets, counts)
-            + np.repeat(first, counts)
-        )
-        codes = (
-            self.level_keys[depth][positions]
-            - np.repeat(nodes, counts) * self.cards[depth]
-        )
-        return parent, positions, codes
+        starts = self._child_starts(depth)
+        first = starts[nodes]
+        return first, starts[nodes + 1] - first
 
     def children_at(
         self,
@@ -771,30 +768,31 @@ class CodeTrie:
     ) -> tuple[np.ndarray, np.ndarray]:
         """One chosen child per node: the ``offsets[i]``-th of node ``i``.
 
-        The restartable slice of :meth:`expand_children`: callers that
-        enumerate a batch's flattened child space in fixed-size blocks
-        compute, per block entry, its parent node and the offset inside
-        that parent's child range, and gather just those children — the
-        full ``Σ counts``-sized expansion is never materialized.
-        ``first`` is the per-entry gather of :meth:`children_ranges`'s
-        first-child positions; offsets must satisfy
-        ``0 ≤ offsets[i] < counts`` for the matching node.
+        The restartable child gather: callers that enumerate a batch's
+        flattened child space in fixed-size blocks compute, per block
+        entry, its parent node and the offset inside that parent's child
+        range, and gather just those children — the full
+        ``Σ counts``-sized expansion is never materialized.  ``first`` is
+        the per-entry gather of :meth:`children_ranges`'s first-child
+        positions; offsets must satisfy ``0 ≤ offsets[i] < counts`` for
+        the matching node.
 
         Returns ``(child_node_ids, child_codes)``.
         """
-        return kernels.children_at(
-            self.level_keys[depth], nodes, first, offsets, self.cards[depth]
-        )
+        positions = first + offsets
+        codes = self.level_keys[depth][positions] - nodes * self.cards[depth]
+        return positions, codes
 
     def find_children(
         self, depth: int, nodes: np.ndarray, codes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized membership: does node ``i`` have child ``codes[i]``?
 
-        Returns ``(found_mask, child_node_ids)`` (ids valid where found).
+        Returns ``(found_mask, child_node_ids)`` (ids valid where found):
+        one :func:`sorted_lookup` of the children's level keys.
         """
-        return kernels.find_children(
-            self.level_keys[depth], nodes, codes, self.cards[depth]
+        return sorted_lookup(
+            self.level_keys[depth], nodes * self.cards[depth] + codes
         )
 
 
@@ -969,7 +967,7 @@ class ColumnarRelation:
         vkeys, vradix = self.key_codes(tuple(value_attrs))
         if self.n_rows == 0:
             return _EMPTY_CODES, _EMPTY_CODES, gkeys
-        if gradix * vradix >= kernels._MAX_RADIX:
+        if gradix * vradix >= _MAX_RADIX:
             _, gkeys_d = np.unique(gkeys, return_inverse=True)
             uniq_v, vkeys = np.unique(vkeys, return_inverse=True)
             vradix = max(1, len(uniq_v))

@@ -53,6 +53,7 @@ from ..core import (
     active_lp_mode,
     product_form,
 )
+from ..core.conditionals import atom_columns
 from ..evaluation import (
     CancellationToken,
     EvaluationCancelled,
@@ -245,6 +246,10 @@ class BoundService:
                     f"query names relation {atom.relation!r}; the service "
                     f"holds {sorted(self._db)}",
                 )
+            try:
+                atom_columns(atom, self._db[atom.relation].attributes)
+            except ValueError as exc:
+                raise ServiceError("bad-request", str(exc)) from exc
         with self._lock:
             return self._queries.add(text, query)
 

@@ -14,7 +14,7 @@ from repro.core.conditionals import (
     diagonal_rows,
     select_diagonal,
 )
-from repro.query.query import Atom
+from repro.query.query import Atom, ConjunctiveQuery
 from repro.relational import Database, Relation
 
 
@@ -99,6 +99,23 @@ class TestDiagonal:
             (),
         )
 
+    @pytest.mark.parametrize(
+        "variables", [("x",), ("x", "y", "z")], ids=["under", "over"]
+    )
+    def test_atom_arity_must_match_relation(self, variables):
+        # an atom over fewer or more variables than its relation has
+        # columns is refused, never read over a prefix of the columns
+        atom = Atom("R", variables)
+        with pytest.raises(ValueError, match="'R' has 2 column"):
+            atom_columns(atom, ("a", "b"))
+        from repro.evaluation import acyclic_count, generic_join
+
+        query = ConjunctiveQuery([atom])
+        db = Database({"R": Relation(("a", "b"), [(1, 2), (3, 4)])})
+        for entry_point in (collect_statistics, generic_join, acyclic_count):
+            with pytest.raises(ValueError, match="column"):
+                entry_point(query, db)
+
     def test_bare_relation_selects_by_value(self):
         # each column of a bare relation has its own dictionary: 0..4 in
         # a, 2..6 in b, so equal codes ((0, 2), say) hold unequal values
@@ -139,6 +156,13 @@ class TestStatisticsSet:
         s = StatisticsSet([self._stat(1.0), self._stat(2.0), self._stat(math.inf)])
         assert len(s.restrict_ps([1.0])) == 1
         assert len(s.restrict_ps([1.0, math.inf])) == 2
+
+    def test_restrict_ps_is_memoized(self):
+        s = StatisticsSet([self._stat(1.0), self._stat(2.0), self._stat(math.inf)])
+        family = s.restrict_ps([1.0, math.inf])
+        assert s.restrict_ps({math.inf, 1}) is family
+        assert s.restrict_ps([1.0]) is not family
+        assert [t.p for t in family] == [1.0, math.inf]
 
     def test_norms_used(self):
         s = StatisticsSet([self._stat(1.0), self._stat(2.0)])

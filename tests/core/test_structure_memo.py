@@ -62,6 +62,19 @@ class TestMemo:
         assert second.log2_bound == first.log2_bound
         assert len(builds) == 1  # one pass over the statistics in all
 
+    def test_family_solves_of_a_kept_set_share_one_structure(
+        self, stats, builds
+    ):
+        # the restriction is memoized on the kept set, so its structure
+        # memo serves every solve of that family (a service's family
+        # request on its cached statistics, say)
+        solver = BoundSolver()
+        first = solver.solve_family(stats, (1.0, math.inf), query=TRIANGLE)
+        second = solver.solve_family(stats, [math.inf, 1.0], query=TRIANGLE)
+        assert second.log2_bound == first.log2_bound
+        assert solver.last_solve_cached
+        assert len(builds) == 1
+
     def test_b_is_read_only(self, stats):
         _, b = lp_mod._stat_structure(TRIANGLE.variables, stats)
         assert not b.flags.writeable

@@ -27,7 +27,7 @@ from repro.evaluation import (
     semijoin_reduce,
 )
 from repro.query import parse_query
-from repro.relational import Database, Relation, columnar, kernels
+from repro.relational import Database, Relation, columnar
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -237,7 +237,7 @@ class TestRadixOverflow:
         # cap, but b follows a, so a re-factorized (a, b) prefix holds
         # ≤ 5 keys and 5 × 53 = 265 stays under it; S holds an a-value
         # R lacks, so the semijoin drops rows on one side
-        monkeypatch.setattr(kernels, "_MAX_RADIX", 1024)
+        monkeypatch.setattr(columnar, "_MAX_RADIX", 1024)
         r_rows = [(i % 4, 10 + i % 4, (i // 4) % 4, i) for i in range(24)]
         s_rows = [(i % 5, 10 + i % 5, (i // 3) % 4, -i) for i in range(30)]
         db = Database(
@@ -248,25 +248,32 @@ class TestRadixOverflow:
         )
         card = len(db["R"].columnar().dictionary("a"))
         assert card == 53
-        assert kernels.pack_plan([card] * 3) is None
+        assert card**3 >= columnar._MAX_RADIX
         return db
 
     @pytest.fixture
     def refactorized(self, monkeypatch):
-        """Counts the joint re-factorizations of cross-relation keys."""
-        calls = []
+        """The row counts of the key builds that stack both relations'
+        key columns: one per joint re-factorization."""
+        rows = []
         composite_codes = columnar.composite_codes
 
-        def spy(*args):
-            calls.append(args)
-            return composite_codes(*args)
+        def spy(code_arrays, cardinalities, n_rows):
+            rows.append(n_rows)
+            return composite_codes(code_arrays, cardinalities, n_rows)
 
         monkeypatch.setattr(columnar, "composite_codes", spy)
-        return calls
+        return rows
+
+    @staticmethod
+    def assert_joint(db, rows):
+        # the first step keys every row of R against every row of S:
+        # only the joint path builds over n_R + n_S rows at once
+        assert len(db["R"]) + len(db["S"]) in rows
 
     def test_semijoin_matches_oracle(self, db, refactorized):
         reduced = semijoin_reduce(self.QUERY, db)
-        assert refactorized
+        self.assert_joint(db, refactorized)
         oracle = semijoin_reduce_tuples(self.QUERY, db)
         for name in db:
             assert set(reduced[name]) == set(oracle[name])
@@ -274,5 +281,5 @@ class TestRadixOverflow:
 
     def test_counting_fold_matches_oracle(self, db, refactorized):
         count = acyclic_count(self.QUERY, db)
-        assert refactorized
+        self.assert_joint(db, refactorized)
         assert count == acyclic_count_tuples(self.QUERY, db) > 0

@@ -232,6 +232,24 @@ class TestBoundService:
         assert "[1.0, 2.0, inf]" in err.value.message
         assert service.errors["bad-request"] == 1
 
+    @pytest.mark.parametrize(
+        "query", ["Q(x) :- R(x)", "Q(x,y,z) :- R(x,y,z)"],
+        ids=["under", "over"],
+    )
+    def test_atom_arity_mismatch_is_bad_request(self, service, query):
+        misses = service.statistics_misses
+        for call, request in (
+            (service.bound, BoundRequest(query=query)),
+            (service.evaluate, EvaluateRequest(query=query)),
+        ):
+            with pytest.raises(ServiceError) as err:
+                call(request)
+            assert err.value.code == "bad-request"
+            assert err.value.http_status == 400
+            assert "'R' has 2 column" in err.value.message
+        assert service.errors["bad-request"] == 2
+        assert service.statistics_misses == misses
+
     def test_unknown_cone_is_typed(self, service):
         misses = service.statistics_misses
         entries = service.metrics()["caches"]["statistics"]["entries"]
@@ -424,6 +442,20 @@ class TestHttpFrontend:
             assert client.bound(query=TRIANGLE, family=(1.0,)).status == (
                 "optimal"
             )
+
+    @pytest.mark.parametrize(
+        "query", ["Q(x) :- R(x)", "Q(x,y,z) :- R(x,y,z)"],
+        ids=["under", "over"],
+    )
+    def test_atom_arity_mismatch_is_bad_request(self, served, query):
+        server, _ = served
+        with BoundClient(server.url) as client:
+            for call in (client.bound, client.evaluate):
+                with pytest.raises(ServiceError) as err:
+                    call(query=query)
+                assert err.value.code == "bad-request"
+                assert err.value.http_status == 400
+            assert client.bound(query=TRIANGLE).status == "optimal"
 
     def test_budget_verdict_is_422_and_server_survives(self, served):
         server, _ = served

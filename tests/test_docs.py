@@ -4,11 +4,13 @@ Documentation that references files which do not exist (this repo once
 cited a ``DESIGN.md`` that was never written) is worse than no
 documentation — so (1) every relative markdown link in the curated docs
 must resolve to a real file, (2) every ``>>>`` example in ``docs/*.md``
-must execute verbatim, and (3) the swept ghost references must not
-come back.
+must execute verbatim, (3) the swept ghost references must not
+come back, and (4) every fully qualified ``repro.*`` cross-reference in
+a ``src/`` docstring names a live object.
 """
 
 import doctest
+import importlib
 import re
 from pathlib import Path
 
@@ -83,3 +85,39 @@ def test_no_ghost_references(tree):
             if ghost in text:
                 offenders.append(f"{path.relative_to(REPO)}: {ghost}")
     assert not offenders, f"stale doc references: {offenders}"
+
+
+_XREF = re.compile(
+    r":(?:func|meth|class|mod|attr|data|exc):`~?(repro(?:\.\w+)+)`"
+)
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then walk the
+    rest as attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_docstring_cross_references_resolve():
+    # a docstring naming a deleted primitive fails here, not in a reader
+    refs = [
+        (path.relative_to(REPO), target)
+        for path in sorted((REPO / "src").rglob("*.py"))
+        for target in _XREF.findall(path.read_text())
+    ]
+    assert len(refs) > 100
+    dead = sorted(
+        {f"{path}: {target}" for path, target in refs if not _resolves(target)}
+    )
+    assert not dead, f"src/ cites objects that do not exist: {dead}"
