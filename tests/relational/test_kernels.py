@@ -241,7 +241,8 @@ def test_composite_keys_order_rows_lexicographically(data):
             assert (keys[i] == keys[j]) == (row == other)
 
 
-def test_radix_overflow_boundary(joint_builds):
+def test_pack_plan_overflow_boundary(joint_builds):
+    """The per-side key plan holds strictly below ``_MAX_RADIX`` = 2^62."""
     target = [np.array([0, 1, 1], dtype=np.int64)] * 2
     source = [np.array([1, 0], dtype=np.int64)] * 2
     # (2^31 − 1)^2 < 2^62: each side builds on its own, to the plain
@@ -263,6 +264,17 @@ def test_radix_overflow_boundary(joint_builds):
     align_composite_keys(target[:1], source[:1], 1 << 62)
     assert joint_builds == [3, 2, 5]
     assert columnar._MAX_RADIX == 1 << 62
+
+
+def test_composite_keys_overflow_returns_none_in_every_mode(joint_builds):
+    """Far past the cap, (2^40)^2, no per-side key exists: no side is
+    keyed on its own, and one joint build keys both, in row order."""
+    target = [np.array([0, 1], dtype=np.int64)] * 2
+    source = [np.array([1, 0], dtype=np.int64)] * 2
+    t_keys, s_keys = align_composite_keys(target, source, 1 << 40)
+    assert joint_builds == [4]
+    assert t_keys[0] < t_keys[1]
+    assert s_keys.tolist() == t_keys[::-1].tolist()
 
 
 def test_composite_keys_trivial_cards(joint_builds):
