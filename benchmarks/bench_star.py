@@ -89,7 +89,8 @@ def test_bench_star_count_sink(benchmark, traced_peak, star_db):
 def test_bench_star_count_block64(benchmark, traced_peak, star_db):
     """Blocked frontier at a small block + counting sink: 4096 arm slices
     of 64 candidates, each under one parent, so the per-slice fixed cost
-    (parent and seed resolution, count-only leaves) dominates the run."""
+    (parent and seed resolution, the leaf pass counted inside each arm
+    slice) dominates the run."""
 
     def run_counted():
         return generic_join(

@@ -79,7 +79,7 @@ TOLERANCES = {
 MEM_TOLERANCES: dict[str, float] = {
     "benchmarks/bench_star.py::test_bench_star_count_sink": 2.0,
     "benchmarks/bench_star.py::test_bench_star_spill_sink": 2.0,
-    # block 64 peaks near 45 KB, so a handful of interpreter objects
+    # block 64 peaks near 22 KB, so a handful of interpreter objects
     # already moves the ratio
     "benchmarks/bench_star.py::test_bench_star_count_block64": 2.0,
     # the governed entries also peak near 1 MB of block × depth scratch

@@ -79,7 +79,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -230,6 +230,21 @@ class BoundResult:
     def norms_used(self, tol: float = 1e-7) -> list[float]:
         """Sorted distinct p values carrying dual weight (Fig. 1 column)."""
         return sorted({stat.p for stat, _ in self.used_statistics(tol)})
+
+    @cached_property
+    def rendered(self) -> tuple[str, tuple[float, ...]]:
+        """``(certificate, norms)`` as the service answers them, rendered
+        once per result: the :func:`~repro.core.certificates.product_form`
+        of an optimal result (``""`` otherwise) and :meth:`norms_used`.
+
+        :meth:`BoundSolver.solve` hands a memo hit for the same statistics
+        back as the memoized result itself, so warm requests reuse the
+        rendering instead of walking the statistics again.
+        """
+        from .certificates import product_form
+
+        certificate = product_form(self) if self.status == "optimal" else ""
+        return certificate, tuple(self.norms_used())
 
     def witness_inequality(self, tol: float = 1e-7) -> str:
         """Human-readable rendering of the witness inequality (8)."""
@@ -1026,6 +1041,8 @@ class BoundSolver:
                     self.result_hits += 1
                     self._results.touch(memo_key)
                 self._tls.last_cached = True
+                if cached.statistics is statistics:
+                    return cached
                 return replace(cached, statistics=statistics)
         # after the memo probe (empty answers are never memoised, so the
         # warm path skips this check), before anything is assembled

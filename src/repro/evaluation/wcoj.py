@@ -43,9 +43,10 @@ disk (:class:`~repro.relational.columnar.SpillSink`) — so workloads
 whose outputs are themselves huge never hold |Q(D)| rows in RAM.  The
 default (``sink=None``) materializes through the internal code-space
 accumulator exactly as before; every sink sees the same rows in the
-same order with the same meter.  A sink that consumes sizes only gets
-the last level's survivor counts directly: no binding columns are
-gathered for rows it would discard.
+same order with the same meter.  A sink that consumes sizes only has
+the last level counted inside the slices of the level above it, in
+passes of at most one block: no binding columns are gathered for rows
+it would discard, and no leaf sub-block is ever yielded.
 
 The meter (``nodes_visited``) counts exactly the bindings that pass every
 participating atom's trie — the search-tree size of the one-binding-at-a-
@@ -125,11 +126,11 @@ def _resolve_order(
 def _spread(column: np.ndarray, parents, width: int) -> np.ndarray:
     """``column[parents]``; an int ``parents`` is that one parent
     repeated ``width`` times, written as a fill instead of a gather."""
-    if isinstance(parents, np.ndarray):
-        return column[parents]
-    out = np.empty(width, dtype=column.dtype)
-    out.fill(column[parents])
-    return out
+    if isinstance(parents, int):
+        out = np.empty(width, dtype=column.dtype)
+        out.fill(column[parents])
+        return out
+    return column[parents]
 
 
 def _choose_seeds(ranges: list[tuple[np.ndarray, np.ndarray]]):
@@ -153,7 +154,7 @@ def _choose_seeds(ranges: list[tuple[np.ndarray, np.ndarray]]):
     for s in range(1, len(ranges)):
         counts = ranges[s][1]
         fewer = counts < seed_counts
-        if fewer.any():
+        if np.count_nonzero(fewer):
             if seed_choice is None:
                 seed_choice = np.zeros(len(seed_counts), dtype=np.int64)
             seed_choice[fewer] = s
@@ -162,12 +163,169 @@ def _choose_seeds(ranges: list[tuple[np.ndarray, np.ndarray]]):
         return seed_counts, 0, None, None
     live = np.flatnonzero(seed_counts)
     change = seed_choice[live[1:]] != seed_choice[live[:-1]]
-    if not change.any():
+    if not np.count_nonzero(change):
         seed = int(seed_choice[live[0]]) if len(live) else 0
         return seed_counts, seed, None, None
     run_id = np.zeros(len(seed_counts), dtype=np.int64)
     run_id[live[1:]] = np.cumsum(change)
     return seed_counts, None, seed_choice, run_id
+
+
+class _LevelBlock:
+    """One frontier block's candidate space at one level.
+
+    Holds the block's fixed work — each participant's per-binding child
+    ranges, the seed choice of :func:`_choose_seeds`, and the cumulative
+    seed counts that lay the flattened (binding, seed-child) space out
+    in parent-major order — so that :meth:`probe_slice` pays only for
+    the shape of the slice it is given.
+    """
+
+    __slots__ = (
+        "tries", "participants", "atom_node", "n_front", "ranges",
+        "seed_counts", "seed", "seed_choice", "run_id", "ends", "total",
+        "one_child", "parent",
+    )
+
+    def __init__(self, tries, participants, n_front, atom_node):
+        self.tries = tries
+        self.participants = participants
+        self.atom_node = atom_node
+        self.n_front = n_front
+        self.ranges = ranges = [
+            tries[i].children_ranges(d, atom_node[i]) for i, d in participants
+        ]
+        seed_counts, self.seed, self.seed_choice, self.run_id = _choose_seeds(
+            ranges
+        )
+        self.seed_counts = seed_counts
+        self.ends = seed_counts.cumsum()
+        self.total = total = int(self.ends[-1]) if n_front else 0
+        # one participant seeds every binding, each with exactly one
+        # child: the flattened space is the frontier itself (Σ = n_front
+        # alone allows e.g. [0, 2])
+        self.one_child = (
+            self.seed is not None
+            and total == n_front
+            and np.count_nonzero(seed_counts) == n_front
+        )
+        # the binding owning the last probed slice's first candidate
+        self.parent = 0
+
+    def locate(self, lo, hi):
+        """Where candidates ``lo..hi`` come from: ``(parents, offsets)``,
+        each candidate's binding and its offset among that binding's
+        seed children.
+
+        ``parents`` is an int when one binding owns the whole slice (its
+        seed children are one contiguous run of level keys), the
+        ``slice(lo, hi)`` of the frontier itself when one participant
+        seeds every binding with one child (offsets 0: nothing to
+        flatten), and a parent-major index array otherwise.
+        """
+        if self.one_child:
+            return slice(lo, hi), 0
+        ends, seed_counts = self.ends, self.seed_counts
+        p = self.parent
+        if ends[p] <= lo:  # slices run in order: move the cursor on
+            p = self.parent = int(ends.searchsorted(lo, side="right"))
+        if ends[p] >= hi:  # one parent owns the whole slice
+            return p, lo - int(ends[p] - seed_counts[p])
+        if lo == 0 and hi == self.total:
+            # whole-space slice: O(total) repeat beats searchsorted
+            return (
+                np.arange(self.n_front).repeat(seed_counts),
+                np.arange(hi) - (ends - seed_counts).repeat(seed_counts),
+            )
+        flat = np.arange(lo, hi)
+        parents = ends.searchsorted(flat, side="right")
+        return parents, flat - (ends - seed_counts)[parents]
+
+    def probe_slice(self, lo, hi, carried):
+        """Seed candidates ``lo..hi`` of the block's space and filter them
+        through the other participants: ``(keep, node_ids, codes,
+        parents)``, with ``parents`` as :meth:`locate` gives it.
+
+        ``keep`` is the survivor mask (``None`` when one participant is
+        all there is), ``node_ids`` the child ids of each ``carried``
+        atom.
+        """
+        parents, offsets = self.locate(lo, hi)
+        s = self.seed
+        if s is None:
+            if isinstance(parents, int):
+                s = int(self.seed_choice[parents])
+            elif self.run_id[parents[0]] == self.run_id[parents[-1]]:
+                s = int(self.seed_choice[parents[0]])
+        if s is None:
+            keep, node_ids, codes = self.probe_mixed(parents, offsets, carried)
+        else:
+            keep, node_ids, codes = self.probe(
+                s, parents, offsets, hi - lo, carried
+            )
+        return keep, node_ids, codes, parents
+
+    def probe(self, s, parents, offsets, m, carried):
+        """Seed ``m`` candidates from participant ``s`` and filter them
+        through the other participants: ``(keep, node_ids, codes)``.
+
+        ``parents``/``offsets`` locate each candidate in its parent's
+        seed children; an int ``parents`` is one parent whose ``m``
+        candidates start at offset ``offsets`` — a contiguous run of
+        level keys whose positions are the children's node ids.
+        """
+        participants, atom_node = self.participants, self.atom_node
+        seed_idx, seed_depth = participants[s]
+        trie = self.tries[seed_idx]
+        first = self.ranges[s][0]
+        if isinstance(parents, int):
+            a = int(first[parents]) + offsets
+            children = np.arange(a, a + m)
+            codes = trie.level_keys[seed_depth][a : a + m] - (
+                atom_node[seed_idx][parents] * trie.cards[seed_depth]
+            )
+        else:
+            children, codes = trie.children_at(
+                seed_depth,
+                atom_node[seed_idx][parents],
+                first[parents],
+                offsets,
+            )
+        keep = None
+        node_ids = {}
+        for t, (atom_idx, depth) in enumerate(participants):
+            if t == s:
+                ids = children
+            else:
+                # one parent probes with its scalar node id, broadcast
+                found, ids = self.tries[atom_idx].find_children(
+                    depth, atom_node[atom_idx][parents], codes
+                )
+                keep = found if keep is None else keep & found
+            if atom_idx in carried:
+                node_ids[atom_idx] = ids
+        return keep, node_ids, codes
+
+    def probe_mixed(self, parents, offsets, carried):
+        """:meth:`probe` per seeding participant over its own candidates,
+        scattered back into slice order."""
+        m = len(parents)
+        choice = self.seed_choice[parents]
+        candidates = np.empty(m, dtype=np.int64)
+        keep = np.ones(m, dtype=bool)
+        node_ids = {i: np.empty(m, dtype=np.int64) for i in carried}
+        for s in range(len(self.participants)):
+            sel = np.flatnonzero(choice == s)
+            if len(sel) == 0:
+                continue
+            keep_s, ids_s, candidates[sel] = self.probe(
+                s, parents[sel], offsets[sel], len(sel), carried
+            )
+            for i in carried:
+                node_ids[i][sel] = ids_s[i]
+            if keep_s is not None:
+                keep[sel] = keep_s
+        return keep, node_ids, candidates
 
 
 def generic_join(
@@ -260,17 +418,24 @@ def _blocked_search(
 
     A block's fixed work — the per-binding seed choice, where its runs of
     equal choice change, and which atoms' node ids travel down — is paid
-    once per block, and each slice then does only the array work its
-    shape needs.  A slice under a *single parent* (common whenever the
-    fan-out reaches the block) reads its seed's children as one
-    contiguous run of level keys, with no parent recovery and no per-row
-    parent gathers.  A slice over several parents that one participant
-    seeds writes its probe results directly.  Only a slice with *mixed
-    seeds* probes per seeding participant and scatters the results back
-    into slice order.  When the sink takes sizes only
-    (``needs_values`` false) the last level is *count-only*: each slice
-    hands its survivor count to ``append_size`` and gathers no binding
-    columns at all.
+    once per block (:class:`_LevelBlock`), and each slice then does only
+    the array work its shape needs.  A slice under a *single parent*
+    (common whenever the fan-out reaches the block) reads its seed's
+    children as one contiguous run of level keys and probes the other
+    participants with the parent's scalar node ids: no parent recovery,
+    no per-row parent gathers.  Where every binding has exactly one seed
+    child the slice *is* a run of the frontier, read in place.  A slice
+    over several parents that one participant seeds writes its probe
+    results directly.  Only a slice with *mixed seeds* probes per seeding
+    participant and scatters the results back into slice order.
+
+    When the sink takes sizes only (``needs_values`` false) the last
+    level is not a level of its own: each slice of level n−2 (the root,
+    for n = 1) counts its survivors' leaf intersections in the same call
+    (``count_leaf``) — leaf passes of at most one block of candidates,
+    each a block boundary for the governor — and hands one size to
+    ``append_size``.  No level of such a run carries binding columns;
+    only ``emit`` reads them.
 
     Every atom's trie lives in the database's one code space (tries stay
     cacheable per relation and column order): a seed's candidate codes
@@ -325,10 +490,11 @@ def _blocked_search(
         carried_at.append([i for i in live if i in participating])
         passed_at.append([i for i in live if i not in participating])
 
-    # a sink that consumes sizes only gets them straight from the last
-    # level's slices (count-only leaves): survivors are counted, never
-    # gathered into binding columns
-    count_leaves = sink is not None and not sink.needs_values
+    # a sink that consumes sizes only has the last level counted inside
+    # the slice above it (the root, for one variable): leaf candidates
+    # are probed and counted, never yielded as a level of their own, and
+    # no level carries binding columns, which only `emit` reads
+    leaf_counted = sink is not None and not sink.needs_values and n > 0
     if sink is None:
         acc = ChunkedColumns(n)
         emit = acc.append
@@ -356,100 +522,54 @@ def _blocked_search(
         else:
             governor.register_output(lambda: acc.n_rows)
 
-    def expand(level, n_front, atom_node, binding_cols):
-        """Yield the surviving sub-blocks of one frontier block, in order.
-
-        A sub-block is ``(width, sub_nodes, new_cols)``; a count-only
-        leaf level yields ``(width, None, None)``.
-        """
-        nonlocal visited
+    def participants_at(level):
         participants = atoms_at[level]
         if not participants:
             raise RuntimeError(
                 f"variable {order[level]!r} is not covered by any atom"
             )
-        ranges = [
-            tries[i].children_ranges(d, atom_node[i]) for i, d in participants
-        ]
-        seed_counts, seed, seed_choice, run_id = _choose_seeds(ranges)
-        ends = seed_counts.cumsum()
-        total = int(ends[-1]) if n_front else 0
+        return participants
+
+    def count_leaf(n_front, atom_node):
+        """The last level's survivors under ``n_front`` bindings, counted
+        in passes of at most one block of candidates each.  Every pass
+        is a block boundary: the governor is consulted and the effective
+        block re-read, as before any other slice."""
+        nonlocal visited
+        participants = participants_at(n - 1)
+        leaf = _LevelBlock(tries, participants, n_front, atom_node)
+        total = leaf.total
+        if len(participants) == 1:  # every seed child survives
+            visited += total
+            return total
+        count = lo = 0
+        block = frontier_block
+        while lo < total:
+            if governor is not None:
+                governor.checkpoint(nodes_visited=visited + count)
+                block = governor.effective_block(frontier_block)
+            hi = total if block is None else min(lo + block, total)
+            count += int(np.count_nonzero(leaf.probe_slice(lo, hi, ())[0]))
+            lo = hi
+        visited += count
+        return count
+
+    def expand(level, n_front, atom_node, binding_cols):
+        """Yield the surviving sub-blocks ``(width, sub_nodes, new_cols)``
+        of one frontier block, in order.  Above a counted leaf, a slice
+        hands its survivors' leaf count to the sink and yields nothing.
+        """
+        frontier = _LevelBlock(tries, participants_at(level), n_front, atom_node)
+        total = frontier.total
         if total == 0:
             return
-        flat_starts = ends - seed_counts
         carried, passed = carried_at[level], passed_at[level]
-        leaf_count = count_leaves and level == n - 1
-        if governor is None:
-            block = frontier_block
-        else:
-            block = governor.effective_block(frontier_block)
-        chunk = total if block is None else block
-
-        def probe(s, parents, offsets, m):
-            """Seed ``m`` candidates from participant ``s`` and filter them
-            through the other participants: ``(keep, node_ids, codes)``.
-
-            ``parents``/``offsets`` locate each candidate in its parent's
-            seed children; an int ``parents`` is one parent whose ``m``
-            candidates start at offset ``offsets`` — a contiguous run of
-            level keys whose positions are the children's node ids.
-            ``keep`` is the survivor mask (None when ``s`` is the only
-            participant), ``node_ids`` the child ids of each carried
-            participant, and ``codes`` the candidates.
-            """
-            seed_idx, seed_depth = participants[s]
-            trie = tries[seed_idx]
-            if isinstance(parents, np.ndarray):
-                children, codes = trie.children_at(
-                    seed_depth,
-                    atom_node[seed_idx][parents],
-                    ranges[s][0][parents],
-                    offsets,
-                )
-            else:
-                a = int(ranges[s][0][parents]) + offsets
-                children = np.arange(a, a + m)
-                codes = trie.level_keys[seed_depth][a : a + m] - (
-                    atom_node[seed_idx][parents] * trie.cards[seed_depth]
-                )
-            keep = None
-            node_ids = {}
-            for t, (atom_idx, depth) in enumerate(participants):
-                if t == s:
-                    ids = children
-                else:
-                    found, ids = tries[atom_idx].find_children(
-                        depth, _spread(atom_node[atom_idx], parents, m), codes
-                    )
-                    keep = found if keep is None else keep & found
-                if atom_idx in carried:
-                    node_ids[atom_idx] = ids
-            return keep, node_ids, codes
-
-        def probe_mixed(parents, offsets):
-            """:func:`probe` per seeding participant over its own
-            candidates, scattered back into slice order."""
-            m = len(parents)
-            choice = seed_choice[parents]
-            candidates = np.empty(m, dtype=np.int64)
-            keep = np.ones(m, dtype=bool)
-            node_ids = {i: np.empty(m, dtype=np.int64) for i in carried}
-            for s in range(len(participants)):
-                sel = np.flatnonzero(choice == s)
-                if len(sel) == 0:
-                    continue
-                keep_s, ids_s, candidates[sel] = probe(
-                    s, parents[sel], offsets[sel], len(sel)
-                )
-                for i in carried:
-                    node_ids[i][sel] = ids_s[i]
-                if keep_s is not None:
-                    keep[sel] = keep_s
-            return keep, node_ids, candidates
+        above_leaf = leaf_counted and level == n - 2
+        block = frontier_block
 
         def expand_slice(lo, hi):
             """One candidate slice: a sub-block, or ``None`` when every
-            candidate dies.
+            candidate dies or the leaf below was counted.
 
             A plain function, not inlined in the generator loop: its
             frame (and with it every O(slice) scratch array) dies on
@@ -457,51 +577,39 @@ def _blocked_search(
             while deeper levels run under the suspended generator.
             """
             nonlocal visited
-            m = hi - lo
-            p = int(ends.searchsorted(lo, side="right"))
-            if ends[p] >= hi:  # one parent owns the whole slice
-                parents, offsets = p, lo - int(flat_starts[p])
-                s = seed if seed is not None else int(seed_choice[p])
-            else:
-                if lo == 0 and hi == total:
-                    # whole-space slice: O(total) repeat beats searchsorted
-                    parents = np.arange(n_front).repeat(seed_counts)
-                    offsets = np.arange(total) - flat_starts.repeat(
-                        seed_counts
-                    )
-                else:
-                    flat = np.arange(lo, hi)
-                    parents = ends.searchsorted(flat, side="right")
-                    offsets = flat - flat_starts[parents]
-                s = seed
-                if s is None and run_id[parents[0]] == run_id[parents[-1]]:
-                    s = int(seed_choice[parents[0]])
-            if s is None:
-                keep, node_ids, candidates = probe_mixed(parents, offsets)
-            else:
-                keep, node_ids, candidates = probe(s, parents, offsets, m)
-            if leaf_count:
-                width = m if keep is None else int(np.count_nonzero(keep))
-                visited += width
-                return (width, None, None) if width else None
+            keep, node_ids, candidates, parents = frontier.probe_slice(
+                lo, hi, carried
+            )
+            if isinstance(parents, slice):  # a sub-block owns its columns
+                parents = np.arange(lo, hi)
             chosen = None
-            if keep is not None and not keep.all():
+            width = hi - lo
+            if keep is not None and np.count_nonzero(keep) < width:
                 chosen = np.flatnonzero(keep)
-                if len(chosen) == 0:
+                width = len(chosen)
+                if width == 0:
                     return None
                 candidates = candidates[chosen]
-                if isinstance(parents, np.ndarray):
+                if not isinstance(parents, int):
                     parents = parents[chosen]
-            width = len(candidates)
             visited += width
-            sub_nodes = [None] * len(atom_node)
+            sub_nodes = [None] * n_atoms
             for i in carried:
                 ids = node_ids[i]
                 sub_nodes[i] = ids if chosen is None else ids[chosen]
             for i in passed:
                 sub_nodes[i] = _spread(atom_node[i], parents, width)
-            new_cols = [_spread(c, parents, width) for c in binding_cols]
-            new_cols.append(candidates)
+            if above_leaf:
+                # only the survivors' node ids reach the leaf pass
+                del keep, node_ids, candidates, parents, chosen
+                count = count_leaf(width, sub_nodes)
+                if count:
+                    sink.append_size(count)
+                return None
+            new_cols = []
+            if not leaf_counted:  # only `emit` reads binding columns
+                new_cols = [_spread(c, parents, width) for c in binding_cols]
+                new_cols.append(candidates)
             return width, sub_nodes, new_cols
 
         lo = 0
@@ -512,16 +620,14 @@ def _blocked_search(
                 # takes hold at this very slice
                 governor.checkpoint(nodes_visited=visited)
                 block = governor.effective_block(frontier_block)
-                chunk = total if block is None else block
-            hi = min(lo + chunk, total)
+            hi = total if block is None else min(lo + block, total)
             result = expand_slice(lo, hi)
             if hi >= total:
                 # last slice: this level's range/frontier state is dead.
                 # Release it before descending, or the suspended frame
                 # would pin O(n_front) arrays for the rest of the subtree
                 # (the whole-frontier path would regress ~1.5× in peak).
-                del ranges, seed_choice, seed_counts, ends, flat_starts
-                del run_id, atom_node, binding_cols
+                del frontier, atom_node, binding_cols
             if result is not None:
                 yield result
             lo = hi
@@ -533,12 +639,13 @@ def _blocked_search(
         blocks = expand(level, n_front, atom_node, binding_cols)
         del atom_node, binding_cols  # the generator owns them now
         for width, sub_nodes, sub_cols in blocks:
-            if sub_cols is None:  # count-only leaf slice
-                sink.append_size(width)
-            else:
-                descend(level + 1, width, sub_nodes, sub_cols)
+            descend(level + 1, width, sub_nodes, sub_cols)
 
-    descend(0, 1, [np.zeros(1, dtype=np.int64) for _ in tables], [])
+    roots = [np.zeros(1, dtype=np.int64) for _ in tables]
+    if leaf_counted and n == 1:
+        sink.append_size(count_leaf(1, roots))
+    else:
+        descend(0, 1, roots, [])
 
     if sink is not None:
         return JoinRun(output=None, nodes_visited=visited, sink=sink)

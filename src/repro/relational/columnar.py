@@ -165,14 +165,15 @@ def sorted_lookup(
     ``found[i]`` says whether ``values[i]`` occurs in ``keys``, and then
     ``keys[positions[i]] == values[i]``; elsewhere ``positions[i]`` is an
     arbitrary in-range index (0 when ``keys`` is empty).  One
-    ``searchsorted`` over the whole batch.
+    ``searchsorted`` over the whole batch, clipped in place.
     """
     if len(keys) == 0:
         return (
             np.zeros(len(values), dtype=bool),
             np.zeros(len(values), dtype=np.int64),
         )
-    positions = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    positions = keys.searchsorted(values)
+    np.minimum(positions, len(keys) - 1, out=positions)
     return keys[positions] == values, positions
 
 
@@ -702,7 +703,7 @@ class CodeTrie:
     ``OverflowError`` if a level's key space would exceed ``int64``.
     """
 
-    __slots__ = ("n_rows", "n_levels", "cards", "level_keys", "_starts")
+    __slots__ = ("n_rows", "n_levels", "cards", "level_keys", "_ranges")
 
     def __init__(
         self, columns: Sequence[np.ndarray], cards: Sequence[int]
@@ -710,7 +711,9 @@ class CodeTrie:
         self.n_levels = len(columns)
         self.n_rows = len(columns[0]) if self.n_levels else 0
         self.cards = [max(1, int(c)) for c in cards]
-        self._starts: list[np.ndarray | None] = [None] * self.n_levels
+        self._ranges: list[tuple[np.ndarray, np.ndarray] | None] = [
+            None
+        ] * self.n_levels
         if self.n_rows == 0:
             self.level_keys = [_EMPTY_CODES] * self.n_levels
             return
@@ -732,21 +735,21 @@ class CodeTrie:
             n_nodes = len(level_keys[-1])
         self.level_keys = level_keys
 
-    def _child_starts(self, depth: int) -> np.ndarray:
-        """``starts[n] .. starts[n+1]``: node n's child range at ``depth``.
+    def _child_ranges(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, counts)``: node n's children at ``depth`` occupy
+        positions ``starts[n] .. starts[n] + counts[n]``.
 
         Node ids at ``depth`` are ranks into the previous level's key
         array, so the ranges are computable once per level (a bincount +
-        cumsum, cached) and :meth:`children_ranges` becomes pure gathers.
+        cumsum, cached) and :meth:`children_ranges` becomes two gathers.
         """
-        starts = self._starts[depth]
-        if starts is None:
-            n_nodes = 1 if depth == 0 else len(self.level_keys[depth - 1])
-            parents = self.level_keys[depth] // self.cards[depth]
-            starts = np.zeros(n_nodes + 1, dtype=np.int64)
-            np.cumsum(np.bincount(parents, minlength=n_nodes), out=starts[1:])
-            self._starts[depth] = starts
-        return starts
+        n_nodes = 1 if depth == 0 else len(self.level_keys[depth - 1])
+        parents = self.level_keys[depth] // self.cards[depth]
+        counts = np.bincount(parents, minlength=n_nodes)
+        starts = np.zeros(n_nodes, dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        self._ranges[depth] = ranges = (starts, counts)
+        return ranges
 
     def children_ranges(
         self, depth: int, nodes: np.ndarray
@@ -755,9 +758,11 @@ class CodeTrie:
         if len(self.level_keys[depth]) == 0:
             zeros = np.zeros(len(nodes), dtype=np.int64)
             return zeros, zeros
-        starts = self._child_starts(depth)
-        first = starts[nodes]
-        return first, starts[nodes + 1] - first
+        ranges = self._ranges[depth]
+        if ranges is None:
+            ranges = self._child_ranges(depth)
+        starts, counts = ranges
+        return starts[nodes], counts[nodes]
 
     def children_at(
         self,

@@ -51,7 +51,6 @@ from ..core import (
     LruCache,
     StatisticsCatalog,
     active_lp_mode,
-    product_form,
 )
 from ..core.conditionals import atom_columns
 from ..evaluation import (
@@ -343,15 +342,13 @@ class BoundService:
             raise self._fail("bound", exc)
         elapsed_ms = (time.perf_counter() - start) * 1e3
         self._record("bound", elapsed_ms)
-        certificate = (
-            product_form(result) if result.status == "optimal" else ""
-        )
+        certificate, norms = result.rendered
         return BoundResponse(
             log2_bound=result.log2_bound,
             bound=result.bound,
             cone=result.cone,
             status=result.status,
-            norms_used=tuple(result.norms_used()),
+            norms_used=norms,
             certificate=certificate,
             cached=cached,
             elapsed_ms=elapsed_ms,

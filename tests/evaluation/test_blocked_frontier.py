@@ -12,9 +12,10 @@ engine to a hard memory cap on the star workload whose unblocked
 frontier is quadratically larger than its output.
 
 A slice takes one of three shapes — a single parent, several parents
-seeded by one participant, or mixed seeds — and a count-only sink gets
-the last level's survivor counts without their values; named cases
-force each shape and every sink must match the materialized run.
+seeded by one participant, or mixed seeds — and a count-only sink has
+its last level counted inside the slices above it; named cases force
+each slice shape and each shape of counted leaf, and every sink must
+match the materialized run.
 """
 
 import tempfile
@@ -22,6 +23,7 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +36,7 @@ from repro.evaluation import (
     EvaluationGovernor,
     evaluate_with_partitioning,
     generic_join,
+    wcoj,
 )
 from repro.query import parse_query
 from repro.relational import (
@@ -260,6 +263,21 @@ class TestRoutedPaths:
             assert run.parts_evaluated == reference.parts_evaluated
 
 
+def _halving_governor():
+    """Always past its soft watermark: the block halves at every
+    checkpoint, 64 → 1, so slices and leaf passes change size mid-level."""
+    growth = iter(range(0, 1 << 40, 1 << 20))
+    return EvaluationGovernor(
+        EvaluationBudget(
+            soft_memory_bytes=1,
+            hard_memory_bytes=1 << 50,
+            min_frontier_block=1,
+            initial_frontier_block=64,
+        ),
+        memory_probe=lambda: next(growth),
+    )
+
+
 class TestSliceShapes:
     """Each slice shape, forced by a named case, into every sink."""
 
@@ -294,30 +312,154 @@ class TestSliceShapes:
         db = Database({"R": power_law_graph(300, 1200, 0.5, seed=5)})
         query = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")
         reference = generic_join(query, db, sink=CountSink())
-        growth = iter(range(0, 1 << 40, 1 << 20))
         governors = {
             "ample": EvaluationGovernor(
                 EvaluationBudget(
                     soft_memory_bytes=1 << 33, hard_memory_bytes=1 << 34
                 )
             ),
-            # always past the soft watermark: the block halves at every
-            # slice, 64 → 1, so slices change shape mid-level
-            "ladder": EvaluationGovernor(
-                EvaluationBudget(
-                    soft_memory_bytes=1,
-                    hard_memory_bytes=1 << 50,
-                    min_frontier_block=1,
-                    initial_frontier_block=64,
-                ),
-                memory_probe=lambda: next(growth),
-            ),
+            "ladder": _halving_governor(),
         }
         for name, governor in governors.items():
             sink = CountSink()
             run = generic_join(query, db, sink=sink, governor=governor)
             assert sink.total == reference.count, name
             assert run.nodes_visited == reference.nodes_visited, name
+
+
+def _unary(values):
+    return Relation(("a",), [(v,) for v in values])
+
+
+def _pairs(fan):
+    """``{x: ys}`` as binary rows."""
+    return Relation(("a", "b"), [(x, y) for x, ys in fan.items() for y in ys])
+
+
+#: Count-only leaves, each named for the shape its last level takes.
+#: ``(query, database, order)``; ``None`` is the default order.
+LEAF_CASES = {
+    # n = 1: the root is the leaf's only binding, 100 > 64 candidates
+    "one-variable": (
+        parse_query("q(x) :- R(x), S(x)"),
+        Database({"R": _unary(range(100)), "S": _unary(range(0, 200, 2))}),
+        None,
+    ),
+    # n = 1, one participant: the leaf count is its child count
+    "one-atom": (
+        parse_query("q(x) :- R(x)"),
+        Database({"R": _unary(range(9))}),
+        None,
+    ),
+    # n = 2: three bindings with 100 candidates each, over every block
+    "leaf-over-block": (
+        parse_query("q(x,y) :- R(x,y), S(x,y)"),
+        Database({
+            "R": _pairs({x: range(100) for x in range(3)}),
+            "S": _pairs({x: range(0, 200, 2) for x in range(3)}),
+        }),
+        ("x", "y"),
+    ),
+    # the seed alternates S, R, S along the bindings
+    "mixed-seed": (
+        parse_query("q(x,y) :- R(x,y), S(x,y)"),
+        Database({
+            "R": _pairs({0: range(10), 1: (3, 5), 2: range(10)}),
+            "S": _pairs({0: (1, 2, 11), 1: range(10), 2: (4, 9, 12)}),
+        }),
+        ("x", "y"),
+    ),
+    # every binding survives its own level and none closes
+    "empty-leaf": (
+        parse_query("q(x,y) :- R(x,y), S(x,y)"),
+        Database({
+            "R": _pairs({x: range(0, 20, 2) for x in range(5)}),
+            "S": _pairs({x: range(1, 20, 2) for x in range(5)}),
+        }),
+        ("x", "y"),
+    ),
+    # every binding has exactly one seed child at the leaf
+    "one-child": (star_query(2), star_database(24), None),
+}
+
+
+class TestCountedLeaf:
+    """A count-only sink has the last level counted inside the slice
+    above it: every shape of that leaf, at every block, ungoverned and
+    under a halving ladder, equals the materialized run."""
+
+    @pytest.mark.parametrize("governed", [False, True])
+    @pytest.mark.parametrize("block", SINK_BLOCKS)
+    @pytest.mark.parametrize("case", sorted(LEAF_CASES))
+    def test_count_and_meter_match_materialized_run(
+        self, case, block, governed
+    ):
+        query, db, order = LEAF_CASES[case]
+        reference = generic_join(query, db, order=order)
+        oracle = generic_join_tuples(query, db)
+        assert reference.count == len(oracle.output)
+        assert reference.nodes_visited == oracle.nodes_visited
+        for sink in (CountSink(), None):
+            governor = _halving_governor() if governed else None
+            run = generic_join(
+                query, db, order=order, frontier_block=block, sink=sink,
+                governor=governor,
+            )
+            assert run.count == reference.count, (case, block, sink)
+            assert run.nodes_visited == reference.nodes_visited, (
+                case, block, sink,
+            )
+            if sink is None:
+                assert list(run.output) == list(reference.output)
+
+    def test_cases_take_their_shapes(self):
+        counts = {}
+        for case, (query, db, order) in LEAF_CASES.items():
+            run = generic_join(query, db, order=order, sink=CountSink())
+            counts[case] = (run.count, run.nodes_visited)
+        assert counts["one-variable"] == (50, 50)
+        assert counts["one-atom"] == (9, 9)
+        assert counts["leaf-over-block"] == (150, 153)
+        assert counts["mixed-seed"] == (6, 9)
+        assert counts["empty-leaf"] == (0, 5)
+        assert counts["one-child"] == (24, 25**2)
+
+    def test_mixed_seed_leaf_passes(self, monkeypatch):
+        # a pass of 7 candidates spans bindings seeded by S and by R
+        query, db, order = LEAF_CASES["mixed-seed"]
+        calls = []
+        probe_mixed = wcoj._LevelBlock.probe_mixed
+
+        def counted(self, *args):
+            calls.append(len(self.participants))
+            return probe_mixed(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(wcoj._LevelBlock, "probe_mixed", counted)
+            run = generic_join(
+                query, db, order=order, frontier_block=7, sink=CountSink()
+            )
+        assert calls and run.count == 6
+
+    def test_one_child_needs_every_binding_to_have_one(self):
+        # seed counts [0, 2]: the total equals the frontier width, yet
+        # the second binding owns both candidates.  No trie built from
+        # rows has a childless inner node, so the level arrays are set
+        # by hand: node 0 of level 1 has no children, node 1 has two.
+        trie = CodeTrie([np.zeros(2, dtype=np.int64)] * 2, [4, 4])
+        trie.level_keys = [
+            np.array([0, 1], dtype=np.int64),
+            np.array([1 * 4 + 0, 1 * 4 + 2], dtype=np.int64),
+        ]
+        leaf = wcoj._LevelBlock(
+            [trie], [(0, 1)], 2, [np.array([0, 1], dtype=np.int64)]
+        )
+        assert leaf.seed_counts.tolist() == [0, 2]
+        assert leaf.total == 2 and not leaf.one_child
+        keep, _, codes, parents = leaf.probe_slice(0, 2, ())
+        assert keep is None
+        assert codes.tolist() == [0, 2]
+        assert parents == 1
 
 
 class TestStarMemoryCap:

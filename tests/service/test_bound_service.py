@@ -18,7 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from oracles.tuple_engine import generic_join_tuples
 from repro import Database, collect_statistics, lp_bound, parse_query
+from repro.core import certificates
 from repro.datasets import power_law_graph
 from repro.relational import Relation
 from repro.service import (
@@ -197,6 +199,38 @@ class TestBoundService:
         assert metrics["solver"]["result_hits"] >= 1
         assert metrics["statistics_cache"] == {"hits": 1, "misses": 1}
 
+    def test_warm_hits_render_the_certificate_once(self, db, monkeypatch):
+        renders = []
+        render = certificates.product_form
+
+        def counted(result, *args):
+            renders.append(result)
+            return render(result, *args)
+
+        monkeypatch.setattr(certificates, "product_form", counted)
+        service = BoundService(db, ps=PS)
+        for family in (None, (1.0, math.inf)):
+            request = BoundRequest(query=TRIANGLE, family=family)
+            responses = [service.bound(request) for _ in range(4)]
+            assert [r.cached for r in responses] == [False] + [True] * 3
+            assert len({(r.certificate, r.norms_used) for r in responses}) == 1
+        assert len(renders) == 2  # one per memoized result
+
+    def test_memo_hit_renders_its_own_statistics(self):
+        # two relations with the same rows: one LP structure, one memo
+        # entry, but each query's certificate names its own relation
+        edges = power_law_graph(60, 300, 0.5, seed=3)
+        twins = Database({"R": edges, "T": edges.with_name("T")})
+        service = BoundService(twins, ps=PS)
+        first = service.bound(BoundRequest(query=TRIANGLE))
+        second = service.bound(
+            BoundRequest(query=TRIANGLE.replace("R(", "T("))
+        )
+        assert second.cached
+        assert second.log2_bound == first.log2_bound
+        assert "deg_R" in first.certificate and "deg_T" not in first.certificate
+        assert second.certificate == first.certificate.replace("deg_R", "deg_T")
+
     def test_precompute_warms_every_layer(self, db):
         service = BoundService(db, ps=PS)
         assert service.precompute([TRIANGLE, CHAIN]) == 2
@@ -356,6 +390,75 @@ class TestBoundService:
         first = service.metrics()["uptime_seconds"]
         second = service.metrics()["uptime_seconds"]
         assert 0 <= first <= second
+
+
+def _degenerate_databases():
+    """``(database, query)`` per degenerate input ``/evaluate`` accepts."""
+    big = 2**63
+    return {
+        "empty-relation": (
+            Database({"R": Relation(("a", "b"), [])}),
+            "Q(x,y,z) :- R(x,y), R(y,z)",
+        ),
+        "single-row": (
+            Database({"R": Relation(("a", "b"), [(1, 2)])}),
+            "Q(x,y) :- R(x,y)",
+        ),
+        "single-row-path": (
+            Database({"R": Relation(("a", "b"), [(1, 2)])}),
+            "Q(x,y,z) :- R(x,y), R(y,z)",
+        ),
+        "beyond-int64": (
+            Database({
+                "R": Relation(
+                    ("a", "b"),
+                    [(big, 2**64 - 1), (2**64 - 1, big), (5, big), (big, big)],
+                )
+            }),
+            "Q(x,y,z) :- R(x,y), R(y,z)",
+        ),
+        "string-columns": (
+            Database({
+                "R": Relation(
+                    ("a", "b"), [("u", "v"), ("v", "w"), ("w", "u"), ("u", "w")]
+                )
+            }),
+            "Q(x,y,z) :- R(x,y), R(y,z), R(z,x)",
+        ),
+        "repeated-variable": (
+            Database({"R": Relation(("a", "b"), [(1, 1), (1, 2), (2, 2), (3, 1)])}),
+            "Q(x,y) :- R(x,x), R(x,y)",
+        ),
+    }
+
+
+class TestEvaluateDegenerateInputs:
+    """``/evaluate`` (a governed count-only run) on degenerate inputs:
+    the tuple oracle's count, or a typed :class:`ServiceError`."""
+
+    @pytest.mark.parametrize("memory_budget", [None, "64M"])
+    @pytest.mark.parametrize("frontier_block", [None, 1, 7])
+    @pytest.mark.parametrize("case", sorted(_degenerate_databases()))
+    def test_count_matches_oracle(self, case, frontier_block, memory_budget):
+        db, text = _degenerate_databases()[case]
+        oracle = generic_join_tuples(parse_query(text), db)
+        response = BoundService(db, ps=PS).evaluate(
+            EvaluateRequest(
+                query=text,
+                frontier_block=frontier_block,
+                memory_budget=memory_budget,
+            )
+        )
+        assert response.count == len(oracle.output), case
+        assert response.nodes_visited == oracle.nodes_visited, case
+
+    def test_zero_variable_query_is_typed(self):
+        db, _ = _degenerate_databases()["single-row"]
+        service = BoundService(db, ps=PS)
+        for text in ("Q() :- R()", "Q :- R(x,y)"):
+            with pytest.raises(ServiceError) as err:
+                service.evaluate(EvaluateRequest(query=text))
+            assert err.value.code == "parse-error"
 
 
 class TestHttpFrontend:
