@@ -28,6 +28,7 @@ from repro.evaluation import (
     evaluate_parallel,
     generic_join,
 )
+import repro.evaluation.governor as governor_module
 from repro.relational import CountSink, SpillSink
 
 import pytest
@@ -186,18 +187,20 @@ def test_bench_star_governed(benchmark, traced_peak, star_db):
     assert run.count == FAN_OUT
 
 
-def test_bench_star_governed_ladder(benchmark, traced_peak, star_db, tmp_path):
+def test_bench_star_governed_ladder(
+    benchmark, traced_peak, star_db, tmp_path, monkeypatch
+):
     """A governed run that *does* degrade: tight soft watermark, an
     escalating sink, and a hard cap high enough to finish.  Measures the
-    full ladder walk (block halvings + mid-run materialize→spill) on
-    every round; the output must stay bit-identical to the ungoverned
-    engine's.
+    full ladder walk (block halvings down to a floor of 1024 +
+    mid-run materialize→spill) on every round; the output must stay
+    bit-identical to the ungoverned engine's.
     """
     reference = generic_join(QUERY, star_db, frontier_block=FRONTIER_BLOCK)
+    # the floor this benchmark's baseline was recorded with
+    monkeypatch.setattr(governor_module, "MIN_FRONTIER_BLOCK", 1024)
     budget = EvaluationBudget(
-        soft_memory_bytes=128 << 10,
-        hard_memory_bytes=64 << 20,
-        min_frontier_block=1024,
+        soft_memory_bytes=128 << 10, hard_memory_bytes=64 << 20
     )
 
     def run_laddered():

@@ -27,7 +27,6 @@ from .parallel import (
     ParallelRun,
     PartFailedError,
     PartOutcome,
-    SupervisionPolicy,
     evaluate_parallel,
 )
 from .partitioning import (
@@ -57,7 +56,6 @@ __all__ = [
     "ParallelRun",
     "PartOutcome",
     "PartFailedError",
-    "SupervisionPolicy",
     "FaultCommand",
     "FaultInjector",
     "InjectedFault",

@@ -8,8 +8,7 @@ lack is a component that *pulls* those levers while a query runs.  This
 module adds it:
 
 * :class:`EvaluationBudget` — a declarative, picklable resource budget:
-  soft/hard memory watermarks, a wall-clock deadline, and knobs for the
-  degradation ladder.
+  soft/hard memory watermarks and a wall-clock deadline.
 * :class:`CancellationToken` — a cooperative cancel flag the CLI's
   signal handlers (and tests) flip from outside the evaluation.
 * :class:`EvaluationGovernor` — the live enforcement object.  Producers
@@ -24,7 +23,7 @@ Degradation ladder
 ------------------
 Crossing the *soft* watermark walks a deterministic ladder, one rung per
 checkpoint: (1) halve the effective ``frontier_block`` (repeatedly, down
-to ``min_frontier_block``), (2) escalate a registered
+to :data:`MIN_FRONTIER_BLOCK`), (2) escalate a registered
 :class:`EscalatingSink` to disk, (3) nothing — if pressure still reaches
 the *hard* cap, :exc:`MemoryBudgetExceeded` is raised with a full
 :class:`GovernorSnapshot`.  Every rung reuses an invariance dimension
@@ -66,6 +65,13 @@ __all__ = [
 
 _UNITS = {"": 1, "K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
 
+#: Ladder rung 1 never halves the frontier block below this.
+MIN_FRONTIER_BLOCK = 64
+#: A memory-governed run with ``frontier_block=None`` is implicitly
+#: blocked at this size — otherwise the first whole-frontier slice could
+#: blow the hard cap before any checkpoint sees it.
+INITIAL_FRONTIER_BLOCK = 8192
+
 
 def parse_memory_size(text: str) -> int:
     """``"64M"`` → 67108864.  Suffixes K/M/G are binary; bare = bytes."""
@@ -99,12 +105,6 @@ class EvaluationBudget:
     soft_memory_bytes: int | None = None
     hard_memory_bytes: int | None = None
     deadline_seconds: float | None = None
-    #: Ladder rung 1 never halves the block below this.
-    min_frontier_block: int = 64
-    #: A memory-governed run with ``frontier_block=None`` is implicitly
-    #: blocked at this size — otherwise the first whole-frontier slice
-    #: could blow the hard cap before any checkpoint sees it.
-    initial_frontier_block: int = 8192
 
     def __post_init__(self) -> None:
         for name in ("soft_memory_bytes", "hard_memory_bytes"):
@@ -123,16 +123,6 @@ class EvaluationBudget:
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError(
                 f"deadline_seconds must be > 0, got {self.deadline_seconds}"
-            )
-        if self.min_frontier_block < 1:
-            raise ValueError(
-                f"min_frontier_block must be ≥ 1, got "
-                f"{self.min_frontier_block}"
-            )
-        if self.initial_frontier_block < self.min_frontier_block:
-            raise ValueError(
-                f"initial_frontier_block {self.initial_frontier_block} < "
-                f"min_frontier_block {self.min_frontier_block}"
             )
 
     @property
@@ -382,8 +372,8 @@ class EvaluationGovernor:
 
         Consulted before every slice, so a ladder halving lands at the
         very next block boundary.  Memory-governed runs never expand a
-        whole frontier at once: an unblocked request is capped at the
-        budget's ``initial_frontier_block``.
+        whole frontier at once: an unblocked request is capped at
+        :data:`INITIAL_FRONTIER_BLOCK`.
         """
         self._requested_block = requested
         if self._block_override is not None:
@@ -391,7 +381,7 @@ class EvaluationGovernor:
                 return self._block_override
             return min(self._block_override, requested)
         if requested is None and self._governs_memory:
-            return self._budget.initial_frontier_block
+            return INITIAL_FRONTIER_BLOCK
         return requested
 
     def remaining_seconds(self) -> float | None:
@@ -450,15 +440,14 @@ class EvaluationGovernor:
 
     def _degrade(self) -> None:
         """One ladder rung per soft-watermark checkpoint, in fixed order."""
-        budget = self._budget
         base = self._block_override
         if base is None:
             base = (
                 self._requested_block
                 if self._requested_block is not None
-                else budget.initial_frontier_block
+                else INITIAL_FRONTIER_BLOCK
             )
-        halved = max(budget.min_frontier_block, base // 2)
+        halved = max(MIN_FRONTIER_BLOCK, base // 2)
         if halved < base:
             self._block_override = halved
             self._ladder.append(f"frontier_block {base}→{halved}")

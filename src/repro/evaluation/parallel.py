@@ -25,16 +25,15 @@ process can inherit a lock some other thread held.  The server is a
 fresh interpreter that preloads this module, so each worker forks from
 a single-threaded process and imports nothing per task.
 
-Supervision policy (:class:`SupervisionPolicy`):
+Supervision (``part_timeout``, ``max_retries``; nothing else is
+settable):
 
 * **Timeouts** — each attempt gets a wall-clock deadline; a worker that
   blows it is killed (the whole pool, since ``ProcessPoolExecutor``
   cannot kill one member) and the part is charged a failed attempt.
   In-flight parts that had *not* expired are re-queued without charge.
 * **Retries with backoff** — a failed attempt re-queues the part after
-  ``backoff_base · backoff_factor^(failures-1) + jitter`` seconds; the
-  jitter draws from one seeded :class:`random.Random`, so a fixed
-  policy replays the same schedule.
+  ``0.05 · 2^(failures-1)`` seconds.
 * **Crash detection** — a worker dying without cleanup (``os._exit``,
   ``SIGKILL``) breaks the pool; every in-flight part is charged one
   attempt and the pool is rebuilt.
@@ -44,22 +43,27 @@ Supervision policy (:class:`SupervisionPolicy`):
   truncated or corrupt segment fails the attempt instead of merging
   garbage.
 * **Graceful degradation** — a part that exhausts its retries is
-  re-run serially in the supervisor process with a smaller frontier
-  block (and no fault injection); only if *that* fails does the run
+  re-run serially in the supervisor process at a frontier block of
+  1024 (and no fault injection); only if *that* fails does the run
   abort, raising :class:`~repro.relational.chunkstore.ChunkStoreError`
-  when the last failure was segment corruption (naming the part) and
+  when the fallback's failure was a spill one (naming the part) and
   :class:`PartFailedError` otherwise.
 
 Checkpoint/resume: the run directory carries a ``manifest.json``
-(written with the chunk store's atomic ``os.replace`` + directory-fsync
-discipline) recording per-part status, attempts, row/node meters, and
-segment names.  Re-invoking with ``resume=True`` on the same directory
-validates the manifest's fingerprint against the new run's plan and
-skips every completed part — their spilled segments are re-attached and
-merged without re-evaluation, so an interrupted run completes
-bit-identically to an uninterrupted one.  The fingerprint includes the
-per-part variable order rule (``PART_ORDER``), which fixes each part's
-row order, so segments written under another rule are never merged.
+(written with :func:`~repro.relational.chunkstore.atomic_write_json`)
+holding one :class:`PartOutcome` per part — the same record the
+supervisor updates and the run returns.  A part's spill segments are
+synced (:meth:`~repro.relational.chunkstore.SegmentStore.sync`) by the
+process that wrote them, before the manifest names them, so every
+segment a checkpoint names survives a hard kill; that is the only
+durability point besides the manifest itself.  Re-invoking with
+``resume=True`` on the same directory validates the manifest's
+fingerprint against the new run's plan and skips every completed part —
+their segments are read back during the merge without re-evaluation, so
+an interrupted run completes bit-identically to an uninterrupted one.
+The fingerprint includes the per-part variable order rule
+(``PART_ORDER``), which fixes each part's row order, so segments written
+under another rule are never merged.
 
 Fault injection for tests and chaos runs threads through
 :mod:`repro.evaluation.faults`: the supervisor resolves the injector's
@@ -82,9 +86,8 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from random import Random
 
 from ..core.lp_bound import BoundResult
 from ..query.query import ConjunctiveQuery
@@ -109,12 +112,15 @@ __all__ = [
     "ParallelRun",
     "PartFailedError",
     "PartOutcome",
-    "SupervisionPolicy",
     "evaluate_parallel",
 ]
 
 _RUN_FORMAT = "repro-parallel-run/v1"
 _MANIFEST_NAME = "manifest.json"
+#: First retry delay in seconds; each further retry doubles it.
+_BACKOFF_SECONDS = 0.05
+#: Frontier block of the in-process serial re-run of an exhausted part.
+_FALLBACK_FRONTIER_BLOCK = 1024
 
 
 class PartFailedError(RuntimeError):
@@ -131,48 +137,20 @@ class PartFailedError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class SupervisionPolicy:
-    """Knobs of the supervisor: timeout, retry budget, backoff, fallback.
-
-    ``max_retries`` counts *extra* attempts after the first, so a part
-    is tried ``max_retries + 1`` times before degradation kicks in.
-    ``fallback_frontier_block`` bounds the degraded serial re-run's
-    frontier (``None`` keeps the run's own ``frontier_block``).  The
-    backoff jitter draws from ``Random(seed)``, one stream per run, so
-    a fixed policy yields a reproducible retry schedule.
-    """
-
-    part_timeout: float | None = None
-    max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.05
-    seed: int = 0
-    serial_fallback: bool = True
-    fallback_frontier_block: int | None = 1024
-
-    def backoff(self, failures: int, rng: Random) -> float:
-        """Delay before retry number ``failures`` (1-based)."""
-        if self.backoff_base <= 0 and self.backoff_jitter <= 0:
-            return 0.0
-        delay = self.backoff_base * self.backoff_factor ** max(
-            0, failures - 1
-        )
-        if self.backoff_jitter > 0:
-            delay += self.backoff_jitter * rng.random()
-        return delay
-
-
 @dataclass
 class PartOutcome:
-    """What happened to one part combination across the whole run."""
+    """One part combination's record.
+
+    The same record is a worker's report, the supervisor's state for
+    the part, its checkpoint-manifest entry, and the entry of
+    :attr:`ParallelRun.outcomes`.
+    """
 
     index: int
-    status: str  # "done" | "resumed" | "degraded"
-    attempts: int
-    n_rows: int
-    nodes_visited: int
+    status: str = "pending"  # pending | done | degraded | resumed | failed
+    attempts: int = 0
+    n_rows: int = 0
+    nodes_visited: int = 0
     segments: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
     ladder: list[str] = field(default_factory=list)
@@ -216,7 +194,6 @@ class _PartTask:
     """Picklable work order for one (part, attempt)."""
 
     index: int
-    attempt: int
     query: ConjunctiveQuery
     relations: dict[str, Relation]
     frontier_block: int | None
@@ -231,27 +208,17 @@ class _PartTask:
     budget: EvaluationBudget | None = None
 
 
-@dataclass
-class _PartResult:
-    """Picklable worker report: meters plus the spilled segment names."""
-
-    index: int
-    attempt: int
-    n_rows: int
-    nodes_visited: int
-    segments: list[str]
-    ladder: list[str] = field(default_factory=list)
-
-
-def _run_part_task(task: _PartTask) -> _PartResult:
+def _run_part_task(task: _PartTask) -> PartOutcome:
     """Evaluate one part combination (worker-process entry point).
 
     Values spill into the task's private
-    :class:`~repro.relational.columnar.SpillSink` directory — only
-    segment *names* travel back over the pipe; counting-mode parts
-    return just their meters.  The segments are deliberately left on
-    disk (no ``close()``): the supervisor owns their lifetime through
-    the checkpoint manifest.
+    :class:`~repro.relational.columnar.SpillSink` directory, synced
+    before this returns — the supervisor records the part in its
+    checkpoint only after that, so a checkpointed segment survives a
+    hard kill.  Only segment *names* travel back over the pipe;
+    counting-mode parts return just their meters.  The segments are
+    deliberately left on disk (no ``close()``): the supervisor owns
+    their lifetime through the checkpoint manifest.
     """
     governor = None
     if task.budget is not None and task.budget.governs_anything:
@@ -281,43 +248,17 @@ def _run_part_task(task: _PartTask) -> _PartResult:
     paths = []
     if task.needs_values:
         sink.flush()
+        sink.store.sync()
         paths = sink.store.segments()
     if task.fault is not None:
         task.fault.trigger_after_spill([str(p) for p in paths])
-    return _PartResult(
+    return PartOutcome(
         index=task.index,
-        attempt=task.attempt,
         n_rows=sink.n_rows,
         nodes_visited=run.nodes_visited,
         segments=[p.name for p in paths],
         ladder=list(governor.ladder) if governor is not None else [],
     )
-
-
-@dataclass
-class _PartState:
-    """Supervisor-side bookkeeping for one part combination."""
-
-    index: int
-    status: str = "pending"  # pending | done | degraded | resumed | failed
-    attempts: int = 0
-    n_rows: int = 0
-    nodes_visited: int = 0
-    segments: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-    ladder: list[str] = field(default_factory=list)
-    corrupt: bool = False  # last failure was a segment-integrity one
-
-    def to_manifest(self) -> dict:
-        return {
-            "status": self.status,
-            "attempts": self.attempts,
-            "n_rows": self.n_rows,
-            "nodes_visited": self.nodes_visited,
-            "segments": list(self.segments),
-            "errors": list(self.errors),
-            "ladder": list(self.ladder),
-        }
 
 
 def _new_pool(max_workers: int) -> ProcessPoolExecutor:
@@ -343,10 +284,14 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
+def _part_dir(run_path: Path, index: int) -> Path:
+    return run_path / f"part-{index:05d}"
+
+
 def _load_checkpoint(
-    path: Path, fingerprint: dict, states: list[_PartState]
+    path: Path, fingerprint: dict, records: list[PartOutcome]
 ) -> None:
-    """Fold a prior run's manifest into ``states`` (resume).
+    """Fold a prior run's manifest into ``records`` (resume).
 
     Completed parts (``done``/``degraded``) become ``resumed`` and are
     never re-evaluated; parts that were pending or failed restart from
@@ -369,19 +314,17 @@ def _load_checkpoint(
             f"checkpoint at {path} was written by a different run "
             f"configuration: {payload.get('fingerprint')} != {fingerprint}"
         )
-    for key, entry in (payload.get("parts") or {}).items():
-        index = int(key)
-        if not 0 <= index < len(states) or not isinstance(entry, dict):
-            continue
-        if entry.get("status") in ("done", "degraded", "resumed"):
-            state = states[index]
-            state.status = "resumed"
-            state.attempts = int(entry.get("attempts", 1))
-            state.n_rows = int(entry.get("n_rows", 0))
-            state.nodes_visited = int(entry.get("nodes_visited", 0))
-            state.segments = [str(s) for s in entry.get("segments", [])]
-            state.errors = [str(e) for e in entry.get("errors", [])]
-            state.ladder = [str(s) for s in entry.get("ladder", [])]
+    try:
+        for key, entry in payload["parts"].items():
+            record = PartOutcome(**{**entry, "index": int(key)})
+            if record.status in ("done", "degraded", "resumed"):
+                records[record.index] = replace(record, status="resumed")
+    except (
+        AttributeError, IndexError, KeyError, TypeError, ValueError
+    ) as exc:
+        raise ChunkStoreError(
+            f"checkpoint {path} has a malformed part entry: {exc}"
+        ) from exc
 
 
 def evaluate_parallel(
@@ -393,7 +336,8 @@ def evaluate_parallel(
     weight_tol: float = 1e-7,
     frontier_block: int | None = None,
     sink: OutputSink | None = None,
-    policy: SupervisionPolicy | None = None,
+    part_timeout: float | None = None,
+    max_retries: int = 2,
     run_dir: str | os.PathLike | None = None,
     resume: bool = False,
     injector: FaultInjector | None = None,
@@ -408,6 +352,10 @@ def evaluate_parallel(
     merge feeds the final ``sink`` (a
     :class:`~repro.relational.columnar.MaterializeSink` when ``sink`` is
     ``None``) in ascending part index, the serial visit order.
+    ``part_timeout`` is each attempt's wall-clock limit in seconds
+    (``None``: no limit); ``max_retries`` counts *extra* attempts after
+    the first, so a part is tried ``max_retries + 1`` times in the pool
+    before it is re-run serially in this process.
     ``run_dir`` hosts the per-part spill directories and the checkpoint
     manifest; omit it for an ephemeral scratch directory (removed after
     success), provide it (with ``resume=True`` on re-invocation) to
@@ -432,7 +380,6 @@ def evaluate_parallel(
     part of the checkpoint fingerprint: a run may be resumed under a
     different (or no) budget.
     """
-    policy = policy or SupervisionPolicy()
     plan = plan_partitioned_evaluation(query, db, bound, max_parts, weight_tol)
     needs_values = True if sink is None else sink.needs_values
     n_vars = len(plan.rewritten.variables)
@@ -461,14 +408,14 @@ def evaluate_parallel(
         "frontier_block": frontier_block,
         "part_order": PART_ORDER,
     }
-    states = [_PartState(i) for i in range(plan.n_combinations)]
+    records = [PartOutcome(i) for i in range(plan.n_combinations)]
     if manifest_path.exists():
         if not resume:
             raise ValueError(
                 f"{run_path} already holds a checkpoint manifest; pass "
                 "resume=True to continue it or use a fresh directory"
             )
-        _load_checkpoint(manifest_path, fingerprint, states)
+        _load_checkpoint(manifest_path, fingerprint, records)
 
     governor = None
     if (
@@ -479,15 +426,16 @@ def evaluate_parallel(
         )
         governor.set_run_dir(run_path)
         governor.register_output(
-            lambda: sum(s.n_rows for s in states if s.status != "pending")
+            lambda: sum(r.n_rows for r in records if r.status != "pending")
         )
 
     try:
         _supervise(
             plan,
-            states,
-            policy=policy,
+            records,
             workers=workers,
+            part_timeout=part_timeout,
+            max_retries=max_retries,
             frontier_block=frontier_block,
             needs_values=needs_values,
             n_vars=n_vars,
@@ -502,7 +450,7 @@ def evaluate_parallel(
         if governor is not None:
             governor.set_phase("merge")
         output = _merge(
-            plan, states, sink, needs_values, n_vars, run_path, governor
+            plan, records, sink, needs_values, n_vars, run_path, governor
         )
     except ResourceGovernanceError:
         # the checkpoint manifest was flushed: keep the run directory —
@@ -513,28 +461,15 @@ def evaluate_parallel(
         if ephemeral:
             shutil.rmtree(run_path, ignore_errors=True)
         raise
-    outcomes = [
-        PartOutcome(
-            index=s.index,
-            status=s.status,
-            attempts=s.attempts,
-            n_rows=s.n_rows,
-            nodes_visited=s.nodes_visited,
-            segments=list(s.segments),
-            errors=list(s.errors),
-            ladder=list(s.ladder),
-        )
-        for s in states
-    ]
     if ephemeral:
         shutil.rmtree(run_path, ignore_errors=True)
     return ParallelRun(
         output=output,
         parts_evaluated=plan.n_combinations,
-        nodes_visited=sum(s.nodes_visited for s in states),
+        nodes_visited=sum(r.nodes_visited for r in records),
         log2_budget=plan.log2_budget,
         sink=sink,
-        outcomes=outcomes,
+        outcomes=records,
         run_dir=None if ephemeral else run_path,
         manifest_path=None if ephemeral else manifest_path,
     )
@@ -542,10 +477,11 @@ def evaluate_parallel(
 
 def _supervise(
     plan,
-    states: list[_PartState],
+    records: list[PartOutcome],
     *,
-    policy: SupervisionPolicy,
     workers: int | None,
+    part_timeout: float | None,
+    max_retries: int,
     frontier_block: int | None,
     needs_values: bool,
     n_vars: int,
@@ -561,17 +497,13 @@ def _supervise(
     max_workers = (
         workers if workers and workers > 0 else min(4, os.cpu_count() or 1)
     )
-    rng = Random(policy.seed)
     # (ready_time, index); a retry's ready_time is its backoff deadline
     pending: list[tuple[float, int]] = [
-        (0.0, s.index) for s in states if s.status == "pending"
+        (0.0, r.index) for r in records if r.status == "pending"
     ]
     in_flight: dict = {}  # future -> (index, deadline | None)
     exhausted: list[int] = []
     pool: ProcessPoolExecutor | None = None
-
-    def part_dir(index: int) -> Path:
-        return run_path / f"part-{index:05d}"
 
     def persist() -> None:
         atomic_write_json(
@@ -579,9 +511,7 @@ def _supervise(
             {
                 "format": _RUN_FORMAT,
                 "fingerprint": fingerprint,
-                "parts": {
-                    str(s.index): s.to_manifest() for s in states
-                },
+                "parts": {str(r.index): asdict(r) for r in records},
             },
         )
 
@@ -601,27 +531,27 @@ def _supervise(
         return budget.apportion(remaining)
 
     def make_task(index: int, fault: FaultCommand | None, block) -> _PartTask:
+        # clear any partial previous attempt so segment names restart at 0
+        shutil.rmtree(_part_dir(run_path, index), ignore_errors=True)
         return _PartTask(
             index=index,
-            attempt=states[index].attempts,
             query=plan.rewritten,
             relations=plan.combination_relations(index),
             frontier_block=block,
             needs_values=needs_values,
-            part_dir=str(part_dir(index)),
+            part_dir=str(_part_dir(run_path, index)),
             chunk_rows=chunk_rows,
             fault=fault,
             budget=part_budget(),
         )
 
     def submit(index: int) -> None:
-        state = states[index]
-        # clear any partial previous attempt so segment names restart at 0
-        shutil.rmtree(part_dir(index), ignore_errors=True)
         fault = (
-            injector.command_for(index, state.attempts) if injector else None
+            injector.command_for(index, records[index].attempts)
+            if injector
+            else None
         )
-        timeout_s = policy.part_timeout or None
+        timeout_s = part_timeout or None
         remaining = (
             governor.remaining_seconds() if governor is not None else None
         )
@@ -638,80 +568,69 @@ def _supervise(
         )
         in_flight[future] = (index, deadline)
 
-    def validate_spill(index: int, result: _PartResult) -> None:
+    def validate_spill(result: PartOutcome) -> None:
         if not needs_values:
             return
-        store = SegmentStore.attach(part_dir(index), n_vars, result.segments)
+        store = SegmentStore.attach(
+            _part_dir(run_path, result.index), n_vars, result.segments
+        )
         if store.n_rows != result.n_rows:
             raise ChunkStoreError(
-                f"part {index} spilled {store.n_rows} rows on disk but "
-                f"the worker reported {result.n_rows}"
+                f"part {result.index} spilled {store.n_rows} rows on disk "
+                f"but the worker reported {result.n_rows}"
             )
 
-    def accept(index: int, result: _PartResult, status: str) -> None:
-        state = states[index]
-        state.attempts += 1
-        state.status = status
-        state.n_rows = result.n_rows
-        state.nodes_visited = result.nodes_visited
-        state.segments = list(result.segments)
-        state.ladder = list(result.ladder)
+    def accept(result: PartOutcome, status: str) -> None:
+        record = records[result.index]
+        records[result.index] = replace(
+            result,
+            status=status,
+            attempts=record.attempts + 1,
+            errors=record.errors,
+        )
         persist()
 
-    def charge(index: int, message: str, corrupt: bool) -> None:
-        state = states[index]
-        state.attempts += 1
-        state.errors.append(f"attempt {state.attempts}: {message}")
-        state.corrupt = corrupt
-        if state.attempts <= policy.max_retries:
-            delay = policy.backoff(state.attempts, rng)
+    def charge(index: int, message: str) -> None:
+        record = records[index]
+        record.attempts += 1
+        record.errors.append(f"attempt {record.attempts}: {message}")
+        if record.attempts <= max_retries:
+            delay = _BACKOFF_SECONDS * 2 ** (record.attempts - 1)
             pending.append((time.monotonic() + delay, index))
         else:
             exhausted.append(index)
 
-    def fail(index: int) -> None:
-        state = states[index]
-        state.status = "failed"
-        persist()
-        last = state.errors[-1] if state.errors else "unknown error"
-        if state.corrupt:
+    def fail(index: int, exc: BaseException, label: str) -> None:
+        """Record ``index`` as permanently failed and abort the run."""
+        record = records[index]
+        record.attempts += 1
+        record.errors.append(f"{label}: {type(exc).__name__}: {exc}")
+        record.status = "failed"
+        if isinstance(exc, ResourceGovernanceError):
+            # a budget verdict is deterministic — retrying it or falling
+            # back would evade the budget.  The part's governor never
+            # knew the run directory; stamp it into the snapshot so
+            # callers can print a resume hint
+            raise type(exc)(
+                replace(exc.snapshot, run_dir=str(run_path))
+            ) from exc
+        if isinstance(exc, ChunkStoreError):
             raise ChunkStoreError(
-                f"part {index} failed permanently with a corrupt spill: "
-                f"{last}"
-            )
-        raise PartFailedError(index, state.attempts, state.errors)
+                f"part {index} failed permanently with a spill error: "
+                f"{record.errors[-1]}"
+            ) from exc
+        raise PartFailedError(index, record.attempts, record.errors) from exc
 
     def degrade(index: int) -> None:
         """Serial in-process re-run — no pool, no faults, small blocks."""
-        state = states[index]
-        if not policy.serial_fallback:
-            fail(index)
-        shutil.rmtree(part_dir(index), ignore_errors=True)
-        block = (
-            policy.fallback_frontier_block
-            if policy.fallback_frontier_block is not None
-            else frontier_block
-        )
         try:
-            result = _run_part_task(make_task(index, None, block))
-            validate_spill(index, result)
-        except ResourceGovernanceError as exc:
-            # a budget verdict is deterministic — retrying or ignoring
-            # it would evade the budget; record it and abort the run
-            state.attempts += 1
-            state.errors.append(
-                f"serial fallback: {type(exc).__name__}: {exc}"
+            result = _run_part_task(
+                make_task(index, None, _FALLBACK_FRONTIER_BLOCK)
             )
-            state.status = "failed"
-            raise
+            validate_spill(result)
         except Exception as exc:
-            state.attempts += 1
-            state.errors.append(
-                f"serial fallback: {type(exc).__name__}: {exc}"
-            )
-            state.corrupt = isinstance(exc, ChunkStoreError)
-            fail(index)
-        accept(index, result, "degraded")
+            fail(index, exc, "serial fallback")
+        accept(result, "degraded")
 
     try:
         # the manifest exists from the very first step, so a cancel (or
@@ -721,8 +640,8 @@ def _supervise(
         while pending or in_flight or exhausted:
             if governor is not None:
                 governor.set_parts_progress(
-                    sum(1 for s in states if s.status != "pending"),
-                    len(states),
+                    sum(1 for r in records if r.status != "pending"),
+                    len(records),
                 )
                 governor.checkpoint()
             while exhausted:
@@ -783,7 +702,7 @@ def _supervise(
                 index, _deadline = in_flight.pop(future)
                 try:
                     result = future.result()
-                    validate_spill(index, result)
+                    validate_spill(result)
                 except CancelledError:
                     # never ran (pool was killed before pickup): re-queue
                     # at the same attempt, uncharged
@@ -792,36 +711,18 @@ def _supervise(
                 except BrokenProcessPool as exc:
                     needs_new_pool = True
                     charge(
-                        index,
-                        f"worker process died: {exc or 'pool broken'}",
-                        corrupt=False,
+                        index, f"worker process died: {exc or 'pool broken'}"
                     )
                 except ResourceGovernanceError as exc:
                     # a worker's budget verdict (hard cap, apportioned
-                    # deadline): deterministic, so no retry and no
-                    # budget-evading serial fallback — abort the run
-                    # with the worker's own diagnostic snapshot
-                    state = states[index]
-                    state.attempts += 1
-                    state.errors.append(
-                        f"attempt {state.attempts}: "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    state.status = "failed"
-                    # the worker never knew the run directory; stamp it
-                    # into the snapshot so callers can print a resume
-                    # hint
-                    raise type(exc)(
-                        replace(exc.snapshot, run_dir=str(run_path))
-                    ) from exc
+                    # deadline): abort with its diagnostic snapshot
+                    fail(index, exc, f"attempt {records[index].attempts + 1}")
                 except ChunkStoreError as exc:
-                    charge(index, str(exc), corrupt=True)
+                    charge(index, str(exc))
                 except Exception as exc:
-                    charge(
-                        index, f"{type(exc).__name__}: {exc}", corrupt=False
-                    )
+                    charge(index, f"{type(exc).__name__}: {exc}")
                 else:
-                    accept(index, result, "done")
+                    accept(result, "done")
             # deadline sweep: a hung worker never completes its future
             now = time.monotonic()
             expired = [
@@ -833,15 +734,13 @@ def _supervise(
                 needs_new_pool = True
                 for future, (index, dl) in list(in_flight.items()):
                     if dl is not None and now >= dl:
-                        if policy.part_timeout:
-                            message = (
-                                f"timed out after {policy.part_timeout:.4g}s"
-                            )
+                        if part_timeout:
+                            message = f"timed out after {part_timeout:.4g}s"
                         else:
                             message = (
                                 "timed out (apportioned global deadline)"
                             )
-                        charge(index, message, corrupt=False)
+                        charge(index, message)
                     else:
                         # innocent bystander of the pool kill: re-queue
                         # at the same attempt, uncharged
@@ -850,9 +749,9 @@ def _supervise(
             if needs_new_pool and pool is not None:
                 _kill_pool(pool)
                 pool = None
-    except ResourceGovernanceError:
-        # flush the checkpoint before propagating: every accepted part
-        # is recorded, so the run resumes from here bit-identically
+    except BaseException:
+        # stop the workers, then flush the checkpoint: every accepted
+        # part is recorded, so the run resumes from here bit-identically
         if pool is not None:
             _kill_pool(pool)
             pool = None
@@ -865,7 +764,7 @@ def _supervise(
 
 def _merge(
     plan,
-    states: list[_PartState],
+    records: list[PartOutcome],
     sink: OutputSink | None,
     needs_values: bool,
     n_vars: int,
@@ -877,29 +776,25 @@ def _merge(
     Ascending part index is the serial visit order, so the final sink
     observes the same row stream as the serial evaluator; with no sink,
     a :class:`MaterializeSink` collects the rows and its relation is
-    returned.  A governor is checkpointed between parts — with an
-    escalatable final sink registered, a merge that crosses the soft
-    watermark switches it to disk mid-merge instead of materializing
-    past the budget.
+    returned.  Each segment is read once, validated as it is read.  A
+    governor is checkpointed between parts — with an escalatable final
+    sink registered, a merge that crosses the soft watermark switches it
+    to disk mid-merge instead of materializing past the budget.
     """
     target = MaterializeSink() if sink is None else sink
     target.open(plan.rewritten.variables)
     if governor is not None:
         governor.register_sink(target)
-    for state in states:
+    for record in records:
         if governor is not None:
-            governor.set_part(state.index)
+            governor.set_part(record.index)
             governor.checkpoint()
         if needs_values:
-            if not state.segments:
+            if not record.segments:
                 continue
-            store = SegmentStore.attach(
-                run_path / f"part-{state.index:05d}",
-                n_vars,
-                state.segments,
-            )
-            for chunk in store.iter_chunks():
-                target.append(chunk)
-        elif state.n_rows:
-            target.append_size(state.n_rows)
+            store = SegmentStore(_part_dir(run_path, record.index), n_vars)
+            for name in record.segments:
+                target.append(store.read(store.directory / name))
+        elif record.n_rows:
+            target.append_size(record.n_rows)
     return target.relation(plan.query.name) if sink is None else None

@@ -280,7 +280,7 @@ class _LevelBlock:
         first = self.ranges[s][0]
         if isinstance(parents, int):
             a = int(first[parents]) + offsets
-            children = np.arange(a, a + m)
+            children = np.arange(a, a + m) if seed_idx in carried else None
             codes = trie.level_keys[seed_depth][a : a + m] - (
                 atom_node[seed_idx][parents] * trie.cards[seed_depth]
             )

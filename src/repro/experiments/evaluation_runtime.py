@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from ..core import BoundSolver, StatisticsCatalog
 from ..datasets.snap import snap_database
 from ..evaluation import (
-    SupervisionPolicy,
     count_query,
     evaluate_parallel,
     evaluate_with_partitioning,
@@ -68,7 +67,8 @@ def _run_one(
     catalog: StatisticsCatalog,
     solver: BoundSolver,
     parallel_workers: int | None = None,
-    policy: SupervisionPolicy | None = None,
+    part_timeout: float | None = None,
+    max_retries: int = 2,
     injector=None,
     run_dir: str | None = None,
 ) -> list[RuntimeRow]:
@@ -93,7 +93,8 @@ def _run_one(
             bound,
             workers=parallel_workers,
             max_parts=20000,
-            policy=policy,
+            part_timeout=part_timeout,
+            max_retries=max_retries,
             injector=injector,
             run_dir=run_dir,
             resume=run_dir is not None,
@@ -122,15 +123,18 @@ def _run_one(
 def run_evaluation_experiment(
     dataset: str = "ca-GrQc",
     parallel_workers: int | None = None,
-    policy: SupervisionPolicy | None = None,
+    part_timeout: float | None = None,
+    max_retries: int = 2,
     injector=None,
     resume_dir: str | None = None,
 ) -> list[RuntimeRow]:
     """Run E8 on one dataset: the one-join and the triangle.
 
     ``parallel_workers`` adds one supervised-parallel row per workload
-    (verified against the serial run); ``resume_dir`` roots per-workload
-    checkpoint directories for interrupted runs.
+    (verified against the serial run), supervised with ``part_timeout``
+    and ``max_retries`` (see :func:`repro.evaluation.evaluate_parallel`);
+    ``resume_dir`` roots per-workload checkpoint directories for
+    interrupted runs.
     """
     db = snap_database(dataset)
     # both workloads share one catalog (the triangle reuses the one-join's
@@ -155,7 +159,8 @@ def run_evaluation_experiment(
                 catalog,
                 solver,
                 parallel_workers=parallel_workers,
-                policy=policy,
+                part_timeout=part_timeout,
+                max_retries=max_retries,
                 injector=injector,
                 run_dir=run_dir,
             )
@@ -167,20 +172,25 @@ def main(
     dataset: str = "ca-GrQc",
     parallel_workers: int | None = None,
     part_timeout: float | None = None,
-    retries: int | None = None,
+    retries: int = 2,
     inject_faults: str | None = None,
     resume: str | None = None,
 ) -> str:
-    """Render E8 (optionally with supervised-parallel rows)."""
-    policy_kwargs = {}
-    if part_timeout is not None:
-        policy_kwargs["part_timeout"] = part_timeout
-    if retries is not None:
-        policy_kwargs["max_retries"] = retries
+    """Render E8 (optionally with supervised-parallel rows).
+
+    ``parallel_workers`` adds one supervised-parallel row per workload;
+    ``part_timeout`` (seconds per part attempt) and ``retries`` (extra
+    attempts per part before its serial re-run) supervise it,
+    ``inject_faults`` threads a deterministic fault plan through the
+    workers (see :func:`repro.evaluation.parse_fault_spec`), and
+    ``resume`` names a checkpoint directory to continue an interrupted
+    run from.
+    """
     rows = run_evaluation_experiment(
         dataset,
         parallel_workers=parallel_workers,
-        policy=SupervisionPolicy(**policy_kwargs) if policy_kwargs else None,
+        part_timeout=part_timeout,
+        max_retries=retries,
         injector=parse_fault_spec(inject_faults) if inject_faults else None,
         resume_dir=resume,
     )

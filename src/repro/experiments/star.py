@@ -40,7 +40,6 @@ from ..evaluation import (
     EscalatingSink,
     EvaluationBudget,
     EvaluationGovernor,
-    SupervisionPolicy,
     budget_from_spec,
     evaluate_parallel,
     generic_join,
@@ -99,7 +98,8 @@ def run_star_experiment(
     spill_dir: str | None = None,
     include_unblocked: bool = True,
     parallel_workers: int | None = None,
-    policy: SupervisionPolicy | None = None,
+    part_timeout: float | None = None,
+    max_retries: int = 2,
     injector=None,
     resume_dir: str | None = None,
     budget: EvaluationBudget | None = None,
@@ -119,9 +119,10 @@ def run_star_experiment(
     ``parallel_workers`` adds one more row per (fan-out, sink) driving
     the supervised parallel evaluator
     (:func:`repro.evaluation.evaluate_parallel`) over the star's
-    Lemma 2.5 part combinations, governed by ``policy`` and (for chaos
-    runs) ``injector``; ``resume_dir`` roots per-cell checkpoint
-    directories so an interrupted sweep resumes completed parts.  The
+    Lemma 2.5 part combinations, supervised with ``part_timeout`` and
+    ``max_retries`` and (for chaos runs) ``injector``; ``resume_dir``
+    roots per-cell checkpoint directories so an interrupted sweep
+    resumes completed parts.  The
     parallel rows verify output counts (and row multisets where the
     sink keeps rows) against the reference; the bit-identical
     serial-vs-parallel checks live in the fault-tolerance test suite.
@@ -296,7 +297,8 @@ def run_star_experiment(
                     reference,
                     reference_rows,
                     parallel_workers,
-                    policy,
+                    part_timeout,
+                    max_retries,
                     injector,
                     resume_dir,
                     budget,
@@ -315,7 +317,8 @@ def _parallel_rows(
     reference,
     reference_rows,
     workers: int,
-    policy: SupervisionPolicy | None,
+    part_timeout: float | None,
+    max_retries: int,
     injector,
     resume_dir: str | None,
     budget: EvaluationBudget | None = None,
@@ -334,7 +337,8 @@ def _parallel_rows(
         common = dict(
             workers=workers,
             frontier_block=frontier_block,
-            policy=policy,
+            part_timeout=part_timeout,
+            max_retries=max_retries,
             injector=injector,
             run_dir=run_dir,
             resume=run_dir is not None,
@@ -399,7 +403,7 @@ def main(
     spill_dir: str | None = None,
     parallel_workers: int | None = None,
     part_timeout: float | None = None,
-    retries: int | None = None,
+    retries: int = 2,
     inject_faults: str | None = None,
     resume: str | None = None,
     memory_budget: str | None = None,
@@ -409,7 +413,8 @@ def main(
     """Render the E14 table (all sink modes, or just the requested one).
 
     ``parallel_workers`` adds supervised-parallel rows;
-    ``part_timeout``/``retries`` tune their supervision policy,
+    ``part_timeout`` (seconds per part attempt) and ``retries`` (extra
+    attempts per part before its serial re-run) supervise them,
     ``inject_faults`` threads a deterministic fault plan through the
     workers (see :func:`repro.evaluation.parse_fault_spec`), and
     ``resume`` names a checkpoint directory to continue an interrupted
@@ -423,18 +428,14 @@ def main(
     graceful Ctrl-C.
     """
     sinks = SINK_MODES if sink is None else (sink,)
-    policy_kwargs = {}
-    if part_timeout is not None:
-        policy_kwargs["part_timeout"] = part_timeout
-    if retries is not None:
-        policy_kwargs["max_retries"] = retries
     budget = budget_from_spec(memory=memory_budget, deadline=deadline)
     rows = run_star_experiment(
         frontier_block=frontier_block,
         sinks=sinks,
         spill_dir=spill_dir,
         parallel_workers=parallel_workers,
-        policy=SupervisionPolicy(**policy_kwargs) if policy_kwargs else None,
+        part_timeout=part_timeout,
+        max_retries=retries,
         injector=(
             parse_fault_spec(inject_faults) if inject_faults else None
         ),

@@ -10,12 +10,15 @@ dtypes bit-identically while only one chunk is ever live.
 
 Robustness properties the tests pin down:
 
-* **Atomic, durable writes** — each segment is written to a ``*.tmp``
-  sibling, fsynced, and moved into place with ``os.replace``, after
-  which the parent *directory* is fsynced too: a crash (or a hard
-  ``SIGKILL``) can neither leave a half-written file under a segment
-  name nor lose a completed rename that was still sitting in the
-  directory's dirty metadata.
+* **Atomic writes** — each segment (and the ``store.json`` stamp) is
+  written to a ``*.tmp`` sibling and moved into place with
+  ``os.replace``: a crash can never leave a half-written file under a
+  segment name.  Writes are *not* synced: a store's lifetime is usually
+  one run (a :class:`~repro.relational.columnar.SpillSink` deletes its
+  segments on close), and nothing reads them after a crash.  A caller
+  that must find them after a hard kill — the parallel evaluator's
+  checkpoint — calls :meth:`SegmentStore.sync` once, before it records
+  the store.
 * **Validated reads** — a truncated, corrupt, or wrong-shape segment
   raises :class:`ChunkStoreError` naming the file instead of yielding
   garbage rows.
@@ -26,17 +29,17 @@ Robustness properties the tests pin down:
   silently interleaving two stores' segments;
   :meth:`SegmentStore.attach` re-opens a stamped directory and
   re-registers its surviving segments in write order (validating every
-  one), which is what checkpoint-resume builds on.
+  one), which is how the parallel supervisor checks a worker's spill.
 * **No cross-run collisions** — segment names are deterministic per
   store, so concurrent runs must be given distinct directories (the
   CLI's ``--spill-dir``); :meth:`SegmentStore.delete` removes only the
   segments this store wrote (plus its manifest stamp) and the directory
   only if it is empty.
 
-:func:`atomic_write_json` and :func:`fsync_dir` expose the same
-write-to-tmp + ``os.replace`` + directory-fsync discipline for callers
-persisting their own manifests (the parallel evaluator's per-run
-checkpoint in :mod:`repro.evaluation.parallel`).
+:func:`atomic_write_json` is the durable variant of the same
+write-to-tmp + ``os.replace`` step (file and directory fsynced) for the
+parallel evaluator's checkpoint manifest in
+:mod:`repro.evaluation.parallel`.
 """
 
 from __future__ import annotations
@@ -81,23 +84,34 @@ def fsync_dir(directory: str | os.PathLike) -> None:
         os.close(fd)
 
 
-def atomic_write_json(path: str | os.PathLike, payload: dict) -> None:
-    """Write JSON durably: tmp sibling + fsync + ``os.replace`` + dir fsync.
-
-    A reader never observes a partial file, and once this returns the
-    content survives a hard kill.
-    """
-    path = Path(path)
+def _replace_atomically(path: Path, write, durable: bool = False) -> None:
+    """``write(handle)`` into a ``*.tmp`` sibling, then ``os.replace`` it
+    onto ``path``: a reader never observes a partial file.  ``durable``
+    also fsyncs the file and its directory, so once this returns the
+    content survives a hard kill."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
+        with open(tmp, "wb") as handle:
+            write(handle)
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
     finally:
         _unlink_quietly(tmp)
-    fsync_dir(path.parent)
+    if durable:
+        fsync_dir(path.parent)
+
+
+def _dump_json(payload: dict):
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    return lambda handle: handle.write(text.encode("utf-8"))
+
+
+def atomic_write_json(path: str | os.PathLike, payload: dict) -> None:
+    """Write JSON durably: a reader never observes a partial file, and
+    once this returns the content survives a hard kill."""
+    _replace_atomically(Path(path), _dump_json(payload), durable=True)
 
 
 class ChunkStoreError(RuntimeError):
@@ -173,9 +187,11 @@ class SegmentStore:
                     f"columns, store opened with {self.n_columns}"
                 )
         else:
-            atomic_write_json(
+            _replace_atomically(
                 manifest,
-                {"format": _STORE_FORMAT, "n_columns": self.n_columns},
+                _dump_json(
+                    {"format": _STORE_FORMAT, "n_columns": self.n_columns}
+                ),
             )
 
     @classmethod
@@ -254,32 +270,37 @@ class SegmentStore:
         elif n_rows is None:
             raise ValueError("zero-column chunks need an explicit n_rows")
         path = self.directory / _SEGMENT_NAME.format(len(self._paths))
-        tmp = self.directory / (path.name + ".tmp")
         payload = {f"column_{i}": c for i, c in enumerate(columns)}
         payload["n_rows"] = np.int64(n_rows)
         try:
-            try:
-                with open(tmp, "wb") as handle:
-                    np.savez(handle, **payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, path)
-            except OSError as exc:
-                # ENOSPC/EACCES/EIO mid-flush: surface a store error
-                # naming the segment and the rows that did not land —
-                # callers (SpillSink, the parallel supervisor) already
-                # treat ChunkStoreError as "this spill is lost"
-                raise ChunkStoreError(
-                    f"could not write segment {path} ({n_rows} rows at "
-                    f"risk): {exc}"
-                ) from exc
-        finally:
-            _unlink_quietly(tmp)
-        # the rename itself must survive a hard kill: sync the directory
-        fsync_dir(self.directory)
+            _replace_atomically(
+                path, lambda handle: np.savez(handle, **payload)
+            )
+        except OSError as exc:
+            # ENOSPC/EACCES/EIO mid-write: surface a store error naming
+            # the segment and the rows that did not land — callers
+            # (SpillSink, the parallel supervisor) already treat
+            # ChunkStoreError as "this spill is lost"
+            raise ChunkStoreError(
+                f"could not write segment {path} ({n_rows} rows at "
+                f"risk): {exc}"
+            ) from exc
         self._paths.append(path)
         self._n_rows += n_rows
         return path
+
+    def sync(self) -> None:
+        """Make every segment and the stamp survive a hard kill.
+
+        Fsyncs each file, then the directory (which holds their
+        renames).  :meth:`write` only replaces atomically; a caller
+        that records this store for a later process (the parallel
+        checkpoint) calls this once, before the record is written.
+        """
+        for path in (*self._paths, self.directory / _STORE_MANIFEST):
+            with open(path, "rb") as handle:
+                os.fsync(handle.fileno())
+        fsync_dir(self.directory)
 
     def read(self, path: str | os.PathLike) -> list[np.ndarray]:
         """Load one segment's columns, validating shape and row count.

@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles.strategies import fallback_value
 from oracles.tuple_engine import generic_join_tuples
+import repro.evaluation.governor as governor_module
 from repro.core import BoundSolver, StatisticsCatalog
 from repro.datasets import power_law_graph, star_database, star_query
 from repro.evaluation import (
@@ -263,17 +264,15 @@ class TestRoutedPaths:
             assert run.parts_evaluated == reference.parts_evaluated
 
 
-def _halving_governor():
+def _halving_governor(monkeypatch):
     """Always past its soft watermark: the block halves at every
-    checkpoint, 64 → 1, so slices and leaf passes change size mid-level."""
+    checkpoint, 64 → 1 (the ladder's start and floor lowered for the
+    test), so slices and leaf passes change size mid-level."""
+    monkeypatch.setattr(governor_module, "INITIAL_FRONTIER_BLOCK", 64)
+    monkeypatch.setattr(governor_module, "MIN_FRONTIER_BLOCK", 1)
     growth = iter(range(0, 1 << 40, 1 << 20))
     return EvaluationGovernor(
-        EvaluationBudget(
-            soft_memory_bytes=1,
-            hard_memory_bytes=1 << 50,
-            min_frontier_block=1,
-            initial_frontier_block=64,
-        ),
+        EvaluationBudget(soft_memory_bytes=1, hard_memory_bytes=1 << 50),
         memory_probe=lambda: next(growth),
     )
 
@@ -308,7 +307,7 @@ class TestSliceShapes:
         assert run.nodes_visited == reference.nodes_visited
         assert_sinks_match(query, db, blocks=(7, None))
 
-    def test_governed_count_is_bit_identical(self):
+    def test_governed_count_is_bit_identical(self, monkeypatch):
         db = Database({"R": power_law_graph(300, 1200, 0.5, seed=5)})
         query = parse_query("t(x,y,z) :- R(x,y), R(y,z), R(z,x)")
         reference = generic_join(query, db, sink=CountSink())
@@ -318,7 +317,7 @@ class TestSliceShapes:
                     soft_memory_bytes=1 << 33, hard_memory_bytes=1 << 34
                 )
             ),
-            "ladder": _halving_governor(),
+            "ladder": _halving_governor(monkeypatch),
         }
         for name, governor in governors.items():
             sink = CountSink()
@@ -392,7 +391,7 @@ class TestCountedLeaf:
     @pytest.mark.parametrize("block", SINK_BLOCKS)
     @pytest.mark.parametrize("case", sorted(LEAF_CASES))
     def test_count_and_meter_match_materialized_run(
-        self, case, block, governed
+        self, case, block, governed, monkeypatch
     ):
         query, db, order = LEAF_CASES[case]
         reference = generic_join(query, db, order=order)
@@ -400,7 +399,7 @@ class TestCountedLeaf:
         assert reference.count == len(oracle.output)
         assert reference.nodes_visited == oracle.nodes_visited
         for sink in (CountSink(), None):
-            governor = _halving_governor() if governed else None
+            governor = _halving_governor(monkeypatch) if governed else None
             run = generic_join(
                 query, db, order=order, frontier_block=block, sink=sink,
                 governor=governor,

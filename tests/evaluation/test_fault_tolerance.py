@@ -26,19 +26,30 @@ from repro.evaluation import (
     FaultInjector,
     InjectedFault,
     PartFailedError,
-    SupervisionPolicy,
     evaluate_parallel,
     evaluate_with_partitioning,
     parse_fault_spec,
 )
+from repro.evaluation import parallel
 from repro.evaluation.faults import FaultCommand
 from repro.evaluation.panda_algorithm import PART_ORDER
 from repro.query import parse_query
 from repro.relational import CountSink, Database, GroupCountSink, SpillSink
 from repro.relational.chunkstore import ChunkStoreError, SegmentStore
 
-#: No backoff sleeps: retries should be instantaneous in tests.
-FAST = SupervisionPolicy(backoff_base=0.0, backoff_jitter=0.0)
+
+
+def fail_fallback(monkeypatch, error):
+    """Make the supervisor's in-process serial fallback raise ``error``.
+
+    Workers fork from a clean forkserver, so the patch reaches only the
+    supervisor: pool attempts evaluate as usual, and an exhausted part
+    fails for good."""
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(parallel, "evaluate_part", failing)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +66,7 @@ def setup():
 @pytest.fixture(scope="module")
 def clean_run(setup):
     query, db, bound, _ = setup
-    return evaluate_parallel(query, db, bound, workers=2, policy=FAST)
+    return evaluate_parallel(query, db, bound, workers=2)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +100,6 @@ class TestSerialEquivalence:
             bound,
             workers=workers,
             frontier_block=frontier_block,
-            policy=FAST,
         )
         assert run.parts_evaluated == serial.parts_evaluated
         assert run.nodes_visited == serial.nodes_visited
@@ -100,7 +110,7 @@ class TestSerialEquivalence:
         serial_sink, parallel_sink = CountSink(), CountSink()
         evaluate_with_partitioning(query, db, bound, sink=serial_sink)
         run = evaluate_parallel(
-            query, db, bound, workers=2, sink=parallel_sink, policy=FAST
+            query, db, bound, workers=2, sink=parallel_sink
         )
         assert parallel_sink.total == serial_sink.total
         assert run.count == serial_sink.total
@@ -112,9 +122,7 @@ class TestSerialEquivalence:
         serial_sink = GroupCountSink(group_vars)
         parallel_sink = GroupCountSink(group_vars)
         evaluate_with_partitioning(query, db, bound, sink=serial_sink)
-        evaluate_parallel(
-            query, db, bound, workers=2, sink=parallel_sink, policy=FAST
-        )
+        evaluate_parallel(query, db, bound, workers=2, sink=parallel_sink)
         assert parallel_sink.counts() == serial_sink.counts()
 
     def test_spill_sink_rows_and_order(self, setup, tmp_path):
@@ -131,7 +139,6 @@ class TestSerialEquivalence:
                     # worker-side chunking differs from the final sink's:
                     # the merged stream must still be identical
                     chunk_rows=64,
-                    policy=FAST,
                 )
                 assert parallel_sink.rows() == serial_sink.rows()
 
@@ -144,19 +151,14 @@ class TestWorkerStart:
         supervisor (which may run threads): a patch made in the
         supervisor does not reach them."""
         query, db, bound, serial = setup
-        import repro.evaluation.parallel as parallel
 
         def poisoned(*args, **kwargs):
             raise RuntimeError("supervisor state reached a worker")
 
         monkeypatch.setattr(parallel, "evaluate_part", poisoned)
-        run = evaluate_parallel(
-            query,
-            db,
-            bound,
-            workers=2,
-            policy=SupervisionPolicy(max_retries=0, serial_fallback=False),
-        )
+        # no retries: a poisoned worker would send its part straight to
+        # the (equally poisoned) in-process fallback and fail the run
+        run = evaluate_parallel(query, db, bound, workers=2, max_retries=0)
         assert list(run.output) == list(serial.output)
         assert run.nodes_visited == serial.nodes_visited
         assert all(o.status == "done" for o in run.outcomes)
@@ -166,9 +168,7 @@ class TestFaultRecovery:
     def test_raise_and_exit_faults_retry_to_success(self, setup):
         query, db, bound, serial = setup
         injector = FaultInjector({(0, 0): "raise", (2, 0): "exit"})
-        run = evaluate_parallel(
-            query, db, bound, workers=2, injector=injector, policy=FAST
-        )
+        run = evaluate_parallel(query, db, bound, workers=2, injector=injector)
         assert sorted(run.output) == sorted(serial.output)
         assert run.nodes_visited == serial.nodes_visited
         assert run.outcomes[0].attempts > 1
@@ -184,15 +184,14 @@ class TestFaultRecovery:
         injector = FaultInjector(
             {(1, 0): "hang", (1, 1): "hang"}, hang_seconds=30.0
         )
-        policy = SupervisionPolicy(
+        run = evaluate_parallel(
+            query,
+            db,
+            bound,
+            workers=2,
+            injector=injector,
             part_timeout=0.75,
             max_retries=1,
-            backoff_base=0.0,
-            backoff_jitter=0.0,
-            fallback_frontier_block=16,
-        )
-        run = evaluate_parallel(
-            query, db, bound, workers=2, injector=injector, policy=policy
         )
         outcome = run.outcomes[1]
         assert outcome.status == "degraded"
@@ -205,76 +204,67 @@ class TestFaultRecovery:
     def test_corruption_detected_and_retried(self, setup, fat_part):
         query, db, bound, serial = setup
         injector = FaultInjector({(fat_part, 0): "corrupt"})
-        run = evaluate_parallel(
-            query, db, bound, workers=2, injector=injector, policy=FAST
-        )
+        run = evaluate_parallel(query, db, bound, workers=2, injector=injector)
         outcome = run.outcomes[fat_part]
         assert outcome.attempts == 2
         assert any("corrupt" in e for e in outcome.errors)
         assert sorted(run.output) == sorted(serial.output)
 
     def test_persistent_corruption_raises_with_part_id(
-        self, setup, fat_part
+        self, setup, fat_part, monkeypatch
     ):
         query, db, bound, _ = setup
         injector = FaultInjector(
             {(fat_part, attempt): "corrupt" for attempt in range(3)}
         )
-        policy = SupervisionPolicy(
-            max_retries=2,
-            backoff_base=0.0,
-            backoff_jitter=0.0,
-            serial_fallback=False,
-        )
+        fail_fallback(monkeypatch, ChunkStoreError("could not write segment"))
         with pytest.raises(ChunkStoreError, match=f"part {fat_part}"):
             evaluate_parallel(
-                query, db, bound, workers=2, injector=injector, policy=policy
+                query, db, bound, workers=2, injector=injector, max_retries=2
             )
 
-    def test_exhausted_non_corrupt_failure_raises_part_failed(self, setup):
+    def test_exhausted_non_corrupt_failure_raises_part_failed(
+        self, setup, monkeypatch
+    ):
         query, db, bound, _ = setup
         injector = FaultInjector(
             {(3, attempt): "raise" for attempt in range(2)}
         )
-        policy = SupervisionPolicy(
-            max_retries=1,
-            backoff_base=0.0,
-            backoff_jitter=0.0,
-            serial_fallback=False,
-        )
+        fail_fallback(monkeypatch, RuntimeError("fallback failed too"))
         with pytest.raises(PartFailedError, match="part 3") as info:
             evaluate_parallel(
-                query, db, bound, workers=2, injector=injector, policy=policy
+                query, db, bound, workers=2, injector=injector, max_retries=1
             )
         assert info.value.index == 3
-        assert info.value.attempts == 2
+        # two pool attempts, then the serial fallback
+        assert info.value.attempts == 3
+        assert "InjectedFault" in info.value.errors[0]
+        assert info.value.errors[-1].startswith("serial fallback")
 
 
 class TestCheckpointResume:
-    def test_killed_run_resumes_bit_identical(self, setup, tmp_path):
+    def test_killed_run_resumes_bit_identical(
+        self, setup, tmp_path, monkeypatch
+    ):
         query, db, bound, _ = setup
         run_dir = tmp_path / "run"
-        # every attempt of part 3 dies without cleanup; no fallback —
-        # the run aborts mid-flight with a manifest on disk
+        # every attempt of part 3 dies without cleanup and its fallback
+        # fails — the run aborts mid-flight with a manifest on disk
         injector = FaultInjector(
             {(3, attempt): "exit" for attempt in range(3)}
         )
-        policy = SupervisionPolicy(
-            max_retries=2,
-            backoff_base=0.0,
-            backoff_jitter=0.0,
-            serial_fallback=False,
-        )
-        with pytest.raises(PartFailedError):
-            evaluate_parallel(
-                query,
-                db,
-                bound,
-                workers=2,
-                injector=injector,
-                policy=policy,
-                run_dir=run_dir,
-            )
+        with monkeypatch.context() as patch:
+            fail_fallback(patch, RuntimeError("fallback failed too"))
+            with pytest.raises(PartFailedError):
+                evaluate_parallel(
+                    query,
+                    db,
+                    bound,
+                    workers=2,
+                    injector=injector,
+                    max_retries=2,
+                    run_dir=run_dir,
+                )
         manifest = json.loads((run_dir / "manifest.json").read_text())
         done_before = {
             int(k)
@@ -298,7 +288,6 @@ class TestCheckpointResume:
                     sink=final_sink,
                     run_dir=run_dir,
                     resume=True,
-                    policy=FAST,
                 )
                 # spill round-trip bit-identical: same rows, same order
                 assert final_sink.rows() == serial_sink.rows()
@@ -310,29 +299,24 @@ class TestCheckpointResume:
             assert outcome.status == "resumed"
             assert outcome.attempts == attempts_before[index]
 
-    def test_resumed_meters_match_serial(self, setup, tmp_path):
+    def test_resumed_meters_match_serial(self, setup, tmp_path, monkeypatch):
         query, db, bound, serial = setup
         run_dir = tmp_path / "run"
         injector = FaultInjector({(5, 0): "raise"})
-        policy = SupervisionPolicy(
-            max_retries=0,
-            backoff_base=0.0,
-            backoff_jitter=0.0,
-            serial_fallback=False,
-        )
-        with pytest.raises(PartFailedError):
-            evaluate_parallel(
-                query,
-                db,
-                bound,
-                workers=2,
-                injector=injector,
-                policy=policy,
-                run_dir=run_dir,
-            )
+        with monkeypatch.context() as patch:
+            fail_fallback(patch, RuntimeError("fallback failed too"))
+            with pytest.raises(PartFailedError):
+                evaluate_parallel(
+                    query,
+                    db,
+                    bound,
+                    workers=2,
+                    injector=injector,
+                    max_retries=0,
+                    run_dir=run_dir,
+                )
         resumed = evaluate_parallel(
-            query, db, bound, workers=2, run_dir=run_dir, resume=True,
-            policy=FAST,
+            query, db, bound, workers=2, run_dir=run_dir, resume=True
         )
         assert sorted(resumed.output) == sorted(serial.output)
         # node meters of resumed parts come from the checkpoint, so the
@@ -343,20 +327,14 @@ class TestCheckpointResume:
     def test_existing_manifest_requires_resume_flag(self, setup, tmp_path):
         query, db, bound, _ = setup
         run_dir = tmp_path / "run"
-        evaluate_parallel(
-            query, db, bound, workers=1, run_dir=run_dir, policy=FAST
-        )
+        evaluate_parallel(query, db, bound, workers=1, run_dir=run_dir)
         with pytest.raises(ValueError, match="resume=True"):
-            evaluate_parallel(
-                query, db, bound, workers=1, run_dir=run_dir, policy=FAST
-            )
+            evaluate_parallel(query, db, bound, workers=1, run_dir=run_dir)
 
     def test_fingerprint_mismatch_rejected(self, setup, tmp_path):
         query, db, bound, _ = setup
         run_dir = tmp_path / "run"
-        evaluate_parallel(
-            query, db, bound, workers=1, run_dir=run_dir, policy=FAST
-        )
+        evaluate_parallel(query, db, bound, workers=1, run_dir=run_dir)
         with pytest.raises(ValueError, match="different run configuration"):
             evaluate_parallel(
                 query,
@@ -366,7 +344,6 @@ class TestCheckpointResume:
                 frontier_block=7,
                 run_dir=run_dir,
                 resume=True,
-                policy=FAST,
             )
 
     def test_other_part_order_rejected(self, setup, tmp_path):
@@ -375,9 +352,7 @@ class TestCheckpointResume:
         # must not resume into a mixed-order merge
         query, db, bound, _ = setup
         run_dir = tmp_path / "run"
-        evaluate_parallel(
-            query, db, bound, workers=1, run_dir=run_dir, policy=FAST
-        )
+        evaluate_parallel(query, db, bound, workers=1, run_dir=run_dir)
         manifest = run_dir / "manifest.json"
         payload = json.loads(manifest.read_text())
         assert payload["fingerprint"]["part_order"] == PART_ORDER
@@ -395,7 +370,6 @@ class TestCheckpointResume:
                     workers=1,
                     run_dir=run_dir,
                     resume=True,
-                    policy=FAST,
                 )
 
     def test_foreign_manifest_rejected(self, setup, tmp_path):
@@ -411,9 +385,81 @@ class TestCheckpointResume:
                 workers=1,
                 run_dir=run_dir,
                 resume=True,
-                policy=FAST,
             )
 
+
+
+class TestDurability:
+    def test_part_synced_before_the_manifest_names_it(
+        self, setup, fat_part, tmp_path, monkeypatch
+    ):
+        """The process that spilled a part syncs its segments, stamp and
+        directory before the supervisor's manifest records the part.
+        The serial fallback runs that process's code in this one, so
+        patches see both sides."""
+        import os
+
+        query, db, bound, serial = setup
+        run_dir = tmp_path / "run"
+        log = []
+        real_fsync, real_write = os.fsync, parallel.atomic_write_json
+
+        def fsync(fd):
+            log.append(("fsync", os.fstat(fd).st_ino))
+            return real_fsync(fd)
+
+        def write_manifest(path, payload):
+            entry = payload["parts"][str(fat_part)]
+            log.append(("manifest", entry["status"]))
+            return real_write(path, payload)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(parallel, "atomic_write_json", write_manifest)
+        run = evaluate_parallel(
+            query,
+            db,
+            bound,
+            workers=2,
+            injector=FaultInjector({(fat_part, 0): "raise"}),
+            max_retries=0,
+            run_dir=run_dir,
+        )
+        assert run.outcomes[fat_part].status == "degraded"
+        assert sorted(run.output) == sorted(serial.output)
+        part_dir = run_dir / f"part-{fat_part:05d}"
+        files = [part_dir / n for n in run.outcomes[fat_part].segments]
+        expected = {
+            p.stat().st_ino for p in (*files, part_dir / "store.json", part_dir)
+        }
+        named = log.index(("manifest", "degraded"))
+        # only fsyncs since the manifest write before it: an inode freed
+        # earlier (a replaced manifest) may be reused by the part's files
+        since = max(
+            i for i, (kind, _) in enumerate(log[:named]) if kind == "manifest"
+        )
+        synced = {ino for kind, ino in log[since:named] if kind == "fsync"}
+        assert files and expected <= synced
+
+    def test_merge_reads_each_segment_once(self, setup, tmp_path, monkeypatch):
+        query, db, bound, _ = setup
+        run_dir = tmp_path / "run"
+        first = evaluate_parallel(query, db, bound, workers=2, run_dir=run_dir)
+        reads = []
+        real_read = SegmentStore.read
+
+        def read(store, path):
+            reads.append(str(path))
+            return real_read(store, path)
+
+        monkeypatch.setattr(SegmentStore, "read", read)
+        resumed = evaluate_parallel(
+            query, db, bound, workers=2, run_dir=run_dir, resume=True
+        )
+        assert resumed.n_resumed == len(first.outcomes)
+        assert list(resumed.output) == list(first.output)
+        n_segments = sum(len(o.segments) for o in first.outcomes)
+        assert n_segments > 0
+        assert len(reads) == len(set(reads)) == n_segments
 
 class TestFaultInjector:
     def test_seeded_plan_is_deterministic(self):
@@ -434,7 +480,6 @@ class TestFaultInjector:
                 injector=FaultInjector.from_seed(
                     11, 36, rate=0.2, kinds=("raise",)
                 ),
-                policy=FAST,
             )
             for _ in range(2)
         ]

@@ -35,7 +35,6 @@ from repro.evaluation import (
     FaultInjector,
     MemoryBudgetExceeded,
     ResourceGovernanceError,
-    SupervisionPolicy,
     budget_from_spec,
     evaluate_parallel,
     evaluate_with_partitioning,
@@ -45,6 +44,7 @@ from repro.evaluation import (
     semijoin_reduce,
 )
 from repro.evaluation.faults import GOVERNOR_KINDS, FaultCommand, InjectedFault
+from repro.evaluation.governor import INITIAL_FRONTIER_BLOCK
 from repro.query import parse_query
 from repro.relational import (
     CountSink,
@@ -56,8 +56,6 @@ from repro.relational import (
 
 SETTINGS = settings(max_examples=10, deadline=None)
 
-#: No backoff sleeps: retries should be instantaneous in tests.
-FAST = SupervisionPolicy(backoff_base=0.0, backoff_jitter=0.0)
 
 KB = 1 << 10
 MB = 1 << 20
@@ -133,12 +131,6 @@ class TestBudgetSpecs:
             EvaluationBudget(soft_memory_bytes=2 * MB, hard_memory_bytes=MB)
         with pytest.raises(ValueError):
             EvaluationBudget(deadline_seconds=0.0)
-        with pytest.raises(ValueError):
-            EvaluationBudget(min_frontier_block=0)
-        with pytest.raises(ValueError):
-            EvaluationBudget(
-                min_frontier_block=256, initial_frontier_block=64
-            )
 
     def test_governs_properties(self):
         assert not EvaluationBudget().governs_anything
@@ -167,10 +159,8 @@ class TestGovernorUnits:
         return EvaluationBudget(**kw)
 
     def test_ladder_halves_from_requested_block(self):
-        gov = EvaluationGovernor(
-            self.budget(min_frontier_block=64),
-            memory_probe=pressure_probe(),
-        )
+        # the floor is MIN_FRONTIER_BLOCK = 64
+        gov = EvaluationGovernor(self.budget(), memory_probe=pressure_probe())
         assert gov.effective_block(512) == 512
         for expected in (256, 128, 64, 64):
             gov.checkpoint()
@@ -182,13 +172,10 @@ class TestGovernorUnits:
         )
 
     def test_unblocked_request_capped_then_laddered(self):
-        gov = EvaluationGovernor(
-            self.budget(initial_frontier_block=4096),
-            memory_probe=pressure_probe(),
-        )
-        assert gov.effective_block(None) == 4096
+        gov = EvaluationGovernor(self.budget(), memory_probe=pressure_probe())
+        assert gov.effective_block(None) == INITIAL_FRONTIER_BLOCK == 8192
         gov.checkpoint()
-        assert gov.effective_block(None) == 2048
+        assert gov.effective_block(None) == 4096
 
     def test_ungoverned_memory_leaves_block_alone(self):
         gov = EvaluationGovernor(
@@ -199,10 +186,7 @@ class TestGovernorUnits:
         assert gov.effective_block(7) == 7
 
     def test_ladder_escalates_sink_after_block_floor(self, tmp_path):
-        gov = EvaluationGovernor(
-            self.budget(min_frontier_block=64),
-            memory_probe=pressure_probe(),
-        )
+        gov = EvaluationGovernor(self.budget(), memory_probe=pressure_probe())
         sink = EscalatingSink(tmp_path / "esc")
         sink.open(("x", "y"))
         gov.register_sink(sink)
@@ -615,7 +599,6 @@ class TestStarUnderRealBudget:
         budget = EvaluationBudget(
             soft_memory_bytes=128 * KB,
             hard_memory_bytes=64 * MB,
-            min_frontier_block=1024,
         )
         tracemalloc.start()
         try:
@@ -646,10 +629,9 @@ class TestStarUnderRealBudget:
         budget = EvaluationBudget(
             soft_memory_bytes=512 * KB,
             hard_memory_bytes=1 << 30,
-            min_frontier_block=1024,
         )
         run = evaluate_parallel(
-            STAR, db, bound, workers=workers, policy=FAST, budget=budget
+            STAR, db, bound, workers=workers, budget=budget
         )
         assert sorted(run.output) == sorted(reference.output)
         assert run.nodes_visited == reference.nodes_visited
@@ -670,7 +652,6 @@ class TestParallelGovernance:
                 db,
                 bound,
                 workers=2,
-                policy=FAST,
                 run_dir=run_dir,
                 budget=budget,
             )
@@ -686,7 +667,6 @@ class TestParallelGovernance:
                 db,
                 bound,
                 workers=2,
-                policy=FAST,
                 budget=EvaluationBudget(deadline_seconds=1e-6),
             )
         run_dir = err.value.snapshot.run_dir
@@ -728,7 +708,6 @@ class TestParallelGovernance:
                 db,
                 bound,
                 workers=2,
-                policy=FAST,
                 run_dir=run_dir,
                 cancel_token=token,
             )
@@ -741,7 +720,6 @@ class TestParallelGovernance:
             db,
             bound,
             workers=2,
-            policy=FAST,
             run_dir=run_dir,
             resume=True,
         )
@@ -765,7 +743,6 @@ class TestParallelGovernance:
                 db,
                 bound,
                 workers=2,
-                policy=FAST,
                 budget=budget,
                 injector=injector,
             )
@@ -784,7 +761,6 @@ class TestParallelGovernance:
             db,
             bound,
             workers=2,
-            policy=FAST,
             budget=budget,
             injector=injector,
         )
@@ -806,7 +782,6 @@ class TestParallelGovernance:
                 db,
                 bound,
                 workers=2,
-                policy=FAST,
                 budget=budget,
                 injector=injector,
             )
@@ -821,7 +796,6 @@ class TestParallelGovernance:
             db,
             bound,
             workers=2,
-            policy=FAST,
             injector=injector,
         )
         assert sorted(run.output) == sorted(serial.output)

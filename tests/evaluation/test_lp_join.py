@@ -8,7 +8,6 @@ import pytest
 from repro.core import collect_statistics, lp_bound
 from repro.datasets import power_law_graph
 from repro.evaluation import (
-    SupervisionPolicy,
     count_query,
     evaluate_parallel,
     evaluate_with_partitioning,
@@ -99,7 +98,6 @@ class TestMixedTypeColumns:
     the same engine as an int table."""
 
     TRIANGLE = parse_query("Q(x,y,z) :- R(x,y), R(y,z), R(z,x)")
-    FAST = SupervisionPolicy(backoff_base=0.0, backoff_jitter=0.0)
 
     @pytest.fixture(scope="class")
     def mixed(self):
@@ -127,7 +125,7 @@ class TestMixedTypeColumns:
         serial = evaluate_with_partitioning(self.TRIANGLE, db, bound)
         count = CountSink()
         run = evaluate_parallel(
-            self.TRIANGLE, db, bound, workers=2, sink=count, policy=self.FAST
+            self.TRIANGLE, db, bound, workers=2, sink=count
         )
         assert count.total == serial.count
         assert run.nodes_visited == serial.nodes_visited
@@ -138,7 +136,7 @@ class TestMixedTypeColumns:
             with SpillSink(tmp_path / "par", chunk_rows=64) as parallel_sink:
                 evaluate_parallel(
                     self.TRIANGLE, db, bound, workers=2, sink=parallel_sink,
-                    frontier_block=7, chunk_rows=32, policy=self.FAST,
+                    frontier_block=7, chunk_rows=32,
                 )
                 assert parallel_sink.rows() == serial_sink.rows()
                 assert len(serial_sink.rows()) == serial.count
@@ -163,7 +161,6 @@ class TestMaterializedRowOrder:
     union, for every value encoding and for an empty relation."""
 
     TRIANGLE = parse_query("Q(x,y,z) :- R(x,y), R(y,z), R(z,x)")
-    FAST = SupervisionPolicy(backoff_base=0.0, backoff_jitter=0.0)
     GRAPH = power_law_graph(120, 600, 0.6, seed=9)
 
     @pytest.fixture(
@@ -203,7 +200,7 @@ class TestMaterializedRowOrder:
         _, db, bound = case
         serial = evaluate_with_partitioning(self.TRIANGLE, db, bound)
         run = evaluate_parallel(
-            self.TRIANGLE, db, bound, workers=2, policy=self.FAST
+            self.TRIANGLE, db, bound, workers=2
         )
         assert list(run.output) == list(serial.output)
         assert run.parts_evaluated == serial.parts_evaluated
@@ -224,7 +221,7 @@ class TestMaterializedRowOrder:
         assert plan.n_combinations == 0 == len(list(plan.combinations()))
         serial = evaluate_with_partitioning(self.TRIANGLE, empty, bound)
         run = evaluate_parallel(
-            self.TRIANGLE, empty, bound, workers=2, policy=self.FAST
+            self.TRIANGLE, empty, bound, workers=2
         )
         assert serial.parts_evaluated == run.parts_evaluated == 0
         assert len(serial.output) == len(run.output) == 0

@@ -20,7 +20,6 @@ from repro.core import collect_statistics, lp_bound
 from repro.datasets import power_law_graph
 from repro.datasets.snap import SNAP_SPECS
 from repro.evaluation import (
-    SupervisionPolicy,
     evaluate_parallel,
     evaluate_part,
     evaluate_with_partitioning,
@@ -43,7 +42,6 @@ from repro.relational import (
 TRIANGLE = parse_query("Q(x,y,z) :- R(x,y), R(y,z), R(z,x)")
 PATH = parse_query("path(a,b,c,d) :- R(a,b), S(b,c), T(c,d)")
 PS = [1.0, 2.0, math.inf]
-FAST = SupervisionPolicy(backoff_base=0.0, backoff_jitter=0.0)
 
 
 def _bound(query, db):
@@ -132,7 +130,7 @@ class TestOrderRule:
     def test_serial_and_parallel_identical(self, path_setup, tmp_path):
         db, bound = path_setup
         serial = evaluate_with_partitioning(PATH, db, bound)
-        parallel = evaluate_parallel(PATH, db, bound, workers=2, policy=FAST)
+        parallel = evaluate_parallel(PATH, db, bound, workers=2)
         assert list(parallel.output) == list(serial.output)
         assert parallel.nodes_visited == serial.nodes_visited
         with SpillSink(tmp_path / "serial", chunk_rows=64) as serial_sink:
@@ -140,7 +138,7 @@ class TestOrderRule:
             with SpillSink(tmp_path / "par", chunk_rows=64) as parallel_sink:
                 run = evaluate_parallel(
                     PATH, db, bound, workers=2, sink=parallel_sink,
-                    frontier_block=7, chunk_rows=32, policy=FAST,
+                    frontier_block=7, chunk_rows=32,
                 )
                 assert parallel_sink.rows() == serial_sink.rows()
         assert run.nodes_visited == serial.nodes_visited

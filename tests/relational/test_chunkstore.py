@@ -1,25 +1,42 @@
 """Durability and self-description of the spill-to-disk segment store.
 
-PR 6 hardened :class:`~repro.relational.chunkstore.SegmentStore` for use
-as the parallel evaluator's per-part persistence layer: every directory
-is stamped with a ``store.json`` manifest (foreign directories are
-refused instead of interleaving two stores' segments), renames are made
-durable by fsyncing the parent directory, and :meth:`SegmentStore.attach`
-re-opens a stamped directory validating every surviving segment — the
-primitive checkpoint-resume builds on.
+:class:`~repro.relational.chunkstore.SegmentStore` is the parallel
+evaluator's per-part persistence layer: every directory is stamped with
+a ``store.json`` manifest (foreign directories are refused instead of
+interleaving two stores' segments), writes replace atomically but sync
+nothing, :meth:`SegmentStore.sync` makes a store's files and directory
+durable in one call, and :meth:`SegmentStore.attach` re-opens a stamped
+directory validating every surviving segment — the primitives the
+parallel evaluator's checkpoint builds on.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from repro.relational import SpillSink
 from repro.relational.chunkstore import (
     ChunkStoreError,
     SegmentStore,
     atomic_write_json,
     fsync_dir,
 )
+
+
+@pytest.fixture
+def fsynced(monkeypatch):
+    """The inode of every file or directory ``os.fsync`` is called on."""
+    inodes = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        inodes.append(os.fstat(fd).st_ino)
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return inodes
 
 
 class TestManifestStamp:
@@ -123,6 +140,29 @@ class TestDurabilityHelpers:
     def test_fsync_dir_tolerates_any_directory(self, tmp_path):
         fsync_dir(tmp_path)  # must not raise
         fsync_dir(tmp_path / "missing")  # nor for absent paths
+
+    def test_spill_sink_run_makes_no_fsync(self, tmp_path, fsynced):
+        with SpillSink(tmp_path / "spill", chunk_rows=2) as sink:
+            sink.open(("x", "y"))
+            for start in range(0, 12, 3):
+                sink.append([np.arange(start, start + 3)] * 2)
+            assert sink.rows()[:2] == [(0, 0), (1, 1)]
+            assert sink.store.n_segments == 4
+        assert fsynced == []
+
+    def test_sync_covers_segments_stamp_and_directory(
+        self, tmp_path, fsynced
+    ):
+        store = SegmentStore(tmp_path / "s", 1)
+        store.write([np.arange(4)])
+        store.write([np.arange(2)])
+        assert fsynced == []
+        store.sync()
+        expected = [
+            p.stat().st_ino
+            for p in (*store.segments(), store.directory / "store.json")
+        ]
+        assert fsynced == expected + [store.directory.stat().st_ino]
 
 
 class TestWriteFailure:
