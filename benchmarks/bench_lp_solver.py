@@ -9,14 +9,21 @@ structure with new norms).  The cold path pays full assembly + solve per
 request; :class:`repro.core.BoundSolver` answers repeats from its
 structure cache and result memo.  ``test_lp_solver_speedup_guard``
 asserts the ≥5× acceptance bar and bit-identical results.
+``test_bench_lp_model_build`` times the HiGHS model build that every
+one-shot solve pays: job33's {1..10, ∞} assembly handed to HiGHS as
+column-wise arrays.  It has no entry in ``BENCH_baseline.json``, so the
+trajectory records it without gating it.
 """
 
+import importlib
 import math
 import time
 from dataclasses import replace
 
 from repro.core import BoundSolver, collect_statistics, lp_bound
 from repro.datasets import power_law_graph
+from repro.datasets.job_queries import job_query
+from repro.experiments.norm_ablation import DEFAULT_FAMILIES
 from repro.experiments.lp_scaling import run_lp_scaling
 from repro.query import parse_query
 from repro.relational import Database
@@ -100,6 +107,22 @@ def test_bench_lp_resolve_b_swap(benchmark):
 
     result = benchmark(run)
     assert result.status == "optimal"
+
+
+def test_bench_lp_model_build(benchmark, imdb_db):
+    """Build one HiGHS model of job33's {1..10, ∞} normal-cone LP."""
+    lp_mod = importlib.import_module("repro.core.lp_bound")
+    query = job_query(33)
+    stats = collect_statistics(query, imdb_db, ps=DEFAULT_FAMILIES[5])
+    rows = lp_mod._lp_rows(query.variables, stats)
+    candidates = lp_mod._step_candidates(
+        len(query.variables), "normal", lp_mod._step_pairs(rows.rows)
+    )
+    assembly = lp_mod._assemble_step_cone("normal", rows.rows, candidates)
+    model = benchmark(lp_mod._HighsModel, assembly, rows.b)
+    result = model.solve(rows.b, rows.winners, query.variables, stats)
+    assert result.status == "optimal"
+    assert result.log2_bound == lp_bound(stats, query=query).log2_bound
 
 
 def test_lp_solver_speedup_guard():

@@ -25,9 +25,10 @@ cones:
     (W's dual row a_W·y ≥ 1 follows from W′'s for y ≥ 0).  A p < 1 makes
     1/p > 1, so on a pair carrying such a statistic levels 1 and 2 are
     incomparable (only level 0 sits below both).  Levels depend only on
-    the statistics' (U, UV) pairs and whether a pair has a p < 1, so
-    every nested norm family over the same conditionals with p ≥ 1 (all
-    the E9 families) shares one candidate set.
+    the rows' (U, UV) pairs and whether a pair has a p < 1, so every
+    nested norm family over the same conditionals with some 1 < p (all
+    the E9 families but {1}) shares one candidate set.  A row whose h(U)
+    term drops out (p = 1) has the pair (∅, UV): levels 0 and 2 only.
 ``modular``
     K = M_n (singleton steps only).  This is the cone implicitly used by
     Jayaraman et al. [14]; Appendix B shows it is *not* sound in general —
@@ -36,16 +37,30 @@ cones:
 Results carry dual weights: the witness inequality (8) behind the bound
 and therefore "which norms were used" (the paper's Fig. 1 Norms column).
 
+Rows
+----
+The LP gets one row per distinct linear function, not one per
+statistic.  A statistic's row is h(UV) + (1/p − 1)·h(U) ≤ b, and for
+p = 1 or U = ∅ the h(U) term drops out, so every ℓ1 statistic of an atom
+is the one row h(UV) ≤ log2 |R| (on the E9 JOB sweep, 944 statistic
+rows of the {1} family are 360 distinct rows, and 4,214 of {1..10,∞}
+are 3,630).  A merged row keeps the least ``b`` of its statistics, and
+its dual weight goes to the first statistic reaching it; the others get
+weight 0 (:class:`_Rows`).  The merge is computed once per (statistics
+set, variable order) and every solve path shares it, the ``linprog``
+oracle in ``tests/`` included.
+
 Solve modes
 -----------
 Every LP goes through one HiGHS model class, :class:`_HighsModel`, on
 the HiGHS binding that scipy bundles (``scipy.optimize._highspy``,
-scipy ≥ 1.15).  A process-wide *LP mode* (``REPRO_LP``) decides only
-whether a model is kept:
+scipy ≥ 1.15), which receives the LP as column-wise NumPy arrays through
+the binding's array ``passModel``.  A process-wide *LP mode*
+(``REPRO_LP``) decides only whether a model is kept:
 
 ``REPRO_LP=persistent`` (default)
-    :class:`BoundSolver` keeps one model per (cone, order, structure)
-    in that structure's assembly-cache entry; a re-solve swaps only the
+    :class:`BoundSolver` keeps one model per (cone, order, distinct
+    rows) in that assembly-cache entry; a re-solve swaps only the
     statistic rows' upper bounds, so HiGHS warm-starts from the previous
     basis instead of re-presolving and solving cold.
 ``REPRO_LP=oneshot``
@@ -284,15 +299,14 @@ def _variable_order(
 def _stat_structure(
     variables: tuple[str, ...], statistics: StatisticsSet
 ) -> tuple[tuple[tuple[int, int, float], ...], np.ndarray]:
-    """The LP-relevant *structure* of a statistics set, plus its b vector.
+    """The per-statistic *structure* of a statistics set, plus its b vector.
 
     Each statistic contributes one constraint
     (1/p)h(U) + h(UV) − h(U) ≤ b  ⟺  h(UV) + (1/p − 1)·h(U) ≤ b,
-    fully described by ``(mask_u, mask_uv, 1/p)`` over subset masks — at
-    most two nonzeros, never a dense 2^n row.  The structure is the
-    constraint matrix's identity: two statistics sets with equal structure
-    differ only in ``b``, which is exactly what :class:`BoundSolver`'s
-    re-solve path swaps.
+    fully described by ``(mask_u, mask_uv, 1/p)`` over subset masks.  Two
+    statistics sets with equal structure and equal ``b`` have the same
+    bound, which is what :class:`BoundSolver`'s result memo keys on; the
+    LP itself is built from the distinct rows of :func:`_lp_rows`.
 
     Computed once per (set, variable order) and kept on the set
     (:meth:`~repro.core.conditionals.StatisticsSet.derived`), so a memo
@@ -325,6 +339,58 @@ def _build_structure(
     return tuple(struct), b
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """The LP's statistic rows: one per distinct linear function.
+
+    A statistic's row is h(UV) + c·h(U) ≤ b with c = 1/p − 1, so it is
+    named by ``(mask_u, mask_uv, c)`` — with ``mask_u = 0`` whenever
+    c = 0 (p = 1, or U = ∅), where the h(U) term drops out.  Every ℓ1
+    statistic of an atom is therefore the one row h(UV) ≤ log2 |R|.
+    Statistics naming the same row share it: its ``b`` is the least of
+    theirs, and ``winners`` holds, per row, the first statistic reaching
+    that least ``b`` — the one the row's dual is credited to (the others
+    get weight 0).  ``rows`` alone fixes the constraint matrix.
+    """
+
+    rows: tuple[tuple[int, int, float], ...]
+    b: np.ndarray
+    winners: np.ndarray
+
+
+def _lp_rows(variables: tuple[str, ...], statistics: StatisticsSet) -> _Rows:
+    """The distinct rows of a statistics set, computed once per (set,
+    variable order) and kept on the set next to :func:`_stat_structure`,
+    so a re-solve of a kept set does not merge again."""
+    return statistics.derived(
+        ("lp-rows", variables), _build_rows, variables, statistics
+    )
+
+
+def _build_rows(
+    variables: tuple[str, ...], statistics: StatisticsSet
+) -> _Rows:
+    struct, b_stats = _stat_structure(variables, statistics)
+    index: dict[tuple[int, int, float], int] = {}
+    b: list[float] = []
+    winners: list[int] = []
+    for i, ((mask_u, mask_uv, inv_p), b_i) in enumerate(
+        zip(struct, b_stats.tolist())
+    ):
+        coef = inv_p - 1.0 if mask_u else 0.0
+        key = (mask_u if coef else 0, mask_uv, coef)
+        row = index.setdefault(key, len(b))
+        if row == len(b):
+            b.append(b_i)
+            winners.append(i)
+        elif b_i < b[row]:
+            b[row] = b_i
+            winners[row] = i
+    b_rows = np.array(b, dtype=float)
+    b_rows.flags.writeable = False
+    return _Rows(tuple(index), b_rows, np.array(winners, dtype=np.intp))
+
+
 @lru_cache(maxsize=None)
 def _neg_shannon_block(n: int) -> sparse.csr_matrix:
     """The memoised −A block of the elemental inequalities — rebuilt-per-
@@ -337,16 +403,17 @@ def _neg_shannon_block(n: int) -> sparse.csr_matrix:
 class _Assembly:
     """A cached constraint skeleton: everything but the b vector.
 
-    For the polymatroid cone ``a_ub`` is the statistic rows (≤2 nonzeros
-    each, assembled as COO — never through dense 2^n rows) stacked on the
-    Shannon block; for the step cones ``a_ub`` is
-    the dense statistic-row matrix over the step-function ``candidates``
-    of :func:`_step_candidates` (``None`` when there are no statistics).
-    Every column's lower bound is 0; ``col_upper`` holds the upper ones.
+    The first ``num_rows`` rows of ``a_ub`` are the statistic rows of a
+    :class:`_Rows` (≤2 nonzeros each).  For the polymatroid cone they are
+    built as COO — never through dense 2^n rows — and stacked on the
+    Shannon block; for the step cones ``a_ub`` is the dense row matrix
+    over the step-function ``candidates`` of :func:`_step_candidates`
+    (``None`` when there are no rows).  Every column's lower bound is 0;
+    ``col_upper`` holds the upper ones.
     """
 
     cone: str
-    num_stats: int
+    num_rows: int
     a_ub: "sparse.csr_matrix | np.ndarray | None"
     c: np.ndarray
     col_upper: np.ndarray
@@ -354,31 +421,28 @@ class _Assembly:
 
 
 def _stat_block(
-    struct: Sequence[tuple[int, int, float]], size: int
+    rows: Sequence[tuple[int, int, float]], size: int
 ) -> sparse.csr_matrix:
-    """The statistic constraint rows as a sparse matrix, built directly in
-    COO form (duplicate entries sum; explicit zeros are eliminated, so the
-    result is bit-identical to densifying each row first)."""
-    rows: list[int] = []
+    """The statistic rows as a sparse matrix, built directly in COO form
+    (a zero h(U) coefficient enters no entry)."""
+    row_index: list[int] = []
     cols: list[int] = []
     data: list[float] = []
-    for i, (mask_u, mask_uv, inv_p) in enumerate(struct):
-        rows.append(i)
+    for i, (mask_u, mask_uv, coef) in enumerate(rows):
+        row_index.append(i)
         cols.append(mask_uv)
         data.append(1.0)
-        if mask_u:
-            rows.append(i)
+        if coef:
+            row_index.append(i)
             cols.append(mask_u)
-            data.append(inv_p - 1.0)
-    block = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(len(struct), size)
+            data.append(coef)
+    return sparse.coo_matrix(
+        (data, (row_index, cols)), shape=(len(rows), size)
     ).tocsr()
-    block.eliminate_zeros()
-    return block
 
 
 def _assemble_polymatroid(
-    n: int, struct: Sequence[tuple[int, int, float]]
+    n: int, rows: Sequence[tuple[int, int, float]]
 ) -> _Assembly:
     if n > _POLYMATROID_MAX_VARS:
         raise ValueError(
@@ -387,9 +451,9 @@ def _assemble_polymatroid(
         )
     size = 1 << n
     neg_shannon = _neg_shannon_block(n)  # −A from A·h ≥ 0
-    if struct:
+    if rows:
         a_ub = sparse.vstack(
-            [_stat_block(struct, size), neg_shannon], format="csr"
+            [_stat_block(rows, size), neg_shannon], format="csr"
         )
     else:
         a_ub = sparse.vstack([neg_shannon], format="csr")
@@ -397,7 +461,7 @@ def _assemble_polymatroid(
     c[size - 1] = -1.0
     col_upper = np.full(size, math.inf)
     col_upper[0] = 0.0  # h(∅) = 0
-    return _Assembly("polymatroid", len(struct), a_ub, c, col_upper)
+    return _Assembly("polymatroid", len(rows), a_ub, c, col_upper)
 
 
 #: candidates per dominance block, and the booleans one block may hold:
@@ -407,15 +471,15 @@ _DOMINANCE_CELLS = 1 << 18
 
 
 def _step_pairs(
-    struct: Sequence[tuple[int, int, float]],
+    rows: Sequence[tuple[int, int, float]],
 ) -> tuple[tuple[int, int, bool], ...]:
-    """The sorted distinct ``(mask_u, mask_uv, low_p)`` pairs of a
-    structure, ``low_p`` flagging a statistic with p < 1 on the pair —
-    all a step cone's candidate columns depend on (p only scales them
-    otherwise)."""
+    """The sorted distinct ``(mask_u, mask_uv, low_p)`` pairs of a set
+    of rows, ``low_p`` flagging a row with p < 1 (an h(U) coefficient
+    above 0) on the pair — all a step cone's candidate columns depend on
+    (p only scales them otherwise)."""
     low_p: dict[tuple[int, int], bool] = {}
-    for mu, muv, inv_p in struct:
-        low_p[mu, muv] = low_p.get((mu, muv), False) or inv_p > 1.0
+    for mu, muv, coef in rows:
+        low_p[mu, muv] = low_p.get((mu, muv), False) or coef > 0.0
     return tuple(sorted((mu, muv, low) for (mu, muv), low in low_p.items()))
 
 
@@ -522,22 +586,22 @@ def _step_candidates(
 
 def _assemble_step_cone(
     cone: str,
-    struct: Sequence[tuple[int, int, float]],
+    rows: Sequence[tuple[int, int, float]],
     candidates: np.ndarray,
 ) -> _Assembly:
     m = len(candidates)
     a_ub = None
-    if struct:
-        mask_u, mask_uv, inv_p = (
-            np.array(column)[:, None] for column in zip(*struct)
+    if rows:
+        mask_u, mask_uv, coef = (
+            np.array(column)[:, None] for column in zip(*rows)
         )
         hit_uv = ((candidates & mask_uv) != 0).astype(float)
         hit_u = ((candidates & mask_u) != 0).astype(float)
-        a_ub = hit_uv + (inv_p - 1.0) * hit_u
+        a_ub = hit_uv + coef * hit_u
     # every non-empty W intersects X, so h(X) = Σ_W α_W
     c = -np.ones(m)
     col_upper = np.full(m, math.inf)
-    return _Assembly(cone, len(struct), a_ub, c, col_upper, candidates)
+    return _Assembly(cone, len(rows), a_ub, c, col_upper, candidates)
 
 
 def _optimal_result(
@@ -546,9 +610,14 @@ def _optimal_result(
     statistics: StatisticsSet,
     log2_bound: float,
     x: np.ndarray,
-    stat_duals: np.ndarray,
+    row_duals: np.ndarray,
+    winners: np.ndarray,
 ) -> BoundResult:
-    """Wrap an optimal (objective, primal, stat duals) into a BoundResult."""
+    """Wrap an optimal (objective, primal, row duals) into a BoundResult;
+    each row's dual is credited to its winning statistic (see
+    :class:`_Rows`)."""
+    stat_duals = np.zeros(len(statistics))
+    stat_duals[winners] = row_duals
     if assembly.cone == "polymatroid":
         return BoundResult(
             log2_bound,
@@ -566,8 +635,8 @@ def _optimal_result(
     }
     size = 1 << len(variables)
     h_values = np.zeros(size)
+    masks = np.arange(size)
     for w_mask, a in alpha.items():
-        masks = np.arange(size)
         h_values[(masks & w_mask) != 0] += a
     return BoundResult(
         log2_bound,
@@ -596,34 +665,57 @@ _HIGHS_OPTIONS = (
 )
 
 
+def _column_wise(
+    matrix: "sparse.csr_matrix | np.ndarray", num_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """HiGHS's column-wise ``(start, index, value)`` arrays of a matrix,
+    explicit zeros dropped: the arrays scipy's CSC conversion gives, but
+    read off a dense step-cone matrix with NumPy alone."""
+    if isinstance(matrix, np.ndarray):
+        columns = matrix.T
+        nonzero = columns != 0
+        start = np.zeros(num_cols + 1, dtype=np.int32)
+        np.cumsum(nonzero.sum(axis=1), out=start[1:])
+        index = np.nonzero(nonzero)[1].astype(np.int32)
+        return start, index, columns[nonzero]
+    csc = sparse.csc_array(matrix)
+    return (
+        csc.indptr.astype(np.int32, copy=False),
+        csc.indices.astype(np.int32, copy=False),
+        csc.data,
+    )
+
+
 class _HighsModel:
     """One HiGHS model of an assembly, solvable again with a new ``b``.
 
     The rows are the statistic rows (upper bound ``b``), then the
     Shannon rows of the polymatroid cone and any ``extra_rows`` — valid
-    inequalities c·h ≥ 0, entered as −c·h ≤ 0.  :meth:`solve` swaps the
-    upper bounds of the statistic rows whose ``b`` changed, so a kept
-    model warm-starts from its previous basis; a model built for one
-    solve runs cold, exactly as scipy's wrapper would.  A per-model lock
-    serialises solves: HiGHS instances are not reentrant, and one kept
-    model serves every thread of :func:`lp_bound_many` and the service.
+    inequalities c·h ≥ 0, entered as −c·h ≤ 0.  The LP reaches HiGHS as
+    plain column-wise arrays, through the binding's array ``passModel``.
+    :meth:`solve` swaps the upper bounds of the statistic rows whose
+    ``b`` changed, so a kept model warm-starts from its previous basis;
+    a model built for one solve runs cold, exactly as scipy's wrapper
+    would.  A per-model lock serialises solves: HiGHS instances are not
+    reentrant, and one kept model serves every thread of
+    :func:`lp_bound_many` and the service.
     """
 
     def __init__(
         self,
         assembly: _Assembly,
-        b_stats: np.ndarray,
+        b_rows: np.ndarray,
         extra_rows: Sequence[np.ndarray] = (),
     ) -> None:
         self._assembly = assembly
         self._lock = threading.Lock()
-        self._b = np.array(b_stats, dtype=float)
+        self._b = np.array(b_rows, dtype=float)
         num_cols = len(assembly.c)
         matrix = assembly.a_ub
         if matrix is None:
-            matrix = sparse.csc_array((0, num_cols))
+            matrix = np.zeros((0, num_cols))
         if len(extra_rows):
-            blocks = [matrix]
+            extra = []
             for vec in extra_rows:
                 vec = np.asarray(vec, float)
                 if vec.shape != (num_cols,):
@@ -631,57 +723,65 @@ class _HighsModel:
                         f"extra inequality must have length {num_cols}, "
                         f"got {vec.shape}"
                     )
-                blocks.append(sparse.csr_matrix(-vec.reshape(1, -1)))
-            matrix = sparse.vstack(blocks, format="csr")
-        matrix = sparse.csc_array(matrix)
+                extra.append(-vec)
+            matrix = sparse.vstack(
+                [matrix, sparse.csr_matrix(np.array(extra))], format="csr"
+            )
         num_rows = matrix.shape[0]
+        start, index, value = _column_wise(matrix, num_cols)
         # the byte estimator's price for the model (repro.core.lru): the
         # copy of the LP that HiGHS holds natively, invisible to Python
         self.nbytes = (
-            matrix.data.nbytes
-            + matrix.indices.nbytes
-            + matrix.indptr.nbytes
+            value.nbytes
+            + index.nbytes
+            + start.nbytes
             + 8 * (3 * num_cols + 2 * num_rows)
         )
-        inf = _highs.kHighsInf
-        lp = _highs.HighsLp()
-        lp.num_col_ = num_cols
-        lp.num_row_ = num_rows
-        lp.a_matrix_.num_col_ = num_cols
-        lp.a_matrix_.num_row_ = num_rows
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.col_cost_ = np.asarray(assembly.c, dtype=np.float64)
-        lp.col_lower_ = np.zeros(num_cols)
-        lp.col_upper_ = assembly.col_upper
-        lp.row_lower_ = np.full(num_rows, -inf)
         row_upper = np.zeros(num_rows)
-        row_upper[: assembly.num_stats] = self._b
-        lp.row_upper_ = row_upper
-        lp.a_matrix_.start_ = matrix.indptr
-        lp.a_matrix_.index_ = matrix.indices
-        lp.a_matrix_.value_ = matrix.data
+        row_upper[: assembly.num_rows] = self._b
         solver = _highs._Highs()
-        for name, value in _HIGHS_OPTIONS:
-            solver.setOptionValue(name, value)
-        solver.passModel(lp)
+        for option, setting in _HIGHS_OPTIONS:
+            solver.setOptionValue(option, setting)
+        status = solver.passModel(
+            num_cols,
+            num_rows,
+            len(value),
+            int(_highs.MatrixFormat.kColwise),
+            int(_highs.ObjSense.kMinimize),
+            0.0,
+            assembly.c,
+            np.zeros(num_cols),
+            assembly.col_upper,
+            np.full(num_rows, -_highs.kHighsInf),
+            row_upper,
+            start,
+            index,
+            value,
+            # all continuous: an empty array makes passModel fail
+            np.zeros(num_cols, dtype=np.int32),
+        )
+        if status == _highs.HighsStatus.kError:
+            raise RuntimeError("HiGHS refused the bound LP")
         self._solver = solver
 
     def solve(
         self,
-        b_stats: np.ndarray,
+        b_rows: np.ndarray,
+        winners: np.ndarray,
         variables: tuple[str, ...],
         statistics: StatisticsSet,
     ) -> BoundResult:
-        """The bound for statistic-row upper bounds ``b_stats``."""
+        """The bound for statistic-row upper bounds ``b_rows``; row i's
+        dual is credited to statistic ``winners[i]``."""
         assembly = self._assembly
         cone = assembly.cone
         with self._lock:
             solver = self._solver
-            for i in np.flatnonzero(b_stats != self._b):
+            for i in np.flatnonzero(b_rows != self._b):
                 solver.changeRowBounds(
-                    int(i), -_highs.kHighsInf, float(b_stats[i])
+                    int(i), -_highs.kHighsInf, float(b_rows[i])
                 )
-            self._b = np.array(b_stats, dtype=float)
+            self._b = np.array(b_rows, dtype=float)
             solver.run()
             status = solver.getModelStatus()
             Status = _highs.HighsModelStatus
@@ -705,10 +805,11 @@ class _HighsModel:
                 )
             solution = solver.getSolution()
             x = np.array(solution.col_value)
-            duals = -np.array(solution.row_dual[: assembly.num_stats], float)
+            duals = -np.array(solution.row_dual[: assembly.num_rows], float)
             objective = solver.getObjectiveValue()
         return _optimal_result(
-            assembly, variables, statistics, float(-objective), x, duals
+            assembly, variables, statistics, float(-objective), x, duals,
+            winners,
         )
 
 
@@ -774,17 +875,20 @@ def lp_bound(
         statistics = StatisticsSet(statistics)
     order = _variable_order(query, statistics, variables)
     cone = _resolve_cone(cone, order, statistics, bool(extra_inequalities))
-    struct, b_stats = _stat_structure(order, statistics)
+    _, b_stats = _stat_structure(order, statistics)
     empty = _empty_result(cone, order, statistics, b_stats)
     if empty is not None:
         return empty
+    rows = _lp_rows(order, statistics)
     if cone == "polymatroid":
-        assembly = _assemble_polymatroid(len(order), struct)
+        assembly = _assemble_polymatroid(len(order), rows.rows)
     else:
-        candidates = _step_candidates(len(order), cone, _step_pairs(struct))
-        assembly = _assemble_step_cone(cone, struct, candidates)
-    model = _HighsModel(assembly, b_stats, extra_inequalities)
-    return model.solve(b_stats, order, statistics)
+        candidates = _step_candidates(
+            len(order), cone, _step_pairs(rows.rows)
+        )
+        assembly = _assemble_step_cone(cone, rows.rows, candidates)
+    model = _HighsModel(assembly, rows.b, extra_inequalities)
+    return model.solve(rows.b, rows.winners, order, statistics)
 
 
 def _resolve_cone(
@@ -832,19 +936,20 @@ class BoundSolver:
 
     A workload (an experiment sweep, a join-order search, a scale series)
     solves the *same LP shapes* over and over: the constraint matrix is
-    fully determined by the variable order and the statistics structure
-    (which conditionals, which p's — see :func:`_stat_structure`), while
-    only the right-hand side ``b`` carries the measured norms.  The solver
-    therefore keeps two caches:
+    fully determined by the variable order and the statistics' distinct
+    rows (see :class:`_Rows`), while only the right-hand side ``b``
+    carries the measured norms.  The solver therefore keeps two caches:
 
-    * an **assembly cache** keyed by (cone, variable order, structure):
-      the sparse constraint skeleton is built once and re-solves swap only
-      ``b_ub`` — scale sweeps and per-dataset repetitions of one query
-      template never re-assemble.  It also holds the step cones'
-      candidate columns keyed by (cone, n, pairs), which every nested
-      norm family of a query shares (:meth:`_candidates_for`);
-    * a **result memo** keyed additionally by the ``b`` values: repeated
-      requests for the *identical* bound (the plan-search pattern — every
+    * an **assembly cache** keyed by (cone, variable order, distinct
+      rows): the constraint skeleton is built once and re-solves swap
+      only the row bounds — scale sweeps, per-dataset repetitions of one
+      query template, and statistics sets that differ only in duplicate
+      rows never re-assemble.  It also holds the step cones' candidate
+      columns keyed by (cone, n, pairs of the rows), which the nested
+      norm families of a query with p > 1 share (:meth:`_candidates_for`);
+    * a **result memo** keyed by the per-statistic structure (see
+      :func:`_stat_structure`) and its ``b`` values: repeated requests
+      for the *identical* bound (the plan-search pattern — every
       candidate plan re-costs the same subqueries) are answered without
       calling the LP solver at all.
 
@@ -955,9 +1060,9 @@ class BoundSolver:
         self,
         cone: str,
         order: tuple[str, ...],
-        struct: tuple[tuple[int, int, float], ...],
+        rows: tuple[tuple[int, int, float], ...],
     ) -> _Structure:
-        key = (cone, order, struct)
+        key = (cone, order, rows)
         with self._lock:
             entry = self._assemblies.get(key)
             if entry is not None:
@@ -965,12 +1070,12 @@ class BoundSolver:
                 return entry
             self.assembly_misses += 1
         if cone == "polymatroid":
-            assembly = _assemble_polymatroid(len(order), struct)
+            assembly = _assemble_polymatroid(len(order), rows)
         else:
             candidates = self._candidates_for(
-                cone, len(order), _step_pairs(struct)
+                cone, len(order), _step_pairs(rows)
             )
-            assembly = _assemble_step_cone(cone, struct, candidates)
+            assembly = _assemble_step_cone(cone, rows, candidates)
         with self._lock:
             return self._assemblies.add(key, _Structure(assembly))
 
@@ -978,10 +1083,11 @@ class BoundSolver:
         self, cone: str, n: int, pairs: tuple[tuple[int, int, bool], ...]
     ) -> np.ndarray:
         """A step cone's columns, computed once per ``(cone, n, pairs)`` —
-        every nested norm family of a query shares its pairs, so a query
-        pays for them once, not once per family.  They live in the
-        assembly cache (an int ``n`` never equals an order tuple, so the
-        keys cannot collide with skeleton keys)."""
+        the nested norm families of a query with p > 1 share their
+        pairs, so a query pays for them once for those families, not
+        once per family.  They live in the assembly cache (an int ``n``
+        never equals an order tuple, so the keys cannot collide with
+        skeleton keys)."""
         key = (cone, n, pairs)
         with self._lock:
             candidates = self._assemblies.get(key)
@@ -1049,15 +1155,16 @@ class BoundSolver:
         empty = _empty_result(cone, order, statistics, b_stats)
         if empty is not None:
             return empty
-        entry = self._structure_for(cone, order, struct)
+        rows = _lp_rows(order, statistics)
+        entry = self._structure_for(cone, order, rows.rows)
         persistent = active_lp_mode() == "persistent"
         if persistent:
             model = entry.model or self._warm_model(
-                (cone, order, struct), entry, b_stats
+                (cone, order, rows.rows), entry, rows.b
             )
         else:
-            model = _HighsModel(entry.assembly, b_stats)
-        result = model.solve(b_stats, order, statistics)
+            model = _HighsModel(entry.assembly, rows.b)
+        result = model.solve(rows.b, rows.winners, order, statistics)
         with self._lock:
             self.solves += 1
             self.persistent_resolves += persistent
@@ -1066,12 +1173,12 @@ class BoundSolver:
         return result
 
     def _warm_model(
-        self, key: tuple, entry: _Structure, b_stats: np.ndarray
+        self, key: tuple, entry: _Structure, b_rows: np.ndarray
     ) -> _HighsModel:
         """Build the entry's warm model; racing builders keep the first.
         The cached entry is re-priced with its model, so the byte budget
         bounds models and assemblies together."""
-        model = _HighsModel(entry.assembly, b_stats)
+        model = _HighsModel(entry.assembly, b_rows)
         with self._lock:
             if entry.model is None:
                 entry.model = model
@@ -1091,9 +1198,10 @@ class BoundSolver:
         ``solve(statistics.restrict_ps(ps), ...)``.
 
         A family bound is the same LP over the restricted Σ.  On the step
-        cones the cached candidate columns depend only on the ``(U, UV)``
-        pairs, which nested families share, so a query's families reuse
-        one candidate set and rebuild only their statistic rows.
+        cones the cached candidate columns depend only on the rows'
+        ``(U, UV)`` pairs, which nested families with p > 1 share, so
+        those families of a query reuse one candidate set and rebuild
+        only their statistic rows.
         """
         if not isinstance(statistics, StatisticsSet):
             statistics = StatisticsSet(statistics)
@@ -1178,7 +1286,7 @@ def _structure_key(task: BoundTask, index: int) -> object:
         if task.family is not None:
             stats = stats.restrict_ps(task.family)
         order = _variable_order(task.query, stats, task.variables)
-        return _stat_structure(order, stats)[0]
+        return _lp_rows(order, stats).rows
     except Exception:
         return ("task", index)
 

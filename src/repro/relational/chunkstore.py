@@ -140,14 +140,13 @@ class SegmentStore:
     directory:
         Where segments live; created (with parents) if missing.
     n_columns:
-        Arity of every chunk.  Zero-column chunks are legal (only the
-        row count is stored) so counting-style consumers can share the
-        interface.
+        Arity of every chunk, at least 1 (a zero-variable output has
+        nothing to spill).
     """
 
     def __init__(self, directory: str | os.PathLike, n_columns: int) -> None:
-        if n_columns < 0:
-            raise ValueError(f"n_columns must be ≥ 0, got {n_columns}")
+        if n_columns < 1:
+            raise ValueError(f"n_columns must be ≥ 1, got {n_columns}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.n_columns = int(n_columns)
@@ -226,9 +225,7 @@ class SegmentStore:
                 raise ChunkStoreError(f"segment {path} is missing")
             columns = store.read(path)
             store._paths.append(path)
-            store._n_rows += (
-                len(columns[0]) if columns else int(_read_n_rows(path))
-            )
+            store._n_rows += len(columns[0])
         return store
 
     @property
@@ -244,14 +241,8 @@ class SegmentStore:
         """Segment paths, in write (= iteration) order."""
         return tuple(self._paths)
 
-    def write(
-        self, columns: Sequence[np.ndarray], n_rows: int | None = None
-    ) -> Path:
-        """Persist one chunk as the next segment, atomically.
-
-        ``n_rows`` is only needed for zero-column chunks; otherwise it is
-        validated against the column lengths.
-        """
+    def write(self, columns: Sequence[np.ndarray]) -> Path:
+        """Persist one chunk as the next segment, atomically."""
         columns = [np.asarray(c) for c in columns]
         if len(columns) != self.n_columns:
             raise ValueError(
@@ -260,15 +251,7 @@ class SegmentStore:
         lengths = {len(c) for c in columns}
         if len(lengths) > 1:
             raise ValueError(f"ragged chunk: column lengths {sorted(lengths)}")
-        if lengths:
-            (length,) = lengths
-            if n_rows is not None and n_rows != length:
-                raise ValueError(
-                    f"n_rows={n_rows} but columns hold {length} rows"
-                )
-            n_rows = length
-        elif n_rows is None:
-            raise ValueError("zero-column chunks need an explicit n_rows")
+        (n_rows,) = lengths
         path = self.directory / _SEGMENT_NAME.format(len(self._paths))
         payload = {f"column_{i}": c for i, c in enumerate(columns)}
         payload["n_rows"] = np.int64(n_rows)
@@ -347,14 +330,3 @@ class SegmentStore:
         except OSError:
             pass
 
-
-def _read_n_rows(path: str | os.PathLike) -> int:
-    """The declared row count of one segment (zero-column stores)."""
-    try:
-        with np.load(path, allow_pickle=True) as archive:
-            return int(archive["n_rows"])
-    except (OSError, ValueError, KeyError, EOFError,
-            zipfile.BadZipFile, pickle.UnpicklingError) as exc:
-        raise ChunkStoreError(
-            f"segment {path} is corrupt or truncated: {exc}"
-        ) from exc

@@ -648,7 +648,7 @@ class SpillSink(OutputSink):
             # would silently contradict n_rows
             raise RuntimeError("sink is closed; its segments were removed")
         if self._buffered:
-            self._store.write(self._buffer.finalize(), n_rows=self._buffered)
+            self._store.write(self._buffer.finalize())
             self._buffer = ChunkedColumns(len(self.variables))
             self._buffered = 0
 

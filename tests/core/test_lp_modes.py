@@ -342,16 +342,16 @@ class TestPersistentDifferential:
         for db in job_dbs:
             stats = collect_statistics(query, db, ps=JOB_PS)
             for family in JOB_FAMILIES:
-                structures.add(lp_mod._stat_structure(
+                structures.add(lp_mod._lp_rows(
                     query.variables, stats.restrict_ps(family)
-                )[0])
+                ).rows)
                 oracle = lp_bound(stats.restrict_ps(family), query=query)
                 with forced_lp_mode("persistent"):
                     warm = solver.solve_family(stats, family, query=query)
                 assert warm.status == oracle.status == "optimal"
                 assert warm.cone == oracle.cone == "normal"
                 assert_agrees(warm, oracle)
-        # one model per distinct structure; every solve goes through one,
+        # one model per distinct set of rows; every solve goes through one,
         # and a structure seen again (the next database) re-solves warm
         assert solver.cache_stats()["assemblies"]["models"] == len(structures)
         assert solver.persistent_resolves == len(job_dbs) * len(JOB_FAMILIES)

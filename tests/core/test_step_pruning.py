@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.full_rows import stat_rows
 from oracles.step_cone import (
     all_step_functions,
     step_rows,
@@ -103,19 +104,20 @@ def assert_pruning_exact(statistics, query=None, variables=None, tol=1e-9):
     assert pruned.log2_bound == pytest.approx(reference.log2_bound, abs=tol)
     order = pruned.variables
     struct, b = lp_mod._stat_structure(order, statistics)
+    rows = stat_rows(struct)
     y = pruned.dual_weights
     # the dual certificate covers every step function, pruned or not
     assert (y >= -1e-12).all()
-    a_all = step_rows(struct, all_step_functions(len(order)))
+    a_all = step_rows(rows, all_step_functions(len(order)))
     assert (a_all.T @ y >= 1.0 - 1e-7).all()
     assert float(b @ y) == pytest.approx(pruned.log2_bound, abs=tol)
     # the pruned primal is a feasible point of the unpruned LP
-    columns = unpruned_step_candidates(len(order), struct)
+    columns = unpruned_step_candidates(len(order), rows)
     position = {int(w): i for i, w in enumerate(columns)}
     x = np.zeros(len(columns))
     for w, alpha in pruned.normal_coefficients.items():
         x[position[w]] = alpha
-    assert (step_rows(struct, columns) @ x <= b + tol).all()
+    assert (step_rows(rows, columns) @ x <= b + tol).all()
     assert x.sum() == pytest.approx(pruned.log2_bound, abs=tol)
 
 
@@ -140,39 +142,48 @@ def test_pruned_lp_matches_unpruned(cases, label, family):
 
 def test_pruning_shrinks_job_columns(cases):
     query, stats = cases["job33"]
-    struct, _ = lp_mod._stat_structure(query.variables, stats)
+    rows = lp_mod._lp_rows(query.variables, stats).rows
     n = len(query.variables)
-    pairs = lp_mod._step_pairs(struct)
+    pairs = lp_mod._step_pairs(rows)
     pruned = lp_mod._step_candidates(n, "normal", pairs)
-    unpruned = unpruned_step_candidates(n, struct)
+    unpruned = unpruned_step_candidates(n, rows)
     assert np.isin(pruned, unpruned).all()
     assert len(pruned) * 5 < len(unpruned)
 
 
 @pytest.mark.parametrize("text", [TRIANGLE, LW])
 def test_small_shapes_hand_highs_the_same_lp(graph_db, text):
-    # nothing to prune: same columns, same row bytes, same results bits —
-    # so partition plans built on these bounds cannot move
+    # nothing to prune once a p > 1 brings the h(U) terms in: same
+    # columns, same row bytes, same results bits — so partition plans
+    # built on these bounds cannot move
     query = parse_query(text)
     n = len(query.variables)
-    for family in FAMILIES[:4]:
+    for family in FAMILIES[1:4]:
         stats = collect_statistics(query, graph_db, ps=family)
-        struct, _ = lp_mod._stat_structure(query.variables, stats)
+        rows = lp_mod._lp_rows(query.variables, stats).rows
         candidates = lp_mod._step_candidates(
-            n, "normal", lp_mod._step_pairs(struct)
+            n, "normal", lp_mod._step_pairs(rows)
         )
         assert np.array_equal(
-            candidates, unpruned_step_candidates(n, struct)
+            candidates, unpruned_step_candidates(n, rows)
         )
-        assembly = lp_mod._assemble_step_cone("normal", struct, candidates)
+        assembly = lp_mod._assemble_step_cone("normal", rows, candidates)
         assert (
             assembly.a_ub.tobytes()
-            == step_rows(struct, candidates).tobytes()
+            == step_rows(rows, candidates).tobytes()
         )
         assert_bits_identical(
             lp_bound(stats, query=query),
             unpruned_lp_bound(stats, query=query),
         )
+    # the ℓ1-only rows are h(UV) ≤ log2 |R|: levels 0 and 2 alone, so
+    # the singletons sit below every other W and are all that is kept
+    stats = collect_statistics(query, graph_db, ps=FAMILIES[0])
+    rows = lp_mod._lp_rows(query.variables, stats).rows
+    assert lp_mod._step_candidates(
+        n, "normal", lp_mod._step_pairs(rows)
+    ).tolist() == [1, 2, 4]
+    assert_pruning_exact(stats, query=query)
 
 
 def test_candidates_computed_once_per_query(cases, monkeypatch):
@@ -189,7 +200,9 @@ def test_candidates_computed_once_per_query(cases, monkeypatch):
     with forced_lp_mode("oneshot"):
         for family in FAMILIES:
             solver.solve_family(stats, family, query=query)
-    assert len(calls) == 1
+    # every row of the ℓ1-only family is some h(UV) ≤ b, so its pairs
+    # carry no U; the five families with p > 1 share one pair set
+    assert len(calls) == len(set(calls)) == 2
     assert solver.assembly_misses == len(FAMILIES)
 
 
@@ -219,20 +232,20 @@ def test_many_masks_use_packed_keys():
                 )
             )
     statistics = StatisticsSet(stats)
-    struct, _ = lp_mod._stat_structure(variables, statistics)
+    rows = lp_mod._lp_rows(variables, statistics).rows
     n = len(variables)
-    masks = sorted({m for mu, muv, _ in struct for m in (mu, muv) if m})
+    masks = sorted({m for mu, muv, _ in rows for m in (mu, muv) if m})
     assert len(masks) > 64
     all_w = np.arange(1, 1 << n, dtype=np.int64)
     first = lp_mod._pattern_firsts(all_w, masks)
-    assert np.array_equal(all_w[first], unpruned_step_candidates(n, struct))
+    assert np.array_equal(all_w[first], unpruned_step_candidates(n, rows))
     assert_pruning_exact(statistics, variables=variables)
 
 
 def test_job33_candidates_stay_small_in_memory(cases):
     query, stats = cases["job33"]
-    struct, _ = lp_mod._stat_structure(query.variables, stats)
-    pairs = lp_mod._step_pairs(struct)
+    rows = lp_mod._lp_rows(query.variables, stats).rows
+    pairs = lp_mod._step_pairs(rows)
     tracemalloc.start()
     try:
         lp_mod._step_candidates(len(query.variables), "normal", pairs)
@@ -259,9 +272,9 @@ def test_norms_below_one_keep_hit_u_columns():
         statistic("x", "y", 0.5, 2 * log_d),
         statistic("xy", "", 1.0, log_d),
     ])
-    struct, _ = lp_mod._stat_structure(query.variables, stats)
+    rows = lp_mod._lp_rows(query.variables, stats).rows
     candidates = lp_mod._step_candidates(
-        2, "normal", lp_mod._step_pairs(struct)
+        2, "normal", lp_mod._step_pairs(rows)
     )
     assert candidates.tolist() == [1, 2, 3]
     result = lp_bound(stats, query=query, cone="normal")

@@ -120,12 +120,10 @@ class TestAttach:
         with pytest.raises(ChunkStoreError, match="corrupt or truncated"):
             SegmentStore.attach(tmp_path, 2)
 
-    def test_attach_zero_column_store(self, tmp_path):
-        store = SegmentStore(tmp_path, 0)
-        store.write([], n_rows=7)
-        store.write([], n_rows=5)
-        attached = SegmentStore.attach(tmp_path, 0)
-        assert attached.n_rows == 12
+    def test_zero_columns_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="n_columns must be ≥ 1"):
+            SegmentStore(tmp_path, 0)
+        assert not (tmp_path / "store.json").exists()
 
 
 class TestDurabilityHelpers:
